@@ -59,14 +59,11 @@ from .measures import (
 )
 from .model import (
     ContingencyTable,
-    DerivedCounts,
     GradeScheme,
     LeveledOutput,
     Ranking,
     Universe,
     UserContext,
-    derived_counts,
-    ideal_gains,
 )
 from .report import (
     ClassificationReport,
@@ -90,7 +87,6 @@ __all__ = [
     "ConstraintError",
     "ContingencyTable",
     "DEFAULT_CAP",
-    "DerivedCounts",
     "DomainSpec",
     "DomainTooLargeError",
     "EquivalenceClass",
@@ -126,7 +122,6 @@ __all__ = [
     "check_equispaced",
     "check_injective",
     "classify",
-    "derived_counts",
     "distance",
     "element_from_str",
     "element_to_str",
@@ -136,7 +131,6 @@ __all__ = [
     "export_dot",
     "fmt",
     "format_domain",
-    "ideal_gains",
     "induced_order",
     "interval_scale_oracle",
     "interval_span",

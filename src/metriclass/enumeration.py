@@ -25,11 +25,18 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterator, Optional
 
-from .errors import ConstraintError, DomainTooLargeError, ParseError
-from .model import ContingencyTable, GradeScheme, LeveledOutput, Ranking, Universe, UserContext
+from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
+from .model import (
+    ContingencyTable,
+    GradeScheme,
+    LeveledOutput,
+    Ranking,
+    Universe,
+    UserContext,
+    ranking_label,
+)
 
 #: Refuse to enumerate domains larger than this (overridable per call).
 DEFAULT_CAP = 10_000_000
@@ -236,6 +243,11 @@ def _ranking_count(length: int, grades: int, max_rel: int, exact_rel: Optional[i
     return sum(math.comb(length, k) * rel_grades**k for k in ks)
 
 
+def _length_count(spec: DomainSpec, length: int) -> int:
+    return _ranking_count(length, spec.scheme.size, spec.universe.total_relevant,
+                          spec.exact_relevant)
+
+
 @lru_cache(maxsize=None)
 def _leveled_count(remaining: int, need: int) -> int:
     """Level sequences using exactly ``remaining`` documents with >= need relevant."""
@@ -251,11 +263,7 @@ def _leveled_count(remaining: int, need: int) -> int:
 def cardinality(spec: DomainSpec) -> int:
     """Exact element count; enumerate_domain always yields this many."""
     if spec.kind == "rankings":
-        return sum(
-            _ranking_count(L, spec.scheme.size, spec.universe.total_relevant,
-                           spec.exact_relevant)
-            for L in spec.lengths
-        )
+        return sum(_length_count(spec, L) for L in spec.lengths)
     if spec.kind == "contingency":
         lo, hi = spec.retrieved if spec.retrieved else (0, spec.collection)
         nonrel = spec.collection - spec.relevant
@@ -280,18 +288,45 @@ def cardinality(spec: DomainSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _no_step(state, g):
+    return state
+
+
+def _ranking_walk(spec: DomainSpec, length: int, init=None, step=_no_step) -> Iterator[tuple]:
+    """Depth-first walk over the rankings of one length, in lexicographic order.
+
+    Yields ``(labels, state)`` per ranking, where ``state`` is ``init``
+    folded through ``step(state, grade index)`` along the ranking's grades.
+    Each prefix is stepped once and its state shared by every extension.
+    Prefixes whose relevant count cannot end within R (or at ``rel=``) are
+    pruned, so every node visited lies on the path to some element and the
+    walk costs at most ``length`` steps per element.
+    """
+    labels = spec.scheme.labels
+    ascending = range(len(labels))
+    descending = ascending[::-1]  # pushed so that the stack pops them ascending
+    exact_rel = spec.exact_relevant
+    most = spec.universe.total_relevant if exact_rel is None else exact_rel
+    least = exact_rel or 0
+    stack = [((), 0, init)]
+    while stack:
+        items, rel, state = stack.pop()
+        room = length - len(items) - 1  # positions after the next one
+        if room == 0:  # the children are elements
+            for g in ascending:
+                if least <= rel + (g > 0) <= most:
+                    yield items + (labels[g],), step(state, g)
+            continue
+        for g in descending:
+            r = rel + (g > 0)
+            if r <= most and r + room >= least:
+                stack.append((items + (labels[g],), r, step(state, g)))
+
+
 def _iter_rankings(spec: DomainSpec) -> Iterator[Ranking]:
-    scheme = spec.scheme
-    max_rel = spec.universe.total_relevant
     for length in spec.lengths:
-        for combo in product(range(scheme.size), repeat=length):
-            rel = sum(1 for g in combo if g > 0)
-            if spec.exact_relevant is None:
-                if rel > max_rel:
-                    continue
-            elif rel != spec.exact_relevant:
-                continue
-            yield Ranking(scheme, tuple(scheme.labels[g] for g in combo))
+        for items, _ in _ranking_walk(spec, length):
+            yield Ranking(spec.scheme, items)
 
 
 def _iter_contingency(spec: DomainSpec) -> Iterator[ContingencyTable]:
@@ -333,9 +368,7 @@ def enumerate_domain(spec: DomainSpec, cap: int = DEFAULT_CAP) -> Iterator:
     Refuses up front when the analytic cardinality exceeds ``cap``.  With
     an order seed the stream is materialized and shuffled reproducibly.
     """
-    size = cardinality(spec)
-    if size > cap:
-        raise DomainTooLargeError(size, cap)
+    _check_cap(spec, cap)
     iterator = {
         "rankings": _iter_rankings,
         "contingency": _iter_contingency,
@@ -347,6 +380,42 @@ def enumerate_domain(spec: DomainSpec, cap: int = DEFAULT_CAP) -> Iterator:
     items = list(iterator)
     random.Random(spec.order_seed).shuffle(items)
     return iter(items)
+
+
+def _check_cap(spec: DomainSpec, cap: int) -> None:
+    size = cardinality(spec)
+    if size > cap:
+        raise DomainTooLargeError(size, cap)
+
+
+def ranking_values(spec: DomainSpec, fold, cap: int = DEFAULT_CAP) -> list[tuple]:
+    """``(label, value or None)`` for every element of a rankings domain.
+
+    The pairs come in ``enumerate_domain`` order (shuffled alike under a
+    seed), from one pruned walk per length.  ``fold(length)`` returns the
+    measure's ``(init, step, finish)`` for that length; an
+    ``UndefinedValueError`` from ``fold`` or ``finish`` marks the elements
+    concerned as undefined (None), any other error propagates.
+    """
+    _check_cap(spec, cap)
+    pairs: list[tuple] = []
+    for length in spec.lengths:
+        if not _length_count(spec, length):
+            continue  # no element of this length, so nothing to evaluate
+        try:
+            init, step, finish = fold(length)
+        except UndefinedValueError:
+            pairs.extend((ranking_label(items), None) for items, _ in _ranking_walk(spec, length))
+            continue
+        for items, state in _ranking_walk(spec, length, init, step):
+            try:
+                value = finish(state)
+            except UndefinedValueError:
+                value = None
+            pairs.append((ranking_label(items), value))
+    if spec.order_seed is not None:
+        random.Random(spec.order_seed).shuffle(pairs)
+    return pairs
 
 
 def partitioned(spec: DomainSpec, cap: int = DEFAULT_CAP) -> list[list]:

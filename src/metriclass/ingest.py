@@ -11,6 +11,7 @@ deterministic.  Unjudged documents receive the lowest grade.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConstraintError, ParseError
@@ -108,6 +109,8 @@ def parse_run(text: str) -> RunSet:
             score = float(score_text)
         except ValueError:
             raise ParseError("ingest: run rank/score fields are not numeric", lineno)
+        if not math.isfinite(score):  # nan/inf would sort arbitrarily
+            raise ParseError(f"ingest: run score {score_text!r} is not finite", lineno)
         if (topic, doc) in seen:
             raise ParseError(f"ingest: duplicate document {doc!r} in topic {topic}", lineno)
         seen.add((topic, doc))

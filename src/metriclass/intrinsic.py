@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .enumeration import DomainSpec, element_to_str, enumerate_domain, format_domain
+from .enumeration import (
+    DomainSpec,
+    element_to_str,
+    enumerate_domain,
+    format_domain,
+    ranking_values,
+)
 from .errors import ConstraintError, UndefinedValueError
 from .measures import Measure
 from .values import (
@@ -114,6 +120,9 @@ def induced_order(
 ) -> OrderedDomain:
     """Evaluate the measure over the domain and sort it into the weak order.
 
+    Rankings domains are evaluated by one prefix-sharing walk per length
+    (``enumeration.ranking_values``) over the measure's fold; the values
+    equal ``measure.evaluate`` on each element of ``enumerate_domain``.
     Undefined points (zero denominators) are excluded and recorded rather
     than mapped to a sentinel, so they cannot manufacture collisions.
     """
@@ -124,15 +133,18 @@ def induced_order(
             f"intrinsic: {measure.id} evaluates {measure.family} elements,"
             f" but the domain enumerates {spec.kind}"
         )
-    universe = spec.universe if spec.kind == "rankings" else None
+    cap = cap if cap is not None else DEFAULT_CAP
+    if spec.kind == "rankings":
+        return order_values(ranking_values(
+            spec, lambda length: measure.fold(spec.scheme, spec.universe, length), cap
+        ))
     pairs: list[tuple[str, Optional[Value]]] = []
-    for element in enumerate_domain(spec, cap if cap is not None else DEFAULT_CAP):
-        label = element_to_str(element)
+    for element in enumerate_domain(spec, cap):
         try:
-            value: Optional[Value] = measure.evaluate(element, universe)
+            value: Optional[Value] = measure.evaluate(element)
         except UndefinedValueError:
             value = None
-        pairs.append((label, value))
+        pairs.append((element_to_str(element), value))
     return order_values(pairs)
 
 

@@ -5,6 +5,22 @@ Rational-formula measures run on the exact backend; only the log-bearing
 ones (discounted gain, normalized log precision) use floats, with the
 default tolerance from :mod:`metriclass.values`.
 
+Rank-based measures are folds over ranks.  ``measure.fold(scheme,
+universe, length)`` checks the measure's parameters against the universe
+and the ranking length and returns a :class:`Kernel`: an ``init`` state,
+``step(state, g)`` for the grade index ``g`` at the next rank, and
+``finish(state)``, called after exactly ``length`` steps, which builds the
+value.  States hold integers: the rank, the relevant count, and gain sums
+as integer numerators over the scheme's common gain denominator (per-rank
+rational weights share one growing denominator too), so a ``Fraction``
+is made only in ``finish``.  ``dcg`` and ``pnorm`` add their float terms
+rank by rank in rank order.  A value that does not exist for the universe
+raises ``UndefinedValueError`` from ``fold`` or ``finish``; a bad
+parameter raises ``ParameterError`` and a cutoff padded past N raises
+``ConstraintError`` from ``fold``.  ``Measure.evaluate`` runs the fold
+over one ranking; a domain walk (``enumeration.ranking_values``) steps it
+once per prefix, so rankings that share a prefix share its state.
+
 Measure ids are stable strings: plain (``recall``), with a rank cutoff
 (``prec@4``), or with parameters (``rbp?p=1/2``, ``dcg?b=2``,
 ``utility?alpha=1,beta=1,gamma=1,delta=1``).
@@ -15,17 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional
 
-from .errors import ParameterError, ParseError, UndefinedValueError
+from .errors import ConstraintError, ParameterError, ParseError, UndefinedValueError
 from .model import (
     ContingencyTable,
+    GradeScheme,
     LeveledOutput,
     Ranking,
     Universe,
     UserContext,
-    derived_counts,
-    ideal_gains,
+    check_consistent,
 )
 from .values import DEFAULT_EPS, Approx, Exact, Value, add, exact
 
@@ -156,225 +173,426 @@ def recall_effort(c: UserContext) -> Exact:
 
 
 # ---------------------------------------------------------------------------
-# Rank-based measures over (ranking, universe)
+# Rank-based measures over (ranking, universe), as folds over ranks
 # ---------------------------------------------------------------------------
 
 
-def precision_at(cutoff: int, ranking: Ranking, universe: Universe) -> Exact:
+class Kernel(NamedTuple):
+    """A rank measure's fold, bound to one grade scheme, universe and length.
+
+    ``step(state, g)`` consumes the grade index ``g`` of the next rank and
+    returns a new state; states are immutable tuples of integers (floats for
+    the log-bearing measures), so one prefix state can be extended by every
+    sibling grade.  ``finish`` is called after exactly ``length`` steps.
+    """
+
+    init: tuple
+    step: Callable[[tuple, int], tuple]
+    finish: Callable[[tuple], Value]
+
+
+@lru_cache(maxsize=64)
+def _gain_numerators(scheme: GradeScheme) -> tuple[int, tuple[int, ...]]:
+    """The common denominator D of the gains and each gain's numerator over D."""
+    den = math.lcm(*(g.denominator for g in scheme.gains))
+    return den, tuple(int(g * den) for g in scheme.gains)
+
+
+def _weights(coefficients) -> tuple[list[int], list[int], list[int]]:
+    """Tables that keep ``sum_r c_r * x_r`` as one integer numerator.
+
+    With ``den[r]`` the lcm of the denominators of ``c_1..c_r``, the sum up
+    to rank r is ``A_r / den[r]`` where
+    ``A_r = A_{r-1} * scale[r] + x_r * weight[r]``.  Index 0 is the empty sum.
+    """
+    scale, weight, den = [1], [0], [1]
+    for c in coefficients:
+        c = Fraction(c)
+        m = math.lcm(den[-1], c.denominator)
+        scale.append(m // den[-1])
+        weight.append(c.numerator * (m // c.denominator))
+        den.append(m)
+    return scale, weight, den
+
+
+def _undefined(measure_id: str, reason: str) -> UndefinedValueError:
+    # the element is filled in by evaluate_ranking; walks only need the type
+    return UndefinedValueError(measure_id, "", reason)
+
+
+def _check_cutoff(cutoff: int, length: int) -> None:
+    if cutoff < 1 or cutoff > length:
+        raise ParameterError(
+            f"measures: cutoff {cutoff} out of range for a length-{length} ranking"
+        )
+
+
+def _check_padded(cutoff: int, universe: Universe, length: int) -> None:
+    """Cutoff measures pad short rankings, and the padded one must fit in N."""
+    if cutoff < 1:
+        raise ParameterError(f"measures: cutoff must be positive, got {cutoff}")
+    if max(length, cutoff) > universe.collection_size:
+        raise ConstraintError("model: ranking is longer than the collection")
+
+
+def _prefix_gain(gains: tuple[int, ...], cutoff: int):
+    """Step over state (rank, gain numerator) that stops accumulating after ``cutoff``."""
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, s[1] + gains[g]) if r <= cutoff else (r, s[1])
+
+    return step
+
+
+def _prec_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / r at the cutoff rank."""
-    if cutoff < 1 or cutoff > ranking.length:
-        raise ParameterError(
-            f"measures: cutoff {cutoff} out of range for a length-{ranking.length} ranking"
-        )
-    d = derived_counts(ranking, universe)
-    return Exact(d.cg[cutoff - 1] / cutoff)
+    _check_cutoff(cutoff, length)
+    den, gains = _gain_numerators(scheme)
+    return Kernel((0, 0), _prefix_gain(gains, cutoff),
+                  lambda s: Exact(Fraction(s[1], den * cutoff)))
 
 
-def recall_at(cutoff: int, ranking: Ranking, universe: Universe) -> Exact:
+def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) over the total ideal gain; cg(r)/R in the binary case."""
-    if cutoff < 1 or cutoff > ranking.length:
-        raise ParameterError(
-            f"measures: cutoff {cutoff} out of range for a length-{ranking.length} ranking"
-        )
-    total = ranking.scheme.top_gain * universe.total_relevant
+    _check_cutoff(cutoff, length)
+    _, gains = _gain_numerators(scheme)
+    total = gains[-1] * universe.total_relevant
     if total == 0:
-        raise UndefinedValueError(f"recall@{cutoff}", ranking.display(), "no relevant in universe")
-    d = derived_counts(ranking, universe)
-    return Exact(d.cg[cutoff - 1] / total)
+        raise _undefined(f"recall@{cutoff}", "no relevant in universe")
+    return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: Exact(Fraction(s[1], total)))
 
 
-def _r_padded(ranking: Ranking, universe: Universe) -> tuple[Ranking, int]:
-    r = universe.total_relevant
-    if r == 0:
-        raise UndefinedValueError("r-precision", ranking.display(), "R = 0")
-    return ranking.padded(r), r
+def _r_family(measure_id: str, finish):
+    """Fold of count(R) and cg(R), padding with the lowest grade when L < R.
+
+    ``finish(count, gain numerator, R, D, top gain numerator)`` makes the value.
+    """
+
+    def bind(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
+        r_total = universe.total_relevant
+        if r_total == 0:
+            raise _undefined(measure_id, "R = 0")
+        den, gains = _gain_numerators(scheme)
+
+        def step(s, g):
+            r = s[0] + 1
+            if r > r_total:  # only ranks 1..R count; padding up to R adds zero gain
+                return (r, s[1], s[2])
+            return (r, s[1] + (g > 0), s[2] + gains[g])
+
+        return Kernel((0, 0, 0), step,
+                      lambda s: Exact(finish(s[1], s[2], r_total, den, gains[-1])))
+
+    return bind
 
 
-def r_precision(ranking: Ranking, universe: Universe) -> Exact:
-    """count(R) / R; the ranking is padded with the lowest grade if L < R."""
-    padded, r = _r_padded(ranking, universe)
-    d = derived_counts(padded, universe)
-    return exact(d.count[r - 1], r)
+_r_precision = _r_family("r-precision", lambda c, cg, r, den, top: Fraction(c, r))
+_r_precision.__doc__ = "count(R) / R; the ranking is padded with the lowest grade if L < R."
+_r_wp = _r_family("r-wp", lambda c, cg, r, den, top: Fraction(cg, top * r))
+_r_wp.__doc__ = "cg(R) / cig(R)"
+_r_measure = _r_family("r-measure",
+                       lambda c, cg, r, den, top: Fraction(cg + den * c, (top + den) * r))
+_r_measure.__doc__ = "(cg(R) + count(R)) / (cig(R) + R)"
 
 
-def r_weighted_precision(ranking: Ranking, universe: Universe) -> Exact:
-    """cg(R) / cig(R)"""
-    padded, r = _r_padded(ranking, universe)
-    d = derived_counts(padded, universe)
-    if d.cig[r - 1] == 0:
-        raise UndefinedValueError("r-wp", ranking.display())
-    return Exact(d.cg[r - 1] / d.cig[r - 1])
-
-
-def r_measure(ranking: Ranking, universe: Universe) -> Exact:
-    """(cg(R) + count(R)) / (cig(R) + R)"""
-    padded, r = _r_padded(ranking, universe)
-    d = derived_counts(padded, universe)
-    return Exact((d.cg[r - 1] + d.count[r - 1]) / (d.cig[r - 1] + r))
-
-
-def sliding_ratio(ranking: Ranking, universe: Universe) -> Exact:
+def _sr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(L) / cig(L)"""
-    d = derived_counts(ranking, universe)
-    if d.cig[-1] == 0:
-        raise UndefinedValueError("sr", ranking.display(), "no relevant in universe")
-    return Exact(d.cg[-1] / d.cig[-1])
+    _, gains = _gain_numerators(scheme)
+    ideal = gains[-1] * min(length, universe.total_relevant)
+
+    def finish(s):
+        if ideal == 0:
+            raise _undefined("sr", "no relevant in universe")
+        return Exact(Fraction(s[1], ideal))
+
+    return Kernel((0, 0), _prefix_gain(gains, length), finish)
 
 
-def modified_sliding_ratio(ranking: Ranking, universe: Universe) -> Exact:
+def _msr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Rank-weighted sliding ratio: sum g(r)/r over sum ig(r)/r."""
-    derived_counts(ranking, universe)  # consistency check
-    num = sum(
-        (ranking.gain_at(r) / r for r in range(1, ranking.length + 1)), Fraction(0)
-    )
-    den = sum(
-        (g / r for r, g in enumerate(ideal_gains(ranking.scheme, universe, ranking.length), 1)),
-        Fraction(0),
-    )
-    if den == 0:
-        raise UndefinedValueError("msr", ranking.display(), "no relevant in universe")
-    return Exact(num / den)
+    _, gains = _gain_numerators(scheme)
+    scale, weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
+    harmonic = sum((Fraction(1, r) for r in range(1, min(length, universe.total_relevant) + 1)),
+                   Fraction(0))
+    ideal = gains[-1] * harmonic  # sum ig(r)/r, over the same gain denominator
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, s[1] * scale[r] + gains[g] * weight[r])
+
+    def finish(s):
+        if ideal == 0:
+            raise _undefined("msr", "no relevant in universe")
+        return Exact(Fraction(s[1] * ideal.denominator, den[-1] * ideal.numerator))
+
+    return Kernel((0, 0), step, finish)
 
 
-def _rocchio_guard(measure_id: str, ranking: Ranking, universe: Universe) -> int:
+def _check_rocchio(measure_id: str, universe: Universe, length: int) -> int:
     r = universe.total_relevant
-    if r == 0 or r >= ranking.length:
-        raise UndefinedValueError(measure_id, ranking.display(), "requires 0 < R < L")
+    if r == 0 or r >= length:
+        raise _undefined(measure_id, "requires 0 < R < L")
     return r
 
 
-def normalized_recall(ranking: Ranking, universe: Universe) -> Exact:
+def _rnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 - (sum of relevant ranks - sum of 1..R) / (R * (L - R))"""
-    r = _rocchio_guard("rnorm", ranking, universe)
-    d = derived_counts(ranking, universe)
-    rank_sum = sum(k for k in range(1, ranking.length + 1) if d.isrel[k - 1])
-    best = r * (r + 1) // 2
-    return Exact(1 - Fraction(rank_sum - best, r * (ranking.length - r)))
+    r_total = _check_rocchio("rnorm", universe, length)
+    span = r_total * (length - r_total)
+    best = r_total * (r_total + 1) // 2
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, s[1] + r) if g else (r, s[1])
+
+    return Kernel((0, 0), step, lambda s: Exact(Fraction(span - s[1] + best, span)))
 
 
-def normalized_precision(ranking: Ranking, universe: Universe) -> Approx:
+def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Log-weighted variant of normalized recall (float backend)."""
-    r = _rocchio_guard("pnorm", ranking, universe)
-    d = derived_counts(ranking, universe)
-    log_sum = sum(math.log(k) for k in range(1, ranking.length + 1) if d.isrel[k - 1])
-    best = sum(math.log(k) for k in range(1, r + 1))
-    den = math.log(math.comb(ranking.length, r))
-    return Approx(1 - (log_sum - best) / den)
+    r_total = _check_rocchio("pnorm", universe, length)
+    logs = [0.0] + [math.log(k) for k in range(1, length + 1)]
+    best = sum(math.log(k) for k in range(1, r_total + 1))
+    den = math.log(math.comb(length, r_total))
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, s[1] + logs[r]) if g else (r, s[1])
+
+    # the log sum starts at int 0, as sum() does, so the floats match it bit for bit
+    return Kernel((0, 0), step, lambda s: Approx(1 - (s[1] - best) / den))
 
 
-def average_precision(ranking: Ranking, universe: Universe) -> Exact:
+def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of count(r)/r."""
-    r = universe.total_relevant
-    if r == 0:
-        raise UndefinedValueError("ap", ranking.display(), "R = 0")
-    d = derived_counts(ranking, universe)
-    tot = sum(
-        (Fraction(d.count[k], k + 1) for k in range(ranking.length) if d.isrel[k]),
-        Fraction(0),
-    )
-    return Exact(tot / r)
+    r_total = universe.total_relevant
+    if r_total == 0:
+        raise _undefined("ap", "R = 0")
+    scale, weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
+    total = den[-1] * r_total
+
+    def step(s, g):
+        r = s[0] + 1
+        if g:
+            c = s[1] + 1
+            return (r, c, s[2] * scale[r] + c * weight[r])
+        return (r, s[1], s[2] * scale[r])
+
+    return Kernel((0, 0, 0), step, lambda s: Exact(Fraction(s[2], total)))
 
 
-def average_weighted_precision(ranking: Ranking, universe: Universe) -> Exact:
+def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Sum over relevant ranks of cg(r)/cig(r) (no 1/R factor)."""
-    d = derived_counts(ranking, universe)
-    if universe.total_relevant == 0:
-        raise UndefinedValueError("awp", ranking.display(), "R = 0")
-    tot = Fraction(0)
-    for k in range(ranking.length):
-        if d.isrel[k]:
-            tot += d.cg[k] / d.cig[k]
-    return Exact(tot)
+    r_total = universe.total_relevant
+    _, gains = _gain_numerators(scheme)
+    # cig(r) = top * min(r, R); with R = 0 finish raises before the tables are read
+    scale, weight, den = _weights(
+        Fraction(1, max(1, min(r, r_total))) for r in range(1, length + 1)
+    )
+    total = den[-1] * gains[-1]
+
+    def step(s, g):
+        r = s[0] + 1
+        cg = s[1] + gains[g]
+        return (r, cg, s[2] * scale[r] + cg * weight[r]) if g else (r, cg, s[2] * scale[r])
+
+    def finish(s):
+        if r_total == 0:
+            raise _undefined("awp", "R = 0")
+        return Exact(Fraction(s[2], total))
+
+    return Kernel((0, 0, 0), step, finish)
 
 
-def q_measure(ranking: Ranking, universe: Universe) -> Exact:
+def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of (cg(r)+count(r)) / (cig(r)+r)."""
-    r = universe.total_relevant
-    if r == 0:
-        raise UndefinedValueError("q-measure", ranking.display(), "R = 0")
-    d = derived_counts(ranking, universe)
-    tot = Fraction(0)
-    for k in range(ranking.length):
-        if d.isrel[k]:
-            tot += (d.cg[k] + d.count[k]) / (d.cig[k] + (k + 1))
-    return Exact(tot / r)
+    r_total = universe.total_relevant
+    if r_total == 0:
+        raise _undefined("q-measure", "R = 0")
+    den, gains = _gain_numerators(scheme)
+    top = gains[-1]
+    scale, weight, dens = _weights(
+        Fraction(1, top * min(r, r_total) + den * r) for r in range(1, length + 1)
+    )
+    total = dens[-1] * r_total
+
+    def step(s, g):
+        r = s[0] + 1
+        cg = s[2] + gains[g]
+        if g:
+            c = s[1] + 1
+            return (r, c, cg, s[3] * scale[r] + (cg + den * c) * weight[r])
+        return (r, s[1], cg, s[3] * scale[r])
+
+    return Kernel((0, 0, 0, 0), step, lambda s: Exact(Fraction(s[3], total)))
 
 
-def reciprocal_rank(ranking: Ranking, universe: Universe) -> Exact:
+def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 over the rank of the first relevant document, 0 if none."""
-    d = derived_counts(ranking, universe)
-    for k, rel in enumerate(d.isrel):
-        if rel:
-            return exact(1, k + 1)
-    return exact(0)
+    values = [exact(0)] + [exact(1, r) for r in range(1, length + 1)]
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, r) if g and not s[1] else (r, s[1])
+
+    return Kernel((0, 0), step, lambda s: values[s[1]])
 
 
-def discounted_cumulative_gain(base: float, ranking: Ranking, universe: Universe) -> Approx:
+def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Sum of g(r) / max(1, log_base r) -- float backend."""
     if base <= 1:
         raise ParameterError("measures: dcg base must be greater than 1")
-    derived_counts(ranking, universe)
-    tot = 0.0
-    for r in range(1, ranking.length + 1):
-        disc = math.log2(r) if base == 2 else math.log(r) / math.log(base)
-        tot += float(ranking.gain_at(r)) / max(1.0, disc)
-    return Approx(tot)
+    gains = [float(g) for g in scheme.gains]
+    discounts = [1.0] + [
+        max(1.0, math.log2(r) if base == 2 else math.log(r) / math.log(base))
+        for r in range(1, length + 1)
+    ]
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, s[1] + gains[g] / discounts[r])
+
+    return Kernel((0, 0.0), step, lambda s: Approx(s[1]))
 
 
-def rank_biased_precision(p: Fraction, ranking: Ranking, universe: Universe) -> Exact:
+def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1-p)/g(top) * sum of p^(r-1) * g(r); exact for rational p."""
     p = Fraction(p)
     if not 0 < p < 1:
         raise ParameterError("measures: rbp persistence p must lie strictly in (0, 1)")
-    derived_counts(ranking, universe)
-    top = ranking.scheme.top_gain
-    tot = sum(
-        (p ** (r - 1) * ranking.gain_at(r) for r in range(1, ranking.length + 1)),
-        Fraction(0),
-    )
-    return Exact((1 - p) / top * tot)
+    _, gains = _gain_numerators(scheme)
+    scale, weight, den = _weights(p ** (r - 1) for r in range(1, length + 1))
+    # (1-p)/top * A/(D * den) with top = gains[-1]/D
+    factor = (1 - p) / (gains[-1] * den[-1])
+
+    def step(s, g):
+        r = s[0] + 1
+        return (r, s[1] * scale[r] + gains[g] * weight[r])
+
+    return Kernel((0, 0), step,
+                  lambda s: Exact(Fraction(s[1] * factor.numerator, factor.denominator)))
 
 
-def bpref(ranking: Ranking, universe: Universe) -> Exact:
+def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of 1 - (r - count(r))/R."""
-    r = universe.total_relevant
-    if r == 0:
-        raise UndefinedValueError("bpref", ranking.display(), "R = 0")
-    d = derived_counts(ranking, universe)
-    tot = Fraction(0)
-    for k in range(ranking.length):
-        if d.isrel[k]:
-            tot += 1 - Fraction((k + 1) - d.count[k], r)
-    return Exact(tot / r)
+    r_total = universe.total_relevant
+    if r_total == 0:
+        raise _undefined("bpref", "R = 0")
+
+    def step(s, g):
+        r = s[0] + 1
+        if g:
+            c = s[1] + 1
+            return (r, c, s[2] + r_total - r + c)
+        return (r, s[1], s[2])
+
+    return Kernel((0, 0, 0), step, lambda s: Exact(Fraction(s[2], r_total * r_total)))
 
 
-def _cutoff_counts(measure_id: str, cutoff: int, ranking: Ranking, universe: Universe):
-    if cutoff < 1:
-        raise ParameterError(f"measures: cutoff must be positive, got {cutoff}")
-    padded = ranking.padded(cutoff)
-    d = derived_counts(padded, universe)
-    if d.cig[cutoff - 1] == 0 or d.cig[-1] == 0:
-        raise UndefinedValueError(measure_id, ranking.display(), "no relevant in universe")
-    return padded, d
-
-
-def nxcg_at(cutoff: int, ranking: Ranking, universe: Universe) -> Exact:
+def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / cig(r) at the cutoff rank."""
-    _, d = _cutoff_counts(f"nxcg@{cutoff}", cutoff, ranking, universe)
-    return Exact(d.cg[cutoff - 1] / d.cig[cutoff - 1])
+    _check_padded(cutoff, universe, length)
+    _, gains = _gain_numerators(scheme)
+    ideal = gains[-1] * min(cutoff, universe.total_relevant)
+
+    def finish(s):
+        if ideal == 0:
+            raise _undefined(f"nxcg@{cutoff}", "no relevant in universe")
+        return Exact(Fraction(s[1], ideal))
+
+    return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
 
 
-def manxcg_at(cutoff: int, ranking: Ranking, universe: Universe) -> Exact:
+def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Mean of cg(j)/cig(j) for j up to the cutoff."""
-    _, d = _cutoff_counts(f"manxcg@{cutoff}", cutoff, ranking, universe)
-    tot = sum((d.cg[j] / d.cig[j] for j in range(cutoff)), Fraction(0))
-    return Exact(tot / cutoff)
+    _check_padded(cutoff, universe, length)
+    r_total = universe.total_relevant
+    _, gains = _gain_numerators(scheme)
+    # cig(j) = top * min(j, R); with R = 0 finish raises before the tables are read
+    scale, weight, den = _weights(
+        Fraction(1, max(1, min(j, r_total))) if j <= cutoff else 0
+        for j in range(1, max(length, cutoff) + 1)
+    )
+    total = den[-1] * gains[-1] * cutoff
+
+    def step(s, g):
+        r = s[0] + 1
+        cg = s[1] + gains[g]
+        return (r, cg, s[2] * scale[r] + cg * weight[r])
+
+    def finish(s):
+        if r_total == 0:
+            raise _undefined(f"manxcg@{cutoff}", "no relevant in universe")
+        while s[0] < cutoff:  # pad with the lowest grade
+            s = step(s, 0)
+        return Exact(Fraction(s[2], total))
+
+    return Kernel((0, 0, 0), step, finish)
 
 
-def gain_recall_at(cutoff: int, ranking: Ranking, universe: Universe) -> Exact:
+def _gr_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / cig(L): prefix gain against the full-length ideal gain."""
-    padded, d = _cutoff_counts(f"gr@{cutoff}", cutoff, ranking, universe)
-    return Exact(d.cg[cutoff - 1] / d.cig[padded.length - 1])
+    _check_padded(cutoff, universe, length)
+    _, gains = _gain_numerators(scheme)
+    ideal = gains[-1] * min(max(length, cutoff), universe.total_relevant)
+
+    def finish(s):
+        if ideal == 0:
+            raise _undefined(f"gr@{cutoff}", "no relevant in universe")
+        return Exact(Fraction(s[1], ideal))
+
+    return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
+
+
+@lru_cache(maxsize=256)
+def _bound(bind, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
+    return bind(scheme, universe, length)
+
+
+def evaluate_ranking(bind, ranking: Ranking, universe: Universe) -> Value:
+    """Run a rank measure's fold over one ranking, rank by rank."""
+    try:
+        kernel = _bound(bind, ranking.scheme, universe, ranking.length)
+        check_consistent(ranking, universe)
+        state, step, index = kernel.init, kernel.step, ranking.scheme.labels.index
+        for label in ranking.items:
+            state = step(state, index(label))
+        return kernel.finish(state)
+    except UndefinedValueError as exc:
+        raise UndefinedValueError(exc.measure_id, ranking.display(), exc.reason) from None
+
+
+def _on_ranking(bind):
+    """Plain function ``f(*params, ranking, universe)`` over a measure's fold."""
+
+    def evaluate(*args):
+        *params, ranking, universe = args
+        return evaluate_ranking(partial(bind, *params) if params else bind, ranking, universe)
+
+    evaluate.__doc__ = bind.__doc__
+    return evaluate
+
+
+precision_at = _on_ranking(_prec_at)
+recall_at = _on_ranking(_recall_at)
+r_precision = _on_ranking(_r_precision)
+r_weighted_precision = _on_ranking(_r_wp)
+r_measure = _on_ranking(_r_measure)
+sliding_ratio = _on_ranking(_sr)
+modified_sliding_ratio = _on_ranking(_msr)
+normalized_recall = _on_ranking(_rnorm)
+normalized_precision = _on_ranking(_pnorm)
+average_precision = _on_ranking(_ap)
+average_weighted_precision = _on_ranking(_awp)
+q_measure = _on_ranking(_q_measure)
+reciprocal_rank = _on_ranking(_rr)
+discounted_cumulative_gain = _on_ranking(_dcg)
+rank_biased_precision = _on_ranking(_rbp)
+bpref = _on_ranking(_bpref)
+nxcg_at = _on_ranking(_nxcg_at)
+manxcg_at = _on_ranking(_manxcg_at)
+gain_recall_at = _on_ranking(_gr_at)
 
 
 # ---------------------------------------------------------------------------
@@ -482,14 +700,18 @@ class Measure:
     family: str  # contingency | user | ranking | leveled
     backend: str  # exact | approx
     unit_range: bool  # value stays in [0,1] for gain schemes bounded by 1
-    _fn: Callable
+    _fn: Callable  # element -> value; for rank measures the fold's binder
 
     def evaluate(self, element, universe: Optional[Universe] = None) -> Value:
         if self.family == "ranking":
             if universe is None:
                 raise ParameterError(f"measures: {self.id} needs a universe")
-            return self._fn(element, universe)
+            return evaluate_ranking(self._fn, element, universe)
         return self._fn(element)
+
+    def fold(self, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
+        """This rank measure's fold for rankings of one length (see module docstring)."""
+        return self._fn(scheme, universe, length)
 
     @property
     def eps(self) -> float | None:
@@ -521,27 +743,27 @@ _USER = {
 
 # ranking measures without parameters: id -> (display, fn, unit_range, backend)
 _RANKING_PLAIN = {
-    "r-precision": ("R-precision", r_precision, True, "exact"),
-    "r-wp": ("R-WP", r_weighted_precision, True, "exact"),
-    "r-measure": ("R-measure", r_measure, True, "exact"),
-    "sr": ("sliding ratio", sliding_ratio, True, "exact"),
-    "msr": ("modified sliding ratio", modified_sliding_ratio, True, "exact"),
-    "rnorm": ("normalized recall", normalized_recall, False, "exact"),
-    "pnorm": ("normalized precision", normalized_precision, False, "approx"),
-    "ap": ("average precision", average_precision, True, "exact"),
-    "awp": ("average weighted precision", average_weighted_precision, False, "exact"),
-    "q-measure": ("Q-measure", q_measure, True, "exact"),
-    "rr": ("reciprocal rank", reciprocal_rank, True, "exact"),
-    "bpref": ("bpref", bpref, False, "exact"),
+    "r-precision": ("R-precision", _r_precision, True, "exact"),
+    "r-wp": ("R-WP", _r_wp, True, "exact"),
+    "r-measure": ("R-measure", _r_measure, True, "exact"),
+    "sr": ("sliding ratio", _sr, True, "exact"),
+    "msr": ("modified sliding ratio", _msr, True, "exact"),
+    "rnorm": ("normalized recall", _rnorm, False, "exact"),
+    "pnorm": ("normalized precision", _pnorm, False, "approx"),
+    "ap": ("average precision", _ap, True, "exact"),
+    "awp": ("average weighted precision", _awp, False, "exact"),
+    "q-measure": ("Q-measure", _q_measure, True, "exact"),
+    "rr": ("reciprocal rank", _rr, True, "exact"),
+    "bpref": ("bpref", _bpref, False, "exact"),
 }
 
-# cutoff measures: base id -> (display pattern, fn(cutoff, ...), unit_range)
+# cutoff measures: base id -> (display pattern, fold(cutoff, ...), unit_range)
 _RANKING_CUTOFF = {
-    "prec": ("Prec@{r}", precision_at, True),
-    "recall": ("recall@{r}", recall_at, True),
-    "nxcg": ("nxCG@{r}", nxcg_at, True),
-    "manxcg": ("MAnxCG@{r}", manxcg_at, True),
-    "gr": ("gain recall@{r}", gain_recall_at, True),
+    "prec": ("Prec@{r}", _prec_at, True),
+    "recall": ("recall@{r}", _recall_at, True),
+    "nxcg": ("nxCG@{r}", _nxcg_at, True),
+    "manxcg": ("MAnxCG@{r}", _manxcg_at, True),
+    "gr": ("gain recall@{r}", _gr_at, True),
 }
 
 
@@ -588,7 +810,7 @@ def measure_from_id(measure_id: str) -> Measure:
             family="ranking",
             backend="exact",
             unit_range=unit,
-            _fn=lambda rk, un, _c=cutoff, _f=fn: _f(_c, rk, un),
+            _fn=partial(fn, cutoff),
         )
 
     if base in _CONTINGENCY or base in _USER:
@@ -626,7 +848,7 @@ def measure_from_id(measure_id: str) -> Measure:
             family="ranking",
             backend="approx",
             unit_range=False,
-            _fn=lambda rk, un, _b=b: discounted_cumulative_gain(_b, rk, un),
+            _fn=partial(_dcg, b),
         )
 
     if base == "rbp":
@@ -641,7 +863,7 @@ def measure_from_id(measure_id: str) -> Measure:
             family="ranking",
             backend="exact",
             unit_range=True,
-            _fn=lambda rk, un, _p=p: rank_biased_precision(_p, rk, un),
+            _fn=partial(_rbp, p),
         )
 
     if base in _RANKING_PLAIN:

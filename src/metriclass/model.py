@@ -71,7 +71,7 @@ class GradeScheme:
         return self.gains[self.index(label)]
 
     def is_relevant(self, label: str) -> bool:
-        return self.gain(label) > 0
+        return self.index(label) > 0  # only the lowest grade has gain 0
 
     @property
     def top_gain(self) -> Fraction:
@@ -102,7 +102,7 @@ class Ranking:
 
     @property
     def relevant_count(self) -> int:
-        return sum(1 for x in self.items if self.scheme.is_relevant(x))
+        return len(self.items) - self.items.count(self.scheme.labels[0])
 
     def gain_at(self, rank: int) -> Fraction:
         """Gain of the document at 1-based rank."""
@@ -116,7 +116,12 @@ class Ranking:
         return Ranking(self.scheme, self.items + pad)
 
     def display(self) -> str:
-        return "<" + ",".join(self.items) + ">"
+        return ranking_label(self.items)
+
+
+def ranking_label(items: tuple[str, ...]) -> str:
+    """Display form of a ranking's grade labels, e.g. ``<1,0,0>``."""
+    return "<" + ",".join(items) + ">"
 
 
 @dataclass(frozen=True)
@@ -141,47 +146,6 @@ def check_consistent(ranking: Ranking, universe: Universe) -> None:
         )
     if ranking.length > universe.collection_size:
         raise ConstraintError("model: ranking is longer than the collection")
-
-
-@dataclass(frozen=True)
-class DerivedCounts:
-    """Per-rank derived quantities for one (ranking, universe) pair.
-
-    Tuples are indexed 0-based; formulas use 1-based ranks.  ``cig`` is the
-    cumulative gain of the ideal ranking: the universe is assumed to hold
-    ``total_relevant`` top-grade documents, listed first.
-    """
-
-    isrel: tuple[int, ...]
-    count: tuple[int, ...]
-    cg: tuple[Fraction, ...]
-    cig: tuple[Fraction, ...]
-
-
-def ideal_gains(scheme: GradeScheme, universe: Universe, length: int) -> tuple[Fraction, ...]:
-    """Gain vector of the ideal reordering, truncated/padded to ``length``."""
-    top = scheme.top_gain
-    r = universe.total_relevant
-    return tuple(top if k < r else Fraction(0) for k in range(length))
-
-
-def derived_counts(ranking: Ranking, universe: Universe) -> DerivedCounts:
-    """Prefix sums: isrel, count, cumulative gain, ideal cumulative gain."""
-    check_consistent(ranking, universe)
-    isrel, count, cg = [], [], []
-    c, tot = 0, Fraction(0)
-    for label in ranking.items:
-        rel = 1 if ranking.scheme.is_relevant(label) else 0
-        c += rel
-        tot += ranking.scheme.gain(label)
-        isrel.append(rel)
-        count.append(c)
-        cg.append(tot)
-    cig, itot = [], Fraction(0)
-    for g in ideal_gains(ranking.scheme, universe, ranking.length):
-        itot += g
-        cig.append(itot)
-    return DerivedCounts(tuple(isrel), tuple(count), tuple(cg), tuple(cig))
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,14 @@ class TestTable:
         payload = json.loads(out)
         assert payload["schema"] == "metriclass/1"
 
+    @pytest.mark.parametrize("extra, golden", [((), "suite_paper.md"),
+                                               (("--json",), "suite_paper.json")])
+    def test_matches_golden_bytes(self, extra, golden):
+        # recorded before the rank kernel became a fold; any refactor keeps these bytes
+        code, out, _ = invoke("table", "--suite", "paper", *extra)
+        assert code == 0
+        assert out == (DATA / golden).read_bytes().decode("utf-8")
+
 
 class TestIngestEval:
     def args(self, *extra):

@@ -119,6 +119,40 @@ class TestEnumerate:
         assert shuffled != plain
         assert sorted(r.items for r in shuffled) == sorted(r.items for r in plain)
 
+    @pytest.mark.parametrize("text", [
+        "binary:L=1..4", "binary:L=5,R=2", "binary:L=5,R=3,rel=2", "binary:L=3,R=0",
+        "graded:levels=3,L=1..3,R=2", "graded:levels=4,L=3,rel=1",
+    ])
+    def test_pruned_walk_matches_filtered_product(self, text):
+        spec = parse_domain(text)
+        expected = []
+        for length in spec.lengths:
+            for combo in product(spec.scheme.labels, repeat=length):
+                rel = sum(1 for x in combo if spec.scheme.is_relevant(x))
+                wanted = spec.exact_relevant
+                if rel <= spec.universe.total_relevant and wanted in (None, rel):
+                    expected.append(combo)
+        assert [r.items for r in enumerate_domain(spec)] == expected
+
+    def test_sparse_domain_is_walked_not_filtered(self):
+        # 26 elements out of 2^26 tuples: the pruned walk must not visit the rest
+        import io
+        import json
+        import time
+
+        from metriclass.cli import run
+
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        code = run(["classify", "--measure", "rr", "--domain", "binary:L=26,rel=1", "--json"],
+                   out=out, err=err)
+        took = time.perf_counter() - start
+        assert code == 0, err.getvalue()
+        verdict = json.loads(out.getvalue())["verdict"]
+        assert verdict["elements"] == 26
+        assert verdict["category"] == "ordinal/metric"  # 1/r is injective, gaps uneven
+        assert took < 2.0
+
     def test_cap_refusal_reports_cardinality(self):
         with pytest.raises(DomainTooLargeError) as err:
             list(enumerate_domain(parse_domain("binary:L=10"), cap=1000))

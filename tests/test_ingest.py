@@ -54,6 +54,13 @@ class TestParseRun:
             parse_run("1 Q0 d1 1 0.9\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_score_reports_line(self, score):
+        with pytest.raises(ParseError) as err:
+            parse_run(f"1 Q0 a 1 0.5 sys\n1 Q0 b 2 {score} sys\n")
+        assert err.value.line == 2
+        assert "not finite" in str(err.value)
+
     def test_duplicate_doc_within_topic_rejected(self):
         with pytest.raises(ParseError):
             parse_run("1 Q0 d1 1 0.9 sys\n1 Q0 d1 2 0.8 sys\n")

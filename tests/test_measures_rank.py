@@ -89,6 +89,14 @@ class TestRFamily:
         with pytest.raises(UndefinedValueError):
             r_precision(rk(0, 0), uni(8, 0))
 
+    def test_undefined_names_the_measure(self):
+        for fn, measure_id in ((r_precision, "r-precision"), (r_weighted_precision, "r-wp"),
+                               (r_measure, "r-measure")):
+            with pytest.raises(UndefinedValueError) as err:
+                fn(rk(0, 0), uni(8, 0))
+            assert err.value.measure_id == measure_id
+            assert err.value.element == "<0,0>"
+
 
 class TestSlidingRatio:
     def test_collision_with_single_relevant(self):

@@ -1,4 +1,4 @@
-"""Domain object invariants and derived per-rank counts."""
+"""Domain object invariants, and the derived per-rank counts as rank measures read them."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -6,21 +6,51 @@ from itertools import permutations, product
 import pytest
 
 from metriclass.errors import ConstraintError, UnsatisfiableNeedError
+from metriclass.measures import measure_from_id
 from metriclass.model import (
     ContingencyTable,
     GradeScheme,
     LeveledOutput,
     Ranking,
     Universe,
-    derived_counts,
-    ideal_gains,
 )
 
 BINARY = GradeScheme.binary()
 
+RANK_IDS = (
+    "r-precision", "r-wp", "r-measure", "sr", "msr", "rnorm", "pnorm", "ap", "awp",
+    "q-measure", "rr", "bpref", "prec@4", "recall@4", "nxcg@4", "manxcg@4", "gr@4",
+    "dcg?b=2", "rbp?p=1/2",
+)
+
 
 def rk(*labels):
     return Ranking(BINARY, tuple(str(x) for x in labels))
+
+
+def at_each_rank(base, ranking, universe):
+    """Values of ``base@k`` for k = 1..L."""
+    return tuple(
+        measure_from_id(f"{base}@{k}").evaluate(ranking, universe).rational
+        for k in range(1, ranking.length + 1)
+    )
+
+
+def cg(ranking, universe):
+    """Cumulative gain per rank, read as k * prec@k."""
+    return tuple(k * v for k, v in enumerate(at_each_rank("prec", ranking, universe), 1))
+
+
+def count(ranking, universe):
+    """Relevant count per rank: the cumulative gain of the binary reading."""
+    binary = tuple("1" if ranking.scheme.is_relevant(x) else "0" for x in ranking.items)
+    return cg(Ranking(BINARY, binary), universe)
+
+
+def cig(scheme, universe, length):
+    """Ideal cumulative gain per rank, read from nxcg@k of a probe whose cg is the top gain."""
+    probe = Ranking(scheme, (scheme.labels[-1],) + (scheme.labels[0],) * (length - 1))
+    return tuple(scheme.top_gain / v for v in at_each_rank("nxcg", probe, universe))
 
 
 class TestGradeScheme:
@@ -58,63 +88,69 @@ class TestUniverse:
 
     def test_ranking_longer_than_collection(self):
         with pytest.raises(ConstraintError):
-            derived_counts(rk(1, 0, 0, 0), Universe(2, 1))
+            measure_from_id("ap").evaluate(rk(1, 0, 0, 0), Universe(2, 1))
 
 
 class TestDerivedCounts:
     def test_single_relevant_at_top(self):
-        d = derived_counts(rk(1, 0, 0, 0), Universe(8, 1))
-        assert d.cg == (1, 1, 1, 1)
-        assert d.cig == (1, 1, 1, 1)
+        assert cg(rk(1, 0, 0, 0), Universe(8, 1)) == (1, 1, 1, 1)
+        assert cig(BINARY, Universe(8, 1), 4) == (1, 1, 1, 1)
 
     def test_all_nonrelevant_zero_gain(self):
-        d = derived_counts(rk(0, 0, 0, 0), Universe(8, 4))
-        assert d.cg == (0, 0, 0, 0)
-        assert d.count == (0, 0, 0, 0)
+        assert cg(rk(0, 0, 0, 0), Universe(8, 4)) == (0, 0, 0, 0)
+        assert count(rk(0, 0, 0, 0), Universe(8, 4)) == (0, 0, 0, 0)
 
     def test_hand_evaluated_prefix_sums(self):
-        d = derived_counts(rk(0, 1, 0, 1), Universe(8, 2))
-        assert d.count == (0, 1, 1, 2)
-        assert d.cg == (0, 1, 1, 2)
-        assert d.cig == (1, 2, 2, 2)
+        ranking, universe = rk(0, 1, 0, 1), Universe(8, 2)
+        assert count(ranking, universe) == (0, 1, 1, 2)
+        assert cg(ranking, universe) == (0, 1, 1, 2)
+        assert cig(BINARY, universe, 4) == (1, 2, 2, 2)
 
     def test_too_many_relevant_rejected(self):
-        with pytest.raises(ConstraintError):
-            derived_counts(rk(1, 1, 0, 0), Universe(8, 1))
+        for measure_id in RANK_IDS:
+            with pytest.raises(ConstraintError):
+                measure_from_id(measure_id).evaluate(rk(1, 1, 0, 0), Universe(8, 1))
 
     def test_invariants_exhaustive_binary_l4(self):
         universe = Universe(8, 2)
+        ideal = cig(BINARY, universe, 4)
+        assert all(a <= b for a, b in zip(ideal, ideal[1:]))
         for combo in product("01", repeat=4):
             ranking = Ranking(BINARY, combo)
             if ranking.relevant_count > universe.total_relevant:
                 continue
-            d = derived_counts(ranking, universe)
-            assert d.count[-1] <= universe.total_relevant
-            assert all(c <= i for c, i in zip(d.cg, d.cig))
-            assert all(a <= b for a, b in zip(d.cg, d.cg[1:]))
-            assert all(a <= b for a, b in zip(d.cig, d.cig[1:]))
+            gains = cg(ranking, universe)
+            assert count(ranking, universe)[-1] <= universe.total_relevant
+            assert all(c <= i for c, i in zip(gains, ideal))
+            assert all(a <= b for a, b in zip(gains, gains[1:]))
 
     def test_invariants_exhaustive_graded_l3(self):
         scheme = GradeScheme.equispaced(3)
         universe = Universe(6, 2)
+        ideal = cig(scheme, universe, 3)
         for combo in product(scheme.labels, repeat=3):
             ranking = Ranking(scheme, combo)
             if ranking.relevant_count > universe.total_relevant:
                 continue
-            d = derived_counts(ranking, universe)
-            assert d.count[-1] <= universe.total_relevant
-            assert all(c <= i for c, i in zip(d.cg, d.cig))
-            assert all(a <= b for a, b in zip(d.cg, d.cg[1:]))
+            gains = cg(ranking, universe)
+            assert count(ranking, universe)[-1] <= universe.total_relevant
+            assert all(c <= i for c, i in zip(gains, ideal))
+            assert all(a <= b for a, b in zip(gains, gains[1:]))
 
     def test_cig_ignores_ranking_order(self):
         universe = Universe(8, 2)
-        reference = derived_counts(rk(1, 1, 0, 0), universe).cig
+        reference = cig(BINARY, universe, 4)
         for combo in permutations("1100"):
-            assert derived_counts(Ranking(BINARY, combo), universe).cig == reference
+            ranking = Ranking(BINARY, combo)
+            expected = tuple(g / i for g, i in zip(cg(ranking, universe), reference))
+            assert at_each_rank("nxcg", ranking, universe) == expected
 
     def test_ideal_gains_pad_and_truncate(self):
-        assert ideal_gains(BINARY, Universe(8, 2), 4) == (1, 1, 0, 0)
-        assert ideal_gains(BINARY, Universe(8, 6), 3) == (1, 1, 1)
+        # ideal gains (1, 1, 0, 0): R=2 top-grade documents, then padding
+        assert cig(BINARY, Universe(8, 2), 4) == (1, 2, 2, 2)
+        # ideal gains (1, 1, 1): R=6 truncated to the ranking length
+        assert cig(BINARY, Universe(8, 6), 3) == (1, 2, 3)
+        assert cig(GradeScheme.equispaced(3), Universe(8, 2), 3) == (1, 2, 2)
 
 
 class TestContingencyTable:

@@ -1,0 +1,234 @@
+"""The rank-measure folds, checked two ways.
+
+* Against the measures' formulas written out with ``Fraction`` prefix sums
+  (``reference`` below): ``Measure.evaluate`` must give the same exact
+  values and bit-equal floats on rankings up to length 12.
+* The prefix-sharing domain walk against per-element evaluation:
+  ``induced_order`` evaluates a rankings domain with one pruned walk per
+  length (``enumeration.ranking_values``), and must give the same labels,
+  values, undefined elements and errors as ``Measure.evaluate`` over
+  ``enumerate_domain``.
+"""
+
+import math
+import random
+from fractions import Fraction
+from itertools import accumulate
+
+import pytest
+
+from metriclass.enumeration import (
+    element_to_str,
+    enumerate_domain,
+    parse_domain,
+    ranking_values,
+)
+from metriclass.errors import ConstraintError, ParameterError, UndefinedValueError
+from metriclass.intrinsic import induced_order, order_values
+from metriclass.measures import measure_from_id
+from metriclass.model import GradeScheme, Ranking, Universe
+from metriclass.values import Exact
+
+RANK_IDS = (
+    "r-precision", "r-wp", "r-measure", "sr", "msr", "rnorm", "pnorm", "ap", "awp",
+    "q-measure", "rr", "bpref",
+    "prec@2", "recall@2", "nxcg@3", "manxcg@3", "gr@3",
+    "dcg?b=2", "rbp?p=1/2",
+)
+
+DOMAINS = (
+    "binary:L=1..4",                       # several lengths; cutoffs beyond L abort
+    "binary:L=2..4",
+    "graded:levels=3,L=3",
+    "binary:L=5,R=2",                      # R < L
+    "binary:L=5,R=3,rel=2",                # exact relevant count
+    "binary:L=2..3,R=5,N=8",               # R > L: the R-family pads
+    "graded:levels=3,L=2..3,R=2,N=5,seed=7",
+    "binary:L=3,R=1,N=3,rel=1",            # N = L
+    "binary:L=2,R=1,N=2",                  # nxcg@3 pads past N
+    "binary:L=3,R=0",                      # R = 0: undefined almost everywhere
+)
+
+
+def prefix_sums(ranking, universe):
+    """isrel, count, cg and cig per rank; the ideal lists R top-grade documents first."""
+    scheme = ranking.scheme
+    gains = [scheme.gain(x) for x in ranking.items]
+    ideal = [scheme.top_gain if k < universe.total_relevant else Fraction(0)
+             for k in range(ranking.length)]
+    isrel = [g > 0 for g in gains]
+    count = list(accumulate(map(int, isrel)))
+    return isrel, count, list(accumulate(gains)), list(accumulate(ideal))
+
+
+def reference(measure_id, ranking, universe):
+    """The measure's formula evaluated directly; None where it is undefined."""
+    big_r, length, top = universe.total_relevant, ranking.length, ranking.scheme.top_gain
+    base, _, param = measure_id.partition("?")
+    base, _, cutoff = base.partition("@")
+    k = int(cutoff) if cutoff else None
+    if base in ("r-precision", "r-wp", "r-measure"):
+        if big_r == 0:
+            return None
+        _, count, cg, cig = prefix_sums(ranking.padded(big_r), universe)
+        return {"r-precision": Fraction(count[big_r - 1], big_r),
+                "r-wp": cg[big_r - 1] / cig[big_r - 1],
+                "r-measure": (cg[big_r - 1] + count[big_r - 1]) / (cig[big_r - 1] + big_r)}[base]
+    if base in ("nxcg", "manxcg", "gr"):
+        if big_r == 0:
+            return None
+        _, _, cg, cig = prefix_sums(ranking.padded(k), universe)
+        return {"nxcg": cg[k - 1] / cig[k - 1],
+                "manxcg": sum(cg[j] / cig[j] for j in range(k)) / k,
+                "gr": cg[k - 1] / cig[-1]}[base]
+    isrel, count, cg, cig = prefix_sums(ranking, universe)
+    ranks = [r for r in range(1, length + 1) if isrel[r - 1]]
+    if base == "prec":
+        return cg[k - 1] / k
+    if base == "rr":
+        return Fraction(1, ranks[0]) if ranks else Fraction(0)
+    if base == "dcg":
+        b = float(Fraction(param.partition("=")[2]))
+        tot = 0.0
+        for r in range(1, length + 1):
+            disc = math.log2(r) if b == 2 else math.log(r) / math.log(b)
+            tot += float(ranking.gain_at(r)) / max(1.0, disc)
+        return tot
+    if base == "rbp":
+        p = Fraction(param.partition("=")[2])
+        return (1 - p) / top * sum(p ** (r - 1) * ranking.gain_at(r) for r in range(1, length + 1))
+    if big_r == 0:
+        return None
+    if base == "recall":
+        return cg[k - 1] / (top * big_r)
+    if base == "sr":
+        return cg[-1] / cig[-1]
+    if base == "msr":
+        ideal = sum(top / r for r in range(1, min(length, big_r) + 1))
+        return sum(ranking.gain_at(r) / r for r in range(1, length + 1)) / ideal
+    if base in ("rnorm", "pnorm"):
+        if big_r >= length:
+            return None
+        if base == "rnorm":
+            return 1 - Fraction(sum(ranks) - big_r * (big_r + 1) // 2, big_r * (length - big_r))
+        log_sum = sum(math.log(r) for r in ranks)
+        best = sum(math.log(r) for r in range(1, big_r + 1))
+        return 1 - (log_sum - best) / math.log(math.comb(length, big_r))
+    if base == "ap":
+        return sum(Fraction(count[r - 1], r) for r in ranks) / big_r
+    if base == "awp":
+        return sum((cg[r - 1] / cig[r - 1] for r in ranks), Fraction(0))
+    if base == "q-measure":
+        return sum((cg[r - 1] + count[r - 1]) / (cig[r - 1] + r) for r in ranks) / big_r
+    if base == "bpref":
+        return sum(1 - Fraction(r - count[r - 1], big_r) for r in ranks) / big_r
+    raise AssertionError(measure_id)
+
+
+SCHEMES = (
+    GradeScheme.binary(),
+    GradeScheme.equispaced(3),
+    GradeScheme.equispaced(5),
+    GradeScheme(("a", "b", "c"), (Fraction(0), Fraction(2, 3), Fraction(5, 2))),
+)
+
+
+@pytest.mark.parametrize("measure_id", RANK_IDS + ("prec@7", "nxcg@9", "manxcg@11", "gr@10",
+                                                   "dcg?b=3/2", "rbp?p=9/10"))
+def test_fold_equals_the_formula(measure_id):
+    measure = measure_from_id(measure_id)
+    rng = random.Random(measure_id)
+    # prec@k and recall@k need k <= L; the other cutoffs pad shorter rankings
+    shortest = int(measure_id.partition("@")[2]) if measure_id[:4] in ("prec", "reca") else 1
+    for scheme in SCHEMES:
+        for _ in range(40):
+            length = rng.randint(shortest, 12)
+            items = tuple(rng.choice(scheme.labels) for _ in range(length))
+            ranking = Ranking(scheme, items)
+            relevant = ranking.relevant_count
+            for big_r in sorted({relevant, relevant + 1, relevant + 5, 0}):
+                if big_r < relevant:
+                    continue
+                universe = Universe(max(length, big_r) + 12, big_r)
+                expected = reference(measure_id, ranking, universe)
+                try:
+                    got = measure.evaluate(ranking, universe)
+                except UndefinedValueError:
+                    got = None
+                if expected is None or got is None:
+                    assert expected is None and got is None, (measure_id, items, big_r)
+                elif isinstance(got, Exact):
+                    assert got.rational == expected, (measure_id, items, big_r)
+                else:
+                    assert got.real.hex() == expected.hex(), (measure_id, items, big_r)
+
+
+def per_element(measure, spec):
+    pairs = []
+    for element in enumerate_domain(spec):
+        try:
+            value = measure.evaluate(element, spec.universe)
+        except UndefinedValueError:
+            value = None
+        pairs.append((element_to_str(element), value))
+    return pairs
+
+
+def walked(measure, spec):
+    return ranking_values(spec, lambda length: measure.fold(spec.scheme, spec.universe, length))
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ParameterError, ConstraintError) as exc:
+        return "error", type(exc)
+
+
+def same_value(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    if isinstance(a, Exact):
+        return isinstance(b, Exact) and a.rational == b.rational
+    return not isinstance(b, Exact) and a.real.hex() == b.real.hex() and a.eps == b.eps
+
+
+@pytest.mark.parametrize("measure_id", RANK_IDS)
+def test_walk_equals_per_element_evaluation(measure_id):
+    measure = measure_from_id(measure_id)
+    for text in DOMAINS:
+        spec = parse_domain(text)
+        expected = outcome(per_element, measure, spec)
+        got = outcome(walked, measure, spec)
+        assert got[0] == expected[0], (measure_id, text, got, expected)
+        if got[0] == "error":
+            assert got[1] is expected[1], (measure_id, text)
+            continue
+        assert [label for label, _ in got[1]] == [label for label, _ in expected[1]]
+        for (label, a), (_, b) in zip(got[1], expected[1]):
+            assert same_value(a, b), (measure_id, text, label, a, b)
+
+
+@pytest.mark.parametrize("measure_id", ("ap", "pnorm", "rbp?p=1/2", "manxcg@3"))
+def test_induced_order_matches_per_element_order(measure_id):
+    measure = measure_from_id(measure_id)
+    spec = parse_domain("graded:levels=3,L=3..4,R=3,N=7,seed=5")
+    ordered = induced_order(measure, spec)
+    reference = order_values(per_element(measure, spec))
+    assert ordered.labels == reference.labels
+    assert ordered.excluded == reference.excluded
+    assert ordered.class_index == reference.class_index
+    assert [c.members for c in ordered.classes] == [c.members for c in reference.classes]
+
+
+def test_errors_still_abort_the_walk():
+    with pytest.raises(ParameterError):
+        induced_order(measure_from_id("prec@5"), parse_domain("binary:L=1..4"))
+    with pytest.raises(ConstraintError):  # nxcg@3 pads length-2 rankings past N=2
+        induced_order(measure_from_id("nxcg@3"), parse_domain("binary:L=2,R=1,N=2"))
+
+
+def test_lengths_without_elements_are_not_evaluated():
+    # prec@3 cannot evaluate length 2, but rel=3 leaves no length-2 element
+    ordered = induced_order(measure_from_id("prec@3"), parse_domain("binary:L=2..4,rel=3"))
+    assert ordered.labels[0] == "<1,1,1>"
