@@ -260,26 +260,50 @@ def _leveled_count(remaining: int, need: int) -> int:
     return total
 
 
+def _contingency_count(collection: int, relevant: int, lo: int, hi: int) -> int:
+    """Tables with retrieved size n in lo..hi: sum of 1 + min(n, R, N-R, N-n).
+
+    For each n, tp runs from max(0, n - (N - R)) to min(R, n); the sum is
+    taken over prefix sums of min(R, n) and max(0, n - (N - R)).
+    """
+    nonrel = collection - relevant
+
+    def capped(x: int) -> int:  # sum of min(R, n) for n = 0..x
+        if x <= relevant:
+            return x * (x + 1) // 2
+        return relevant * (relevant + 1) // 2 + relevant * (x - relevant)
+
+    def excess(x: int) -> int:  # sum of max(0, n - (N - R)) for n = 0..x
+        over = max(0, x - nonrel)
+        return over * (over + 1) // 2
+
+    return (hi - lo + 1) + capped(hi) - capped(lo - 1) - excess(hi) + excess(lo - 1)
+
+
+def _user_count(known: int, max_retrieved: int) -> int:
+    """Contexts with A = 1..max_retrieved: sum over A, Rk <= min(U, A) of A - Rk + 1.
+
+    For A <= U the inner sum is (A+1)(A+2)/2, whose sum over A = 1..K is
+    C(K+3, 3) - 1; for A > U it is (U+1)(A+1) - U(U+1)/2.
+    """
+    small = min(known, max_retrieved)
+    total = math.comb(small + 3, 3) - 1
+    if max_retrieved > known:
+        above = max_retrieved - known
+        shifted = (max_retrieved + 1) * (max_retrieved + 2) // 2 - (known + 1) * (known + 2) // 2
+        total += (known + 1) * shifted - above * known * (known + 1) // 2
+    return total
+
+
 def cardinality(spec: DomainSpec) -> int:
     """Exact element count; enumerate_domain always yields this many."""
     if spec.kind == "rankings":
         return sum(_length_count(spec, L) for L in spec.lengths)
     if spec.kind == "contingency":
         lo, hi = spec.retrieved if spec.retrieved else (0, spec.collection)
-        nonrel = spec.collection - spec.relevant
-        total = 0
-        for n in range(lo, hi + 1):
-            lo_tp = max(0, n - nonrel)
-            hi_tp = min(spec.relevant, n)
-            if hi_tp >= lo_tp:
-                total += hi_tp - lo_tp + 1
-        return total
+        return _contingency_count(spec.collection, spec.relevant, lo, hi)
     if spec.kind == "user":
-        total = 0
-        for a in range(1, spec.max_retrieved + 1):
-            for rk in range(0, min(spec.known, a) + 1):
-                total += a - rk + 1
-        return total
+        return _user_count(spec.known, spec.max_retrieved)
     return sum(_leveled_count(m, spec.need) for m in range(1, spec.max_docs + 1))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConstraintError, ParseError
 from .model import GradeScheme, Ranking, Universe
@@ -34,11 +35,7 @@ class QrelsSet:
 
     @property
     def topics(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for topic, _, _ in self.judgments:
-            if topic not in seen:
-                seen.append(topic)
-        return tuple(seen)
+        return tuple(dict.fromkeys(topic for topic, _, _ in self.judgments))
 
 
 @dataclass(frozen=True)
@@ -53,11 +50,15 @@ class RunSet:
     tag: str
     by_topic: tuple[tuple[str, tuple[RunEntry, ...]], ...]
 
+    @cached_property
+    def _entries(self) -> dict[str, tuple[RunEntry, ...]]:
+        return dict(reversed(self.by_topic))  # a repeated topic keeps its first entries
+
     def topic_entries(self, topic: str) -> tuple[RunEntry, ...]:
-        for t, entries in self.by_topic:
-            if t == topic:
-                return entries
-        raise ConstraintError(f"ingest: topic {topic!r} not present in the run")
+        try:
+            return self._entries[topic]
+        except KeyError:
+            raise ConstraintError(f"ingest: topic {topic!r} not present in the run") from None
 
     @property
     def topics(self) -> tuple[str, ...]:
@@ -147,13 +148,13 @@ def to_rankings(
     out: dict[str, tuple[Ranking, Universe]] = {}
     skipped: list[str] = []
     lowest = scheme.labels[0]
-    for topic in run.topics:
+    for topic, entries in run.by_topic:
         if topic not in judged:
             skipped.append(topic)
             continue
         grades = judged[topic]
         labels = []
-        for entry in run.topic_entries(topic)[:depth]:
+        for entry in entries[:depth]:
             grade = grades.get(entry.doc, 0)
             labels.append(scheme.labels[grade])
         labels.extend(lowest for _ in range(depth - len(labels)))

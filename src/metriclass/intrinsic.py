@@ -18,7 +18,10 @@ the quotient-gap route, so the two must always agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .enumeration import (
@@ -28,15 +31,15 @@ from .enumeration import (
     format_domain,
     ranking_values,
 )
-from .errors import ConstraintError, UndefinedValueError
+from .errors import ConfigurationError, ConstraintError, UndefinedValueError
 from .measures import Measure
 from .values import (
+    Exact,
     Value,
     absdiff,
     add,
     exact,
     fmt,
-    sort_key,
     sub,
     value_eq,
     value_le,
@@ -46,7 +49,7 @@ from .values import (
 DEFAULT_ORACLE_CAP = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceClass:
     """One attained value and the (enumeration-order) indices that share it."""
 
@@ -81,30 +84,106 @@ class OrderedDomain:
 
 
 def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
-    """Build the induced order from (label, value) pairs; None values are excluded."""
+    """Build the induced order from (label, value) pairs; None values are excluded.
+
+    One pass buckets the element indices by attained value, then only the
+    distinct values are sorted.  Two distinct exact values are never equal,
+    so without reals each is a class.  With reals, a class is a run of
+    sorted values equal (``value_eq``) to the run's first value, that of the
+    earliest element attaining the run's least value; the anchor matters
+    because nearness within a tolerance is not transitive.
+    """
     labels = tuple(label for label, _ in labeled_values)
     values = tuple(v for _, v in labeled_values)
-    excluded = tuple(i for i, v in enumerate(values) if v is None)
-    defined = [(i, v) for i, v in enumerate(values) if v is not None]
-    if not defined:
-        raise ConstraintError("intrinsic: every element of the domain is undefined")
-    defined.sort(key=lambda pair: sort_key(pair[1]))
-    classes: list[EquivalenceClass] = []
-    bucket: list[int] = []
-    bucket_value: Optional[Value] = None
-    for i, v in defined:
-        if bucket_value is not None and value_eq(v, bucket_value):
-            bucket.append(i)
+    excluded: list[int] = []
+    # value key -> first index, or the list of indices from a second hit on.
+    # An exact value is keyed by its normalised (numerator, denominator),
+    # which hashes without Fraction.__hash__; a real by (value, eps).
+    exacts: dict[tuple, int | list[int]] = {}
+    reals: dict[tuple, int | list[int]] = {}
+    for i, v in enumerate(values):
+        if v is None:
+            excluded.append(i)
+            continue
+        if v.__class__ is Exact:
+            groups, key = exacts, v.rational.as_integer_ratio()
         else:
-            if bucket:
-                classes.append(EquivalenceClass(bucket_value, tuple(sorted(bucket))))
-            bucket, bucket_value = [i], v
-    classes.append(EquivalenceClass(bucket_value, tuple(sorted(bucket))))
+            groups, key = reals, (v.real, v.eps)
+        g = groups.setdefault(key, i)
+        if g is i:  # a new key
+            continue
+        if g.__class__ is int:
+            groups[key] = [g, i]
+        else:
+            g.append(i)
+    if not exacts and not reals:
+        raise ConstraintError("intrinsic: every element of the domain is undefined")
+    if len(values) - len(excluded) > 1 and any(eps is None for _, eps in reals):
+        raise ConfigurationError(
+            "values: comparison involves a real value with no declared tolerance"
+        )
+    # Sorted by (float, exact value): float() of a rational is correctly
+    # rounded, hence monotone, so exact comparisons run only on float ties.
+    distinct = []
+    for (num, den), g in exacts.items():
+        first = g if g.__class__ is int else g[0]
+        distinct.append((_ratio_to_float(num, den), values[first].rational, first, g))
+    for (real, _), g in reals.items():
+        first = g if g.__class__ is int else g[0]
+        distinct.append((real, real, first, g))
+    tolerance = bool(reals)
+    del exacts, reals  # freed before sorting, to keep the peak memory down
+    distinct.sort()
+    if tolerance:
+        runs = _anchored_runs(distinct, values)
+    else:
+        runs = ((values[first], g) for _, _, first, g in distinct)
+    classes = tuple(
+        EquivalenceClass(v, (g,) if g.__class__ is int else tuple(sorted(g)))
+        for v, g in runs
+    )
+    del distinct, runs  # freed before class_index is built: this lowers the peak
     class_index = [-1] * len(labels)
     for ci, cls in enumerate(classes):
         for member in cls.members:
             class_index[member] = ci
-    return OrderedDomain(labels, values, tuple(classes), excluded, tuple(class_index))
+    return OrderedDomain(labels, values, classes, tuple(excluded), tuple(class_index))
+
+
+def _ratio_to_float(num: int, den: int) -> float:
+    try:
+        return num / den
+    except OverflowError:  # a rational beyond the float range
+        return math.inf if num > 0 else -math.inf
+
+
+def _anchored_runs(distinct: list, values: tuple) -> list[tuple[Value, list[int]]]:
+    """Merge sorted distinct values into (anchor, members) runs.
+
+    Each element joins the current run if ``value_eq`` to its anchor, else
+    it starts a run.  The elements of one key share that outcome; a value
+    attained under several keys (an exact and a real, or two eps) is
+    walked element by element in enumeration order.
+    """
+    runs: list[tuple[Value, list[int]]] = []
+    for _, tied in groupby(distinct, key=itemgetter(0, 1)):
+        tied = list(tied)
+        if len(tied) == 1:
+            blocks = [tied[0][3]]
+        else:
+            blocks = sorted(i for *_, g in tied for i in _indices(g))
+        for block in blocks:
+            members = _indices(block)
+            v = values[members[0]]
+            if runs and value_eq(v, runs[-1][0]):
+                runs[-1][1].extend(members)
+            else:
+                runs.append((v, list(members)))
+    return runs
+
+
+def _indices(group: int | list[int]) -> list[int]:
+    return [group] if group.__class__ is int else group
 
 
 _FAMILY_KIND = {
@@ -258,14 +337,14 @@ def check_equispaced(ordered: OrderedDomain) -> SpacingResult:
     classes = ordered.classes
     if len(classes) < 2:
         return SpacingResult(equispaced=True, degenerate=True)
-    gaps = [
-        sub(hi.value, lo.value) for lo, hi in zip(classes, classes[1:])
-    ]
-    for k in range(len(gaps) - 1):
-        if not value_eq(gaps[k], gaps[k + 1]):
-            triple = (classes[k].value, classes[k + 1].value, classes[k + 2].value)
+    first = previous = sub(classes[1].value, classes[0].value)
+    for k in range(2, len(classes)):
+        gap = sub(classes[k].value, classes[k - 1].value)
+        if not value_eq(previous, gap):
+            triple = (classes[k - 2].value, classes[k - 1].value, classes[k].value)
             return SpacingResult(equispaced=False, degenerate=False, violating_triple=triple)
-    return SpacingResult(equispaced=True, degenerate=False, gap=gaps[0])
+        previous = gap
+    return SpacingResult(equispaced=True, degenerate=False, gap=first)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ DEFAULT_EPS = 1e-9
 Rationalish = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exact:
     """Exact rational value; equality and ordering are exact."""
 
@@ -43,7 +43,7 @@ class Exact:
         return f"Exact({self.rational})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Approx:
     """Float value with a declared comparison tolerance.
 
@@ -95,11 +95,6 @@ def value_le(a: Value, b: Value) -> bool:
         return a.rational <= b.rational
     eps = _resolve_eps(a, b)
     return float(a.numeric()) <= float(b.numeric()) + eps
-
-
-def sort_key(v: Value):
-    """Total-order key; Fraction/float cross comparisons are exact in Python."""
-    return v.numeric()
 
 
 def _combine_eps(a: Value, b: Value) -> float | None:

@@ -80,6 +80,49 @@ class TestCardinality:
     def test_user_domain(self):
         assert cardinality(parse_domain("user:U=1,A=1..4")) == 24
 
+    def test_contingency_closed_form_matches_the_loop(self):
+        for collection in range(0, 13):
+            for relevant in range(0, collection + 1):
+                nonrel = collection - relevant
+                for lo in range(0, collection + 1):
+                    for hi in range(lo, collection + 1):
+                        looped = sum(
+                            max(0, min(relevant, n) - max(0, n - nonrel) + 1)
+                            for n in range(lo, hi + 1)
+                        )
+                        spec = DomainSpec(kind="contingency", collection=collection,
+                                          relevant=relevant, retrieved=(lo, hi))
+                        assert cardinality(spec) == looped, (collection, relevant, lo, hi)
+
+    def test_user_closed_form_matches_the_loop(self):
+        for known in range(1, 13):
+            for max_retrieved in range(1, 20):
+                looped = sum(
+                    a - rk + 1
+                    for a in range(1, max_retrieved + 1)
+                    for rk in range(0, min(known, a) + 1)
+                )
+                spec = DomainSpec(kind="user", known=known, max_retrieved=max_retrieved)
+                assert cardinality(spec) == looped, (known, max_retrieved)
+
+    @pytest.mark.parametrize("measure,domain", [
+        ("recall", "contingency:N=3000000,R=5"),
+        ("novelty-ratio", "user:U=1,A=1..3000000"),
+    ])
+    def test_over_cap_domain_is_refused_without_counting_it_out(self, measure, domain):
+        import io
+        import time
+
+        from metriclass.cli import run
+
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        code = run(["classify", "--measure", measure, "--domain", domain], out=out, err=err)
+        took = time.perf_counter() - start
+        assert code == 2
+        assert "above the cap" in err.getvalue()
+        assert took < 0.5
+
 
 class TestEnumerate:
     @pytest.mark.parametrize("text", SPEC_STRINGS)

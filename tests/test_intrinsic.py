@@ -5,11 +5,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metriclass.enumeration import element_from_str, enumerate_domain, parse_domain
-from metriclass.errors import ConstraintError
+from metriclass.errors import ConfigurationError, ConstraintError
 from metriclass.intrinsic import (
     INTERVAL_METRIC,
+    EquivalenceClass,
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
     build_hasse,
@@ -25,7 +28,7 @@ from metriclass.intrinsic import (
 )
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
-from metriclass.values import Approx, exact, value_eq
+from metriclass.values import Approx, Exact, exact, value_eq
 
 BINARY = GradeScheme.binary()
 
@@ -91,6 +94,124 @@ class TestInducedOrder:
             assert ca <= cb or cb <= ca  # totality
             if ca <= cb and cb <= cc:
                 assert ca <= cc  # transitivity
+
+
+def sort_and_scan(labeled_values):
+    """The former order_values: sort every element, then scan with value_eq."""
+    values = tuple(v for _, v in labeled_values)
+    defined = [(i, v) for i, v in enumerate(values) if v is not None]
+    if not defined:
+        raise ConstraintError("intrinsic: every element of the domain is undefined")
+    defined.sort(key=lambda pair: pair[1].numeric())
+    classes = []
+    bucket = []
+    bucket_value = None
+    for i, v in defined:
+        if bucket_value is not None and value_eq(v, bucket_value):
+            bucket.append(i)
+        else:
+            if bucket:
+                classes.append(EquivalenceClass(bucket_value, tuple(sorted(bucket))))
+            bucket, bucket_value = [i], v
+    classes.append(EquivalenceClass(bucket_value, tuple(sorted(bucket))))
+    class_index = [-1] * len(values)
+    for ci, cls in enumerate(classes):
+        for member in cls.members:
+            class_index[member] = ci
+    excluded = tuple(i for i, v in enumerate(values) if v is None)
+    return tuple(classes), tuple(class_index), excluded
+
+
+EPSILONS = (1e-9, 1e-3)
+
+
+def attained_points():
+    """(rational, float) pairs whose values collide exactly, lie within eps
+    of each other, or chain just under eps apart."""
+    rationals = [Fraction(k, 8) for k in range(-4, 13)]
+    rationals += [Fraction(1, 3), Fraction(2, 3), Fraction(1, 10)]  # floats tie, values differ
+    for eps in EPSILONS:
+        for base in (Fraction(0), Fraction(1, 2), Fraction(1, 3)):
+            # each step is just under eps, so two steps exceed it and the
+            # anchored merge splits the chain
+            rationals.extend(base + k * Fraction(0.9 * eps) for k in range(1, 6))
+    return [(r, float(r)) for r in rationals] + [(Fraction(0), -0.0)]
+
+
+POINTS = attained_points()
+
+
+@st.composite
+def attained_values(draw):
+    """(label, value) lists of Exact, Approx (declared eps) and None values."""
+    chosen = draw(st.lists(
+        st.tuples(
+            st.sampled_from(POINTS),
+            st.sampled_from(("exact", "approx", "undefined")),
+            st.sampled_from(EPSILONS),
+        ),
+        max_size=40,
+    ))
+    pairs = []
+    for i, ((rational, real), kind, eps) in enumerate(chosen):
+        if kind == "exact":
+            value = Exact(rational)
+        elif kind == "approx":
+            value = Approx(real, eps)
+        else:
+            value = None
+        pairs.append((f"e{i}", value))
+    return pairs
+
+
+class TestOrderValuesMatchesSortAndScan:
+    @settings(max_examples=300, deadline=None)
+    @given(attained_values())
+    @example([("a", None), ("b", None)])
+    @example([("a", Approx(-0.0)), ("b", exact(0)), ("c", Approx(0.0)), ("d", Approx(-0.0))])
+    @example([  # the real joins the exact anchor, the equal exact starts a class
+        ("a", exact(1, 2)), ("b", Approx(0.5 + 9e-10)), ("c", exact(Fraction(0.5 + 9e-10))),
+        ("d", Approx(0.5 + 9e-10)),
+    ])
+    @example([  # one real under two tolerances: only the wider reaches the anchor
+        ("a", Approx(0.5, 1e-9)), ("b", Approx(0.5009, 1e-3)), ("c", Approx(0.5009, 1e-9)),
+        ("d", Approx(0.5009, 1e-3)),
+    ])
+    def test_same_classes_members_values_and_index(self, pairs):
+        try:
+            expected = sort_and_scan(pairs)
+        except ConstraintError:
+            with pytest.raises(ConstraintError):
+                order_values(pairs)
+            return
+        ordered = order_values(pairs)
+        classes, class_index, excluded = expected
+        assert [c.members for c in ordered.classes] == [c.members for c in classes]
+        assert all(a.value is b.value for a, b in zip(ordered.classes, classes))
+        assert ordered.class_index == class_index
+        assert ordered.excluded == excluded
+
+
+class TestOrderValuesEdges:
+    def test_tolerance_free_reals_refuse_grouping(self):
+        for pairs in (
+            [("a", Approx(0.5, None)), ("b", Approx(0.5, None))],
+            [("a", exact(1)), ("b", Approx(0.5, None))],
+        ):
+            with pytest.raises(ConfigurationError):
+                sort_and_scan(pairs)
+            with pytest.raises(ConfigurationError):
+                order_values(pairs)
+
+    def test_single_tolerance_free_real_is_a_class(self):
+        ordered = order_values([("a", Approx(0.5, None)), ("b", None)])
+        assert [c.members for c in ordered.classes] == [(0,)]
+
+    def test_rationals_beyond_float_range_sort_exactly(self):
+        huge = 10 ** 400
+        pairs = [("a", exact(huge + 1)), ("b", exact(-huge)), ("c", exact(huge)), ("d", exact(1))]
+        ordered = order_values(pairs)
+        assert [c.members for c in ordered.classes] == [(1,), (3,), (2,), (0,)]
 
 
 class TestDistance:
