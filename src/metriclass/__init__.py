@@ -10,14 +10,13 @@ that domain, with machine-found witnesses for every negative verdict.
 
 from .enumeration import (
     DEFAULT_CAP,
-    DomainSpec,
+    Domain,
     cardinality,
     element_from_str,
     element_to_str,
     enumerate_domain,
     format_domain,
     parse_domain,
-    partitioned,
 )
 from .errors import (
     ConfigurationError,
@@ -29,7 +28,7 @@ from .errors import (
     UndefinedValueError,
     UnsatisfiableNeedError,
 )
-from .ingest import QrelsSet, RunSet, parse_qrels, parse_run, serialize_qrels, to_rankings
+from .ingest import QrelsSet, RunSet, parse_qrels, parse_run, to_rankings
 from .intrinsic import (
     INTERVAL_METRIC,
     ORDINAL_METRIC,
@@ -87,7 +86,7 @@ __all__ = [
     "ConstraintError",
     "ContingencyTable",
     "DEFAULT_CAP",
-    "DomainSpec",
+    "Domain",
     "DomainTooLargeError",
     "EquivalenceClass",
     "Exact",
@@ -141,10 +140,8 @@ __all__ = [
     "parse_json_report",
     "parse_qrels",
     "parse_run",
-    "partitioned",
     "pseudometric_check",
     "render_table",
-    "serialize_qrels",
     "to_rankings",
     "value_eq",
     "value_le",

@@ -13,12 +13,12 @@ import json
 import os
 import sys
 
-from .enumeration import DEFAULT_CAP, parse_domain
+from .enumeration import DEFAULT_CAP, Contingency, Leveled, User, parse_domain, parse_fields
 from .errors import MetriclassError, ParseError
 from .ingest import parse_qrels, parse_run, to_rankings
 from .intrinsic import INTERVAL_METRIC, build_hasse, classify, induced_order
 from .measures import aggregate, list_measure_ids, measure_from_id
-from .model import ContingencyTable, GradeScheme, Ranking, Universe, UserContext
+from .model import GradeScheme, Ranking, Universe
 from .report import (
     RANK_BASED_SUITE,
     SET_BASED_SUITE,
@@ -97,25 +97,10 @@ def _build_parser() -> _Parser:
 def _parse_scheme(text: str) -> GradeScheme:
     if text == "binary":
         return GradeScheme.binary()
-    if text.startswith("graded:levels="):
-        return GradeScheme.equispaced(int(text.split("=", 1)[1]))
+    head, sep, rest = text.partition(":")
+    if head == "graded" and sep:
+        return GradeScheme.equispaced(parse_fields(rest, "cli: scheme", ("levels",))["levels"])
     raise ParseError(f"cli: unknown scheme {text!r} (use binary or graded:levels=<g>)")
-
-
-def _parse_kv_ints(text: str, wanted: tuple[str, ...], what: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for part in text.split(","):
-        key, sep, val = part.partition("=")
-        if not sep:
-            raise ParseError(f"cli: malformed {what} field {part!r}")
-        out[key] = int(val)
-    missing = set(wanted) - set(out)
-    if missing:
-        raise ParseError(f"cli: {what} is missing {sorted(missing)}")
-    extra = set(out) - set(wanted)
-    if extra:
-        raise ParseError(f"cli: {what} has unknown fields {sorted(extra)}")
-    return out
 
 
 def _evaluate(args, out) -> int:
@@ -126,27 +111,22 @@ def _evaluate(args, out) -> int:
     if measure.family == "contingency":
         if not args.table:
             raise UsageError(f"{measure.id} evaluates a --table")
-        kv = _parse_kv_ints(args.table, ("tp", "fp", "fn", "tn"), "table")
-        value = measure.evaluate(ContingencyTable(kv["tp"], kv["fp"], kv["fn"], kv["tn"]))
+        value = measure.evaluate(Contingency.element(args.table))
     elif measure.family == "user":
         if not args.context:
             raise UsageError(f"{measure.id} evaluates a --context")
-        kv = _parse_kv_ints(args.context, ("U", "Rk", "Ru", "A"), "context")
-        value = measure.evaluate(UserContext(kv["U"], kv["Rk"], kv["Ru"], kv["A"]))
+        value = measure.evaluate(User.element(args.context))
     elif measure.family == "ranking":
         if not args.ranking or not args.universe:
             raise UsageError(f"{measure.id} evaluates a --ranking with a --universe")
         scheme = _parse_scheme(args.scheme)
-        kv = _parse_kv_ints(args.universe, ("N", "R"), "universe")
+        counts = parse_fields(args.universe, "cli: universe", ("N", "R"))
         ranking = Ranking(scheme, tuple(args.ranking.split(",")))
-        value = measure.evaluate(ranking, Universe(kv["N"], kv["R"]))
+        value = measure.evaluate(ranking, Universe(counts["N"], counts["R"]))
     else:  # leveled
         if not args.leveled or args.need is None:
             raise UsageError(f"{measure.id} evaluates a --leveled output with --need")
-        from .enumeration import DomainSpec, element_from_str
-
-        spec = DomainSpec(kind="leveled", max_docs=1, need=args.need)
-        value = measure.evaluate(element_from_str(spec, f"{args.leveled};s={args.need}"))
+        value = measure.evaluate(Leveled.element(f"{args.leveled};s={args.need}"))
     print(fmt(value), file=out)
     return 0
 
@@ -157,19 +137,13 @@ _DEFAULT_DOMAINS = {
 
 _PUBLISHED = {row[0]: row[1] for row in SET_BASED_SUITE + RANK_BASED_SUITE}
 
-_SUITE_FAMILIES = {key: measure_from_id(key).family for key in _DEFAULT_DOMAINS}
+# measure table key -> the suite id with that key, e.g. "dcg?" -> "dcg?b=2"
+_SUITE_IDS = {measure_from_id(measure_id).key: measure_id for measure_id in _DEFAULT_DOMAINS}
 
 
 def _suite_key(measure) -> str:
-    """Suite entry matching this measure: exact id, else same base and family."""
-    if measure.id in _DEFAULT_DOMAINS:
-        return measure.id
-    base = measure.id.partition("?")[0].partition("@")[0]
-    for key, family in _SUITE_FAMILIES.items():
-        key_base = key.partition("?")[0].partition("@")[0]
-        if key_base == base and family == measure.family:
-            return key
-    return ""
+    """Suite entry for this measure: the one from the same measure table row."""
+    return _SUITE_IDS.get(measure.key, "")
 
 
 def _classify(args, out, cap: int) -> int:
@@ -274,6 +248,16 @@ def _ingest_eval(args, out) -> int:
     return 0
 
 
+def _env_cap() -> int:
+    text = os.environ.get("METRICLASS_MAX_DOMAIN")
+    if text is None:
+        return DEFAULT_CAP
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"cli: METRICLASS_MAX_DOMAIN wants an integer, got {text!r}") from None
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
@@ -285,8 +269,8 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 1
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    cap = int(os.environ.get("METRICLASS_MAX_DOMAIN", DEFAULT_CAP))
     try:
+        cap = _env_cap()
         if args.verb == "list-measures":
             for measure_id in list_measure_ids():
                 print(measure_id, file=out)

@@ -50,11 +50,17 @@ class ParseError(MetriclassError, ValueError):
 
 
 class DomainTooLargeError(MetriclassError):
-    """Enumeration refused: projected cardinality exceeds the cap."""
+    """Enumeration refused: the domain has more elements than the cap.
+
+    ``cardinality`` is where counting stopped, a lower bound above the cap;
+    past 64 bits the message names only its leading power of two.
+    """
 
     def __init__(self, cardinality: int, cap: int):
         self.cardinality = cardinality
         self.cap = cap
+        bits = cardinality.bit_length()
+        count = cardinality if bits <= 64 else f"2^{bits - 1}"
         super().__init__(
-            f"enumeration: domain has {cardinality} elements, above the cap of {cap}"
+            f"enumeration: domain has at least {count} elements, above the cap of {cap}"
         )

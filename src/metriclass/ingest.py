@@ -3,8 +3,8 @@
 qrels lines:  ``topic iter doc grade``    (iter column ignored)
 run lines:    ``topic Q0 doc rank score tag``
 
-Both formats are whitespace-delimited UTF-8 text, LF or CRLF.  The stated
-rank field in a run is kept for diagnostics but ordering always comes from
+Both formats are whitespace-delimited UTF-8 text, LF or CRLF.  The rank
+field of a run line must be an integer, but ordering always comes from
 descending score; score ties break by ascending doc id so conversion is
 deterministic.  Unjudged documents receive the lowest grade.
 """
@@ -29,19 +29,10 @@ class QrelsSet:
             out.setdefault(topic, {})[doc] = grade
         return out
 
-    def grade_inventory(self, topic: str) -> tuple[int, ...]:
-        grades = {g for t, _, g in self.judgments if t == topic}
-        return tuple(sorted(grades))
-
-    @property
-    def topics(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(topic for topic, _, _ in self.judgments))
-
 
 @dataclass(frozen=True)
 class RunEntry:
     doc: str
-    stated_rank: int
     score: float
 
 
@@ -59,10 +50,6 @@ class RunSet:
             return self._entries[topic]
         except KeyError:
             raise ConstraintError(f"ingest: topic {topic!r} not present in the run") from None
-
-    @property
-    def topics(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.by_topic)
 
 
 def parse_qrels(text: str) -> QrelsSet:
@@ -89,10 +76,6 @@ def parse_qrels(text: str) -> QrelsSet:
     return QrelsSet(tuple(judgments))
 
 
-def serialize_qrels(qrels: QrelsSet) -> str:
-    return "".join(f"{t} 0 {d} {g}\n" for t, d, g in qrels.judgments)
-
-
 def parse_run(text: str) -> RunSet:
     per_topic: dict[str, list[RunEntry]] = {}
     seen: set[tuple[str, str]] = set()
@@ -106,7 +89,7 @@ def parse_run(text: str) -> RunSet:
             raise ParseError(f"ingest: run line needs 6 fields, got {len(fields)}", lineno)
         topic, _, doc, rank_text, score_text, line_tag = fields
         try:
-            stated_rank = int(rank_text)
+            int(rank_text)
             score = float(score_text)
         except ValueError:
             raise ParseError("ingest: run rank/score fields are not numeric", lineno)
@@ -116,7 +99,7 @@ def parse_run(text: str) -> RunSet:
             raise ParseError(f"ingest: duplicate document {doc!r} in topic {topic}", lineno)
         seen.add((topic, doc))
         tag = tag or line_tag
-        per_topic.setdefault(topic, []).append(RunEntry(doc, stated_rank, score))
+        per_topic.setdefault(topic, []).append(RunEntry(doc, score))
     ordered = tuple(
         (topic, tuple(sorted(entries, key=lambda e: (-e.score, e.doc))))
         for topic, entries in per_topic.items()

@@ -24,14 +24,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .enumeration import (
-    DomainSpec,
-    element_to_str,
-    enumerate_domain,
-    format_domain,
-    ranking_values,
-)
-from .errors import ConfigurationError, ConstraintError, UndefinedValueError
+from .enumeration import DEFAULT_CAP, Domain, format_domain, labeled_values
+from .errors import ConfigurationError, ConstraintError
 from .measures import Measure
 from .values import (
     Exact,
@@ -71,10 +65,6 @@ class OrderedDomain:
     classes: tuple[EquivalenceClass, ...]
     excluded: tuple[int, ...]
     class_index: tuple[int, ...]  # per element; -1 marks an excluded element
-
-    @property
-    def size(self) -> int:
-        return len(self.labels) - len(self.excluded)
 
     def class_of(self, index: int) -> int:
         ci = self.class_index[index]
@@ -186,45 +176,23 @@ def _indices(group: int | list[int]) -> list[int]:
     return [group] if group.__class__ is int else group
 
 
-_FAMILY_KIND = {
-    "ranking": "rankings",
-    "contingency": "contingency",
-    "user": "user",
-    "leveled": "leveled",
-}
-
-
 def induced_order(
-    measure: Measure, spec: DomainSpec, cap: int | None = None
+    measure: Measure, spec: Domain, cap: int | None = None
 ) -> OrderedDomain:
     """Evaluate the measure over the domain and sort it into the weak order.
 
     Rankings domains are evaluated by one prefix-sharing walk per length
-    (``enumeration.ranking_values``) over the measure's fold; the values
-    equal ``measure.evaluate`` on each element of ``enumerate_domain``.
-    Undefined points (zero denominators) are excluded and recorded rather
-    than mapped to a sentinel, so they cannot manufacture collisions.
+    over the measure's fold; the values equal ``measure.evaluate`` on each
+    element of ``enumerate_domain``.  Undefined points (zero denominators)
+    are excluded and recorded rather than mapped to a sentinel, so they
+    cannot manufacture collisions.
     """
-    from .enumeration import DEFAULT_CAP
-
-    if spec.kind != _FAMILY_KIND[measure.family]:
+    if spec.family != measure.family:
         raise ConstraintError(
             f"intrinsic: {measure.id} evaluates {measure.family} elements,"
             f" but the domain enumerates {spec.kind}"
         )
-    cap = cap if cap is not None else DEFAULT_CAP
-    if spec.kind == "rankings":
-        return order_values(ranking_values(
-            spec, lambda length: measure.fold(spec.scheme, spec.universe, length), cap
-        ))
-    pairs: list[tuple[str, Optional[Value]]] = []
-    for element in enumerate_domain(spec, cap):
-        try:
-            value: Optional[Value] = measure.evaluate(element)
-        except UndefinedValueError:
-            value = None
-        pairs.append((element_to_str(element), value))
-    return order_values(pairs)
+    return order_values(labeled_values(spec, measure, DEFAULT_CAP if cap is None else cap))
 
 
 def distance(measure: Measure, a, b, universe=None) -> Value:
@@ -317,14 +285,6 @@ class SpacingResult:
     degenerate: bool  # fewer than 2 classes: vacuously equispaced, flagged
     gap: Optional[Value] = None
     violating_triple: Optional[tuple[Value, Value, Value]] = None
-
-    def describe(self) -> str:
-        if self.degenerate:
-            return "degenerate (single attained value)"
-        if self.equispaced:
-            return f"equispaced, gap {fmt(self.gap)}"
-        a, b, c = self.violating_triple
-        return f"gaps differ across {fmt(a)}, {fmt(b)}, {fmt(c)}"
 
 
 def check_equispaced(ordered: OrderedDomain) -> SpacingResult:
@@ -507,7 +467,7 @@ class Verdict:
 
 def classify(
     measure: Measure,
-    spec: DomainSpec,
+    spec: Domain,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     cap: int | None = None,
 ) -> Verdict:

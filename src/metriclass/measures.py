@@ -18,12 +18,15 @@ rank by rank in rank order.  A value that does not exist for the universe
 raises ``UndefinedValueError`` from ``fold`` or ``finish``; a bad
 parameter raises ``ParameterError`` and a cutoff padded past N raises
 ``ConstraintError`` from ``fold``.  ``Measure.evaluate`` runs the fold
-over one ranking; a domain walk (``enumeration.ranking_values``) steps it
+over one ranking; a domain walk (``enumeration.Rankings.values``) steps it
 once per prefix, so rankings that share a prefix share its state.
 
 Measure ids are stable strings: plain (``recall``), with a rank cutoff
-(``prec@4``), or with parameters (``rbp?p=1/2``, ``dcg?b=2``,
-``utility?alpha=1,beta=1,gamma=1,delta=1``).
+(``prec@4``), or with rational parameters (``rbp?p=1/2``, ``dcg?b=2``,
+``utility?alpha=1,beta=1,gamma=1,delta=1``).  One table describes every
+measure, keyed by its id grammar (``recall``, ``prec@``, ``dcg?``), with
+its display name, family, backend and constructor; ``measure_from_id``
+and ``list_measure_ids`` both read it.
 """
 
 from __future__ import annotations
@@ -628,9 +631,6 @@ PERMISSIBILITY_WARNING = (
     "an interval scale"
 )
 
-AGGREGATE_KINDS = ("map", "gmap", "err-mean", "manxcg-mean")
-
-
 def _nth_root(n: int, k: int) -> int | None:
     """Exact integer k-th root of n, or None."""
     if n == 0:
@@ -650,11 +650,11 @@ def aggregate(values: list[Value], kind: str) -> tuple[Value, str]:
     do not have.
     """
     kind = kind.lower()
-    if kind not in AGGREGATE_KINDS:
+    if kind not in ("map", "gmap"):
         raise ParameterError(f"measures: unknown aggregate kind {kind!r}")
     if not values:
         raise ParameterError("measures: aggregate of an empty value list")
-    if kind in ("map", "err-mean", "manxcg-mean"):
+    if kind == "map":
         total: Value = exact(0)
         for v in values:
             total = add(total, v)
@@ -696,10 +696,10 @@ class Measure:
     """A named, parameter-bound measure ready to evaluate domain elements."""
 
     id: str
+    key: str  # its row in the measure table: "recall", "prec@", "dcg?", ...
     display: str
     family: str  # contingency | user | ranking | leveled
     backend: str  # exact | approx
-    unit_range: bool  # value stays in [0,1] for gain schemes bounded by 1
     _fn: Callable  # element -> value; for rank measures the fold's binder
 
     def evaluate(self, element, universe: Optional[Universe] = None) -> Value:
@@ -718,52 +718,81 @@ class Measure:
         return DEFAULT_EPS if self.backend == "approx" else None
 
 
-_CONTINGENCY = {
-    "recall": ("recall", recall, True),
-    "precision": ("precision", precision, True),
-    "fallout": ("fallout", fallout, True),
-    "miss-rate": ("miss rate", miss_rate, True),
-    "accuracy": ("classification accuracy", classification_accuracy, True),
-    "error-rate": ("error rate", error_rate, True),
-    "inverse-recall": ("inverse recall", inverse_recall, True),
-    "inverse-precision": ("inverse precision", inverse_precision, True),
-    "specificity": ("specificity", specificity, True),
-    "fdr": ("false discovery rate", false_discovery_rate, True),
-    "for": ("false omission rate", false_omission_rate, True),
-    "f-measure": ("F-measure", f_measure, True),
-    "generality": ("generality", generality, True),
-}
+class _Row(NamedTuple):
+    """One entry of the measure table.
 
-_USER = {
-    "coverage-ratio": ("coverage ratio", coverage_ratio, True),
-    "retrieval-recall": ("retrieval recall", retrieval_recall, False),
-    "novelty-ratio": ("novelty ratio", novelty_ratio, True),
-    "recall-effort": ("recall effort", recall_effort, True),
-}
+    A plain measure's ``make`` is its element function or fold binder.  A
+    ``base@`` row's ``make`` takes the cutoff first; a ``base?`` row's
+    ``make`` is called with the rational parameters named in ``params``
+    and returns the function.  ``display`` may refer to ``{r}`` or to the
+    parameters.
+    """
 
-# ranking measures without parameters: id -> (display, fn, unit_range, backend)
-_RANKING_PLAIN = {
-    "r-precision": ("R-precision", _r_precision, True, "exact"),
-    "r-wp": ("R-WP", _r_wp, True, "exact"),
-    "r-measure": ("R-measure", _r_measure, True, "exact"),
-    "sr": ("sliding ratio", _sr, True, "exact"),
-    "msr": ("modified sliding ratio", _msr, True, "exact"),
-    "rnorm": ("normalized recall", _rnorm, False, "exact"),
-    "pnorm": ("normalized precision", _pnorm, False, "approx"),
-    "ap": ("average precision", _ap, True, "exact"),
-    "awp": ("average weighted precision", _awp, False, "exact"),
-    "q-measure": ("Q-measure", _q_measure, True, "exact"),
-    "rr": ("reciprocal rank", _rr, True, "exact"),
-    "bpref": ("bpref", _bpref, False, "exact"),
-}
+    display: str
+    family: str
+    make: Callable
+    backend: str = "exact"
+    params: tuple[str, ...] = ()
 
-# cutoff measures: base id -> (display pattern, fold(cutoff, ...), unit_range)
-_RANKING_CUTOFF = {
-    "prec": ("Prec@{r}", _prec_at, True),
-    "recall": ("recall@{r}", _recall_at, True),
-    "nxcg": ("nxCG@{r}", _nxcg_at, True),
-    "manxcg": ("MAnxCG@{r}", _manxcg_at, True),
-    "gr": ("gain recall@{r}", _gr_at, True),
+
+def _dcg_of(b: Fraction) -> Callable:
+    if b <= 1:
+        raise ParameterError("measures: dcg base must be greater than 1")
+    try:
+        return partial(_dcg, float(b))
+    except OverflowError:
+        raise ParameterError("measures: dcg base is beyond the float range") from None
+
+
+def _rbp_of(p: Fraction) -> Callable:
+    if not 0 < p < 1:
+        raise ParameterError("measures: rbp persistence p must lie strictly in (0, 1)")
+    return partial(_rbp, p)
+
+
+_SET, _USER, _RANK = "contingency", "user", "ranking"
+
+# Keyed by id grammar, in the order list-measures prints.
+_MEASURES: dict[str, _Row] = {
+    "accuracy": _Row("classification accuracy", _SET, classification_accuracy),
+    "error-rate": _Row("error rate", _SET, error_rate),
+    "f-measure": _Row("F-measure", _SET, f_measure),
+    "fallout": _Row("fallout", _SET, fallout),
+    "fdr": _Row("false discovery rate", _SET, false_discovery_rate),
+    "for": _Row("false omission rate", _SET, false_omission_rate),
+    "generality": _Row("generality", _SET, generality),
+    "inverse-precision": _Row("inverse precision", _SET, inverse_precision),
+    "inverse-recall": _Row("inverse recall", _SET, inverse_recall),
+    "miss-rate": _Row("miss rate", _SET, miss_rate),
+    "precision": _Row("precision", _SET, precision),
+    "recall": _Row("recall", _SET, recall),
+    "specificity": _Row("specificity", _SET, specificity),
+    "utility?": _Row("utility", _SET, lambda **weights: partial(utility, **weights),
+                     params=("alpha", "beta", "gamma", "delta")),
+    "coverage-ratio": _Row("coverage ratio", _USER, coverage_ratio),
+    "novelty-ratio": _Row("novelty ratio", _USER, novelty_ratio),
+    "recall-effort": _Row("recall effort", _USER, recall_effort),
+    "retrieval-recall": _Row("retrieval recall", _USER, retrieval_recall),
+    "gr@": _Row("gain recall@{r}", _RANK, _gr_at),
+    "manxcg@": _Row("MAnxCG@{r}", _RANK, _manxcg_at),
+    "nxcg@": _Row("nxCG@{r}", _RANK, _nxcg_at),
+    "prec@": _Row("Prec@{r}", _RANK, _prec_at),
+    "recall@": _Row("recall@{r}", _RANK, _recall_at),
+    "ap": _Row("average precision", _RANK, _ap),
+    "awp": _Row("average weighted precision", _RANK, _awp),
+    "bpref": _Row("bpref", _RANK, _bpref),
+    "msr": _Row("modified sliding ratio", _RANK, _msr),
+    "pnorm": _Row("normalized precision", _RANK, _pnorm, "approx"),
+    "q-measure": _Row("Q-measure", _RANK, _q_measure),
+    "r-measure": _Row("R-measure", _RANK, _r_measure),
+    "r-precision": _Row("R-precision", _RANK, _r_precision),
+    "r-wp": _Row("R-WP", _RANK, _r_wp),
+    "rnorm": _Row("normalized recall", _RANK, _rnorm),
+    "rr": _Row("reciprocal rank", _RANK, _rr),
+    "sr": _Row("sliding ratio", _RANK, _sr),
+    "dcg?": _Row("DCG (base {b})", _RANK, _dcg_of, "approx", ("b",)),
+    "rbp?": _Row("RBP (p={p})", _RANK, _rbp_of, params=("p",)),
+    "esl": _Row("expected search length", "leveled", expected_search_length),
 }
 
 
@@ -788,103 +817,35 @@ def _parse_params(text: str) -> dict[str, str]:
 
 def measure_from_id(measure_id: str) -> Measure:
     """Resolve a measure id string to a bound Measure."""
-    base, _, param_text = measure_id.partition("?")
-    params = _parse_params(param_text) if param_text else {}
-    base, _, cutoff_text = base.partition("@")
-
-    if cutoff_text:
-        if base not in _RANKING_CUTOFF:
-            raise ParseError(f"measures: unknown cutoff measure {base!r}")
-        if params:
-            raise ParseError(f"measures: {base}@r takes no ?params")
+    head, query, param_text = measure_id.partition("?")
+    base, at, cutoff_text = head.partition("@")
+    key = base + at + query
+    if key not in _MEASURES:
+        raise ParseError(f"measures: unknown measure id {measure_id!r}")
+    row = _MEASURES[key]
+    if at:
         try:
             cutoff = int(cutoff_text)
         except ValueError:
             raise ParseError(f"measures: bad cutoff {cutoff_text!r}") from None
         if cutoff < 1:
             raise ParameterError("measures: cutoff must be positive")
-        display, fn, unit = _RANKING_CUTOFF[base]
-        return Measure(
-            id=f"{base}@{cutoff}",
-            display=display.format(r=cutoff),
-            family="ranking",
-            backend="exact",
-            unit_range=unit,
-            _fn=partial(fn, cutoff),
-        )
-
-    if base in _CONTINGENCY or base in _USER:
-        if params:
-            raise ParseError(f"measures: {base} takes no parameters")
-        table = _CONTINGENCY if base in _CONTINGENCY else _USER
-        display, fn, unit = table[base]
-        family = "contingency" if base in _CONTINGENCY else "user"
-        return Measure(base, display, family, "exact", unit, fn)
-
-    if base == "utility":
-        missing = {"alpha", "beta", "gamma", "delta"} - set(params)
-        if missing:
-            raise ParameterError(f"measures: utility needs weights {sorted(missing)}")
-        weights = {k: _parse_fraction(params[k]) for k in ("alpha", "beta", "gamma", "delta")}
-        canon = ",".join(f"{k}={weights[k]}" for k in ("alpha", "beta", "gamma", "delta"))
-        return Measure(
-            id=f"utility?{canon}",
-            display="utility",
-            family="contingency",
-            backend="exact",
-            unit_range=False,
-            _fn=lambda t, _w=weights: utility(t, _w["alpha"], _w["beta"], _w["gamma"], _w["delta"]),
-        )
-
-    if base == "dcg":
-        if set(params) != {"b"}:
-            raise ParameterError("measures: dcg needs exactly the base parameter b")
-        b = float(_parse_fraction(params["b"]))
-        if b <= 1:
-            raise ParameterError("measures: dcg base must be greater than 1")
-        return Measure(
-            id=f"dcg?b={params['b']}",
-            display=f"DCG (base {params['b']})",
-            family="ranking",
-            backend="approx",
-            unit_range=False,
-            _fn=partial(_dcg, b),
-        )
-
-    if base == "rbp":
-        if set(params) != {"p"}:
-            raise ParameterError("measures: rbp needs exactly the persistence parameter p")
-        p = _parse_fraction(params["p"])
-        if not 0 < p < 1:
-            raise ParameterError("measures: rbp persistence p must lie strictly in (0, 1)")
-        return Measure(
-            id=f"rbp?p={p}",
-            display=f"RBP (p={p})",
-            family="ranking",
-            backend="exact",
-            unit_range=True,
-            _fn=partial(_rbp, p),
-        )
-
-    if base in _RANKING_PLAIN:
-        if params:
-            raise ParseError(f"measures: {base} takes no parameters")
-        display, fn, unit, backend = _RANKING_PLAIN[base]
-        return Measure(base, display, "ranking", backend, unit, fn)
-
-    if base == "esl":
-        if params:
-            raise ParseError("measures: esl takes no parameters")
-        return Measure("esl", "expected search length", "leveled", "exact", False,
-                       expected_search_length)
-
-    raise ParseError(f"measures: unknown measure id {measure_id!r}")
+        return Measure(f"{key}{cutoff}", key, row.display.format(r=cutoff), row.family,
+                       row.backend, partial(row.make, cutoff))
+    if query:
+        params = _parse_params(param_text)
+        if set(params) != set(row.params):
+            raise ParameterError(f"measures: {base} needs exactly the parameters {list(row.params)}")
+        values = {name: _parse_fraction(params[name]) for name in row.params}
+        canon = ",".join(f"{name}={value}" for name, value in values.items())
+        return Measure(key + canon, key, row.display.format(**values), row.family, row.backend,
+                       row.make(**values))
+    return Measure(key, key, row.display, row.family, row.backend, row.make)
 
 
 def list_measure_ids() -> list[str]:
-    """All registered ids; parameterized ones shown with example parameters."""
-    ids = sorted(_CONTINGENCY) + ["utility?alpha=..,beta=..,gamma=..,delta=.."]
-    ids += sorted(_USER)
-    ids += [f"{base}@r" for base in sorted(_RANKING_CUTOFF)]
-    ids += sorted(_RANKING_PLAIN) + ["dcg?b=..", "rbp?p=..", "esl"]
-    return ids
+    """All registered ids; cutoff and parameterized ones in their general form."""
+    return [
+        key + "r" if key.endswith("@") else key + ",".join(f"{p}=.." for p in row.params)
+        for key, row in _MEASURES.items()
+    ]

@@ -32,10 +32,6 @@ class Exact:
         if not isinstance(self.rational, Fraction):
             object.__setattr__(self, "rational", Fraction(self.rational))
 
-    @property
-    def backend(self) -> str:
-        return "exact"
-
     def numeric(self) -> Fraction:
         return self.rational
 
@@ -53,10 +49,6 @@ class Approx:
 
     real: float
     eps: float | None = DEFAULT_EPS
-
-    @property
-    def backend(self) -> str:
-        return "approx"
 
     def numeric(self) -> float:
         return self.real
@@ -122,14 +114,6 @@ def absdiff(a: Value, b: Value) -> Value:
     if isinstance(d, Exact):
         return Exact(abs(d.rational))
     return Approx(abs(d.real), d.eps)
-
-
-def is_zero(v: Value) -> bool:
-    if isinstance(v, Exact):
-        return v.rational == 0
-    if v.eps is None:
-        raise ConfigurationError("values: zero test on a tolerance-free real")
-    return abs(v.real) <= v.eps
 
 
 def fmt(v: Value) -> str:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from metriclass.cli import run
 
 DATA = Path(__file__).parent / "data"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 
 def invoke(*argv):
@@ -23,6 +25,12 @@ class TestListMeasures:
         assert code == 0
         for needle in ("recall", "prec@r", "rbp?p=..", "esl", "bpref"):
             assert needle in out
+
+    def test_matches_golden_bytes(self):
+        # recorded before the measure registry became one table; the order is part of the output
+        code, out, _ = invoke("list-measures")
+        assert code == 0
+        assert out == (DATA / "list_measures.txt").read_bytes().decode("utf-8")
 
 
 class TestEvaluate:
@@ -226,6 +234,56 @@ class TestIngestEval:
             "--measure", "ap", "--depth", "4",
         )
         assert code == 2
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, cap", [
+        pytest.param(("evaluate", "--measure", "recall", "--table", "tp=1,fp=x,fn=1,tn=1"), None,
+                     id="table-fp=x"),
+        pytest.param(("evaluate", "--measure", "recall-effort", "--context", "U=1,Rk=0,Ru=1,A=q"),
+                     None, id="context-A=q"),
+        pytest.param(("evaluate", "--measure", "esl", "--leveled", "(a,2)", "--need", "1"), None,
+                     id="leveled-(a,2)"),
+        pytest.param(("evaluate", "--measure", "esl", "--leveled", "(1)", "--need", "1"), None,
+                     id="leveled-(1)"),
+        pytest.param(("evaluate", "--measure", "ap", "--ranking", "1,0", "--universe", "N=4,R=x"),
+                     None, id="universe-R=x"),
+        pytest.param(("evaluate", "--measure", "ap", "--ranking", "1,0", "--universe", "N=4,R=1",
+                      "--scheme", "graded:levels=x"), None, id="scheme-levels=x"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=4,R=x"), None,
+                     id="domain-R=x"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=4,N=x"), None,
+                     id="domain-N=x"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=4,rel=x"), None,
+                     id="domain-rel=x"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=4,seed=x"), None,
+                     id="domain-seed=x"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=3..2"), None,
+                     id="domain-L=3..2"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=4"), "abc",
+                     id="cap-abc"),
+        pytest.param(("classify", "--measure", "dcg?b=1e400", "--domain", "binary:L=4"), None,
+                     id="dcg-b=1e400"),
+    ])
+    def test_exits_with_an_error_line_not_a_traceback(self, argv, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setenv("METRICLASS_MAX_DOMAIN", cap)
+        code, out, err = invoke(*argv)
+        assert code in (1, 2)
+        assert out == ""
+        assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1
+
+    def test_nonpositive_need_reports_the_model_rule(self):
+        code, _, err = invoke("evaluate", "--measure", "esl", "--leveled", "(1,2)", "--need", "0")
+        assert code == 2
+        assert "need must be positive" in err
+
+
+class TestDemos:
+    @pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+    def test_runs(self, script, capsys):
+        runpy.run_path(str(script), run_name="__main__")
+        assert capsys.readouterr().out
 
 
 class TestUsageErrors:

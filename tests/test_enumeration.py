@@ -1,18 +1,17 @@
 """Domain enumeration: counts, order, determinism, spec round-trips."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from metriclass.enumeration import (
-    DomainSpec,
     cardinality,
     element_from_str,
     element_to_str,
     enumerate_domain,
     format_domain,
     parse_domain,
-    partitioned,
 )
 from metriclass.errors import DomainTooLargeError, ParseError
 
@@ -90,8 +89,7 @@ class TestCardinality:
                             max(0, min(relevant, n) - max(0, n - nonrel) + 1)
                             for n in range(lo, hi + 1)
                         )
-                        spec = DomainSpec(kind="contingency", collection=collection,
-                                          relevant=relevant, retrieved=(lo, hi))
+                        spec = parse_domain(f"contingency:N={collection},R={relevant},n={lo}..{hi}")
                         assert cardinality(spec) == looped, (collection, relevant, lo, hi)
 
     def test_user_closed_form_matches_the_loop(self):
@@ -102,12 +100,47 @@ class TestCardinality:
                     for a in range(1, max_retrieved + 1)
                     for rk in range(0, min(known, a) + 1)
                 )
-                spec = DomainSpec(kind="user", known=known, max_retrieved=max_retrieved)
+                spec = parse_domain(f"user:U={known},A=1..{max_retrieved}")
                 assert cardinality(spec) == looped, (known, max_retrieved)
+
+    def test_leveled_count_matches_the_recursion(self):
+        @lru_cache(maxsize=None)
+        def looped(remaining, need):  # level sequences of exactly `remaining` documents
+            if remaining == 0:
+                return 1 if need <= 0 else 0
+            return sum(
+                looped(remaining - size, max(0, need - rel))
+                for size in range(1, remaining + 1)
+                for rel in range(0, size + 1)
+            )
+
+        for docs in range(1, 11):
+            for need in range(1, 12):
+                expected = sum(looped(m, need) for m in range(1, docs + 1))
+                spec = parse_domain(f"leveled:docs={docs},s={need}")
+                assert cardinality(spec) == expected, (docs, need)
+
+    @pytest.mark.parametrize("text", SPEC_STRINGS + [
+        "binary:L=3..9,R=4", "graded:levels=4,L=2..6,rel=3", "leveled:docs=9,s=3",
+    ])
+    def test_capped_count_is_exact_or_a_lower_bound_above_the_cap(self, text):
+        spec = parse_domain(text)
+        exact = cardinality(spec)
+        for cap in sorted({*range(-1, exact + 2, max(1, exact // 60)), exact - 1, exact}):
+            got = cardinality(spec, cap)
+            if exact <= cap:
+                assert got == exact, (cap, got)
+            else:
+                assert cap < got <= exact, (cap, got)
 
     @pytest.mark.parametrize("measure,domain", [
         ("recall", "contingency:N=3000000,R=5"),
         ("novelty-ratio", "user:U=1,A=1..3000000"),
+        ("ap", "binary:L=15000"),
+        ("ap", "binary:L=1..200000"),
+        ("esl", "leveled:docs=1500,s=1"),
+        ("ap", "binary:L=1..20000000,R=0"),
+        pytest.param("novelty-ratio", f"user:U=1,A=1..{'9' * 1500}", id="user-1500-digit-A"),
     ])
     def test_over_cap_domain_is_refused_without_counting_it_out(self, measure, domain):
         import io
@@ -146,13 +179,15 @@ class TestEnumerate:
         for ranking in enumerate_domain(parse_domain("binary:L=4,R=2")):
             assert ranking.relevant_count <= 2
 
-    def test_partitions_reassemble_the_stream(self):
-        for text in SPEC_STRINGS:
-            spec = parse_domain(text)
-            whole = list(enumerate_domain(spec))
-            parts = partitioned(spec)
-            flattened = [el for part in parts for el in part]
-            assert flattened == whole
+    def test_leveled_walk_skips_outputs_short_of_the_need(self):
+        # 2^14 elements among about 10^8 level sequences of up to 15 documents
+        import time
+
+        start = time.perf_counter()
+        outputs = list(enumerate_domain(parse_domain("leveled:docs=15,s=15")))
+        assert len(outputs) == 2**14
+        assert all(out.total_relevant == 15 for out in outputs)
+        assert time.perf_counter() - start < 2.0
 
     def test_seeded_shuffle_same_multiset(self):
         plain = list(enumerate_domain(parse_domain("binary:L=4")))

@@ -3,7 +3,7 @@
 import pytest
 
 from metriclass.errors import ConstraintError, ParseError
-from metriclass.ingest import parse_qrels, parse_run, serialize_qrels, to_rankings
+from metriclass.ingest import parse_qrels, parse_run, to_rankings
 from metriclass.model import GradeScheme
 
 BINARY = GradeScheme.binary()
@@ -20,10 +20,6 @@ class TestParseQrels:
             parse_qrels("1 0 d1 1\n1 0 d1 1\n")
         assert err.value.line == 2
 
-    def test_grade_inventory_unions_lines(self):
-        qrels = parse_qrels("1 0 d1 0\n1 0 d2 1\n1 0 d3 2\n")
-        assert qrels.grade_inventory("1") == (0, 1, 2)
-
     def test_negative_grade_rejected(self):
         with pytest.raises(ParseError):
             parse_qrels("1 0 d1 -1\n")
@@ -32,12 +28,6 @@ class TestParseQrels:
         with pytest.raises(ParseError) as err:
             parse_qrels("1 0 d1\n")
         assert err.value.line == 1
-
-    def test_serialize_round_trip_preserves_judgments(self):
-        text = "2 0 d9 1\n1 0 d1 2\n1 0 d2 0\n"
-        qrels = parse_qrels(text)
-        again = parse_qrels(serialize_qrels(qrels))
-        assert sorted(again.judgments) == sorted(qrels.judgments)
 
 
 class TestParseRun:
@@ -65,10 +55,11 @@ class TestParseRun:
         with pytest.raises(ParseError):
             parse_run("1 Q0 d1 1 0.9 sys\n1 Q0 d1 2 0.8 sys\n")
 
-    def test_stated_rank_kept_for_diagnostics(self):
-        run = parse_run("1 Q0 d1 7 0.9 sys\n")
-        assert run.topic_entries("1")[0].stated_rank == 7
-        assert run.tag == "sys"
+    def test_rank_field_must_be_an_integer(self):
+        assert parse_run("1 Q0 d1 7 0.9 sys\n").tag == "sys"
+        with pytest.raises(ParseError) as err:
+            parse_run("1 Q0 d1 7 0.9 sys\n1 Q0 d2 seven 0.8 sys\n")
+        assert err.value.line == 2
 
 
 class TestToRankings:

@@ -5,7 +5,7 @@
   values and bit-equal floats on rankings up to length 12.
 * The prefix-sharing domain walk against per-element evaluation:
   ``induced_order`` evaluates a rankings domain with one pruned walk per
-  length (``enumeration.ranking_values``), and must give the same labels,
+  length (``enumeration.labeled_values``), and must give the same labels,
   values, undefined elements and errors as ``Measure.evaluate`` over
   ``enumerate_domain``.
 """
@@ -20,8 +20,8 @@ import pytest
 from metriclass.enumeration import (
     element_to_str,
     enumerate_domain,
+    labeled_values,
     parse_domain,
-    ranking_values,
 )
 from metriclass.errors import ConstraintError, ParameterError, UndefinedValueError
 from metriclass.intrinsic import induced_order, order_values
@@ -175,7 +175,7 @@ def per_element(measure, spec):
 
 
 def walked(measure, spec):
-    return ranking_values(spec, lambda length: measure.fold(spec.scheme, spec.universe, length))
+    return labeled_values(spec, measure)
 
 
 def outcome(fn, *args):
