@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 from metriclass import GradeScheme, Ranking, Universe, classify, measure_from_id, parse_domain
-from metriclass.measures import rank_biased_precision
 
 binary = GradeScheme.binary()
 first = Ranking(binary, ("1", "0", "0"))
@@ -21,8 +20,9 @@ universe = Universe(6, 3)
 
 
 def gap(p: Fraction) -> Fraction:
-    a = rank_biased_precision(p, first, universe)
-    b = rank_biased_precision(p, second, universe)
+    rbp = measure_from_id(f"rbp?p={p}")
+    a = rbp.evaluate(first, universe)
+    b = rbp.evaluate(second, universe)
     return a.rational - b.rational
 
 

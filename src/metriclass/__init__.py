@@ -12,7 +12,6 @@ from .enumeration import (
     DEFAULT_CAP,
     Domain,
     cardinality,
-    element_from_str,
     element_to_str,
     enumerate_domain,
     format_domain,
@@ -122,7 +121,6 @@ __all__ = [
     "check_injective",
     "classify",
     "distance",
-    "element_from_str",
     "element_to_str",
     "emit_json_report",
     "enumerate_domain",

@@ -16,7 +16,7 @@ import sys
 from .enumeration import DEFAULT_CAP, Contingency, Leveled, User, parse_domain, parse_fields
 from .errors import MetriclassError, ParseError
 from .ingest import parse_qrels, parse_run, to_rankings
-from .intrinsic import INTERVAL_METRIC, build_hasse, classify, induced_order
+from .intrinsic import DEFAULT_ORACLE_CAP, INTERVAL_METRIC, build_hasse, classify, induced_order
 from .measures import aggregate, list_measure_ids, measure_from_id
 from .model import GradeScheme, Ranking, Universe
 from .report import (
@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
     cl = sub.add_parser("classify", help="classify a measure over an explicit domain")
     cl.add_argument("--measure", required=True)
     cl.add_argument("--domain", required=True, help="domain spec, e.g. binary:L=4")
-    cl.add_argument("--oracle-cap", type=int, default=200,
+    cl.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                     help="max quotient classes for the interval-scale oracle")
     cl.add_argument("--json", action="store_true", help="emit the verdict as JSON")
 
@@ -131,19 +131,12 @@ def _evaluate(args, out) -> int:
     return 0
 
 
-_DEFAULT_DOMAINS = {
-    row[0]: row[3][0] for row in SET_BASED_SUITE + RANK_BASED_SUITE
+# measure table key -> (published category, first domain) of the suite entry with that
+# key, e.g. "dcg?" -> the entry of "dcg?b=2"
+_SUITE = {
+    measure_from_id(measure_id).key: (published, domains[0])
+    for measure_id, published, _, domains in SET_BASED_SUITE + RANK_BASED_SUITE
 }
-
-_PUBLISHED = {row[0]: row[1] for row in SET_BASED_SUITE + RANK_BASED_SUITE}
-
-# measure table key -> the suite id with that key, e.g. "dcg?" -> "dcg?b=2"
-_SUITE_IDS = {measure_from_id(measure_id).key: measure_id for measure_id in _DEFAULT_DOMAINS}
-
-
-def _suite_key(measure) -> str:
-    """Suite entry for this measure: the one from the same measure table row."""
-    return _SUITE_IDS.get(measure.key, "")
 
 
 def _classify(args, out, cap: int) -> int:
@@ -162,7 +155,7 @@ def _classify(args, out, cap: int) -> int:
 
 def _witness(args, out, cap: int) -> int:
     measure = measure_from_id(args.measure)
-    domain_text = args.domain or _DEFAULT_DOMAINS.get(_suite_key(measure))
+    domain_text = args.domain or _SUITE.get(measure.key, (None, None))[1]
     if not domain_text:
         raise UsageError(f"no default domain for {measure.id}; pass --domain")
     verdict = classify(measure, parse_domain(domain_text), cap=cap)
@@ -216,8 +209,9 @@ def _ingest_eval(args, out) -> int:
         values.append(value)
         lines.append((topic, value))
 
-    published = _PUBLISHED.get(_suite_key(measure))
-    warn_needed = published != INTERVAL_METRIC
+    warn_needed = _SUITE.get(measure.key, (None, None))[0] != INTERVAL_METRIC
+    if args.aggregate:
+        agg, warning = aggregate(values, "map" if args.aggregate == "mean" else "gmap")
     payload: dict = {
         "measure": measure.id,
         "topics": {topic: fmt(value) for topic, value in lines},
@@ -225,8 +219,6 @@ def _ingest_eval(args, out) -> int:
     }
     if args.json:
         if args.aggregate:
-            kind = "map" if args.aggregate == "mean" else "gmap"
-            agg, warning = aggregate(values, kind)
             payload["aggregate"] = {
                 "kind": args.aggregate,
                 "value": fmt(agg),
@@ -240,8 +232,6 @@ def _ingest_eval(args, out) -> int:
     for topic in skipped:
         print(f"topic {topic}: skipped (no judgments)", file=out)
     if args.aggregate:
-        kind = "map" if args.aggregate == "mean" else "gmap"
-        agg, warning = aggregate(values, kind)
         print(f"{args.aggregate} {measure.id} over {len(values)} topics = {fmt(agg)}", file=out)
         if warn_needed and not args.quiet_warnings:
             print(f"warning: {warning}", file=out)

@@ -575,8 +575,3 @@ def labeled_values(spec: Domain, measure, cap: int = DEFAULT_CAP) -> list[tuple]
 
 def element_to_str(element) -> str:
     return element.display()
-
-
-def element_from_str(spec: Domain, text: str):
-    """Parse an element display form back into a domain object."""
-    return spec.element(text)

@@ -18,9 +18,12 @@ class UndefinedValueError(MetriclassError):
 
     Carries the measure id and a display form of the offending element,
     so classification can exclude the point and record the exclusion.
+    Formulas raise it with a reason only; ``Measure.evaluate`` fills in
+    the id and the element.
     """
 
-    def __init__(self, measure_id: str, element: str, reason: str = "zero denominator"):
+    def __init__(self, measure_id: str = "", element: str = "",
+                 reason: str = "zero denominator"):
         self.measure_id = measure_id
         self.element = element
         self.reason = reason

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ConstraintError, ParseError
 from .model import GradeScheme, Ranking, Universe
@@ -40,16 +39,6 @@ class RunEntry:
 class RunSet:
     tag: str
     by_topic: tuple[tuple[str, tuple[RunEntry, ...]], ...]
-
-    @cached_property
-    def _entries(self) -> dict[str, tuple[RunEntry, ...]]:
-        return dict(reversed(self.by_topic))  # a repeated topic keeps its first entries
-
-    def topic_entries(self, topic: str) -> tuple[RunEntry, ...]:
-        try:
-            return self._entries[topic]
-        except KeyError:
-            raise ConstraintError(f"ingest: topic {topic!r} not present in the run") from None
 
 
 def parse_qrels(text: str) -> QrelsSet:

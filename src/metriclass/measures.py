@@ -18,8 +18,11 @@ rank by rank in rank order.  A value that does not exist for the universe
 raises ``UndefinedValueError`` from ``fold`` or ``finish``; a bad
 parameter raises ``ParameterError`` and a cutoff padded past N raises
 ``ConstraintError`` from ``fold``.  ``Measure.evaluate`` runs the fold
-over one ranking; a domain walk (``enumeration.Rankings.values``) steps it
-once per prefix, so rankings that share a prefix share its state.
+over one ranking (and calls any other measure's function on its element);
+formulas raise ``UndefinedValueError`` with a reason only, and
+``evaluate`` names the measure and the element.  A domain walk
+(``enumeration.Rankings.values``) steps the fold once per prefix, so
+rankings that share a prefix share its state.
 
 Measure ids are stable strings: plain (``recall``), with a rank cutoff
 (``prec@4``), or with rational parameters (``rbp?p=1/2``, ``dcg?b=2``,
@@ -42,7 +45,6 @@ from .model import (
     ContingencyTable,
     GradeScheme,
     LeveledOutput,
-    Ranking,
     Universe,
     UserContext,
     check_consistent,
@@ -50,90 +52,29 @@ from .model import (
 from .values import DEFAULT_EPS, Approx, Exact, Value, add, exact
 
 # ---------------------------------------------------------------------------
-# Set-based measures over a contingency table
+# Set-based and user-oriented measures
 # ---------------------------------------------------------------------------
 
 
-def _ratio(measure_id: str, element: str, num: int, den: int) -> Exact:
+def _ratio(num: int, den: int) -> Exact:
     if den == 0:
-        raise UndefinedValueError(measure_id, element)
+        raise UndefinedValueError()
     return exact(num, den)
 
 
-def recall(t: ContingencyTable) -> Exact:
-    """tp / (tp + fn)"""
-    return _ratio("recall", t.display(), t.tp, t.tp + t.fn)
-
-
-def precision(t: ContingencyTable) -> Exact:
-    """tp / (tp + fp)"""
-    return _ratio("precision", t.display(), t.tp, t.tp + t.fp)
-
-
-def fallout(t: ContingencyTable) -> Exact:
-    """fp / (fp + tn)"""
-    return _ratio("fallout", t.display(), t.fp, t.fp + t.tn)
-
-
-def classification_accuracy(t: ContingencyTable) -> Exact:
-    """(tp + tn) / (tp + fn + fp + tn)"""
-    return _ratio("accuracy", t.display(), t.tp + t.tn, t.collection_size)
-
-
-def miss_rate(t: ContingencyTable) -> Exact:
-    """fn / (tp + fn)"""
-    return _ratio("miss-rate", t.display(), t.fn, t.tp + t.fn)
-
-
-def error_rate(t: ContingencyTable) -> Exact:
-    """(fp + fn) / (tp + fn + fp + tn)"""
-    return _ratio("error-rate", t.display(), t.fp + t.fn, t.collection_size)
-
-
-def inverse_recall(t: ContingencyTable) -> Exact:
-    """tn / (fp + tn)"""
-    return _ratio("inverse-recall", t.display(), t.tn, t.fp + t.tn)
-
-
-def inverse_precision(t: ContingencyTable) -> Exact:
-    """tn / (fn + tn)"""
-    return _ratio("inverse-precision", t.display(), t.tn, t.fn + t.tn)
-
-
-def specificity(t: ContingencyTable) -> Exact:
-    """tn / (tn + fp)"""
-    return _ratio("specificity", t.display(), t.tn, t.tn + t.fp)
-
-
-def false_discovery_rate(t: ContingencyTable) -> Exact:
-    """fp / (fp + tp)"""
-    return _ratio("fdr", t.display(), t.fp, t.fp + t.tp)
-
-
-def false_omission_rate(t: ContingencyTable) -> Exact:
-    """fn / (fn + tn)"""
-    return _ratio("for", t.display(), t.fn, t.fn + t.tn)
-
-
-def f_measure(t: ContingencyTable) -> Exact:
+def _f_measure(t: ContingencyTable) -> Exact:
     """2 * prec * recall / (prec + recall)
 
-    Undefined whenever precision or recall is undefined or both are zero;
-    on defined tables it equals 2*tp / (2*tp + fp + fn).
+    Undefined whenever precision or recall is undefined or both are zero,
+    that is whenever tp = 0; otherwise it equals 2*tp / (2*tp + fp + fn).
     """
-    p = precision(t).rational if t.tp + t.fp else None
-    r = recall(t).rational if t.tp + t.fn else None
-    if p is None or r is None or p + r == 0:
-        raise UndefinedValueError("f-measure", t.display())
+    if t.tp == 0:
+        raise UndefinedValueError()
+    p, r = Fraction(t.tp, t.tp + t.fp), Fraction(t.tp, t.tp + t.fn)
     return Exact(2 * p * r / (p + r))
 
 
-def generality(t: ContingencyTable) -> Exact:
-    """(tp + fn) / (tp + fn + fp + tn) -- prevalence of relevance."""
-    return _ratio("generality", t.display(), t.tp + t.fn, t.collection_size)
-
-
-def utility(
+def _utility(
     t: ContingencyTable,
     alpha: Fraction,
     beta: Fraction,
@@ -147,32 +88,12 @@ def utility(
     return Exact(alpha * t.tp + beta * t.fn + gamma * t.fp + delta * t.tn)
 
 
-# ---------------------------------------------------------------------------
-# User-oriented measures
-# ---------------------------------------------------------------------------
-
-
-def coverage_ratio(c: UserContext) -> Exact:
-    """R_k / U"""
-    return exact(c.retrieved_known, c.known_relevant)
-
-
-def retrieval_recall(c: UserContext) -> Exact:
-    """(R_k + R_u) / U -- can exceed 1 when unknown relevant turn up."""
-    return exact(c.retrieved_known + c.retrieved_unknown, c.known_relevant)
-
-
-def novelty_ratio(c: UserContext) -> Exact:
+def _novelty_ratio(c: UserContext) -> Exact:
     """R_u / (R_u + R_k)"""
     den = c.retrieved_unknown + c.retrieved_known
     if den == 0:
-        raise UndefinedValueError("novelty-ratio", c.display(), "no relevant retrieved")
+        raise UndefinedValueError(reason="no relevant retrieved")
     return exact(c.retrieved_unknown, den)
-
-
-def recall_effort(c: UserContext) -> Exact:
-    """U / A"""
-    return exact(c.known_relevant, c.retrieved_total)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +139,6 @@ def _weights(coefficients) -> tuple[list[int], list[int], list[int]]:
     return scale, weight, den
 
 
-def _undefined(measure_id: str, reason: str) -> UndefinedValueError:
-    # the element is filled in by evaluate_ranking; walks only need the type
-    return UndefinedValueError(measure_id, "", reason)
-
-
 def _check_cutoff(cutoff: int, length: int) -> None:
     if cutoff < 1 or cutoff > length:
         raise ParameterError(
@@ -262,11 +178,11 @@ def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
     _, gains = _gain_numerators(scheme)
     total = gains[-1] * universe.total_relevant
     if total == 0:
-        raise _undefined(f"recall@{cutoff}", "no relevant in universe")
+        raise UndefinedValueError(reason="no relevant in universe")
     return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: Exact(Fraction(s[1], total)))
 
 
-def _r_family(measure_id: str, finish):
+def _r_family(finish):
     """Fold of count(R) and cg(R), padding with the lowest grade when L < R.
 
     ``finish(count, gain numerator, R, D, top gain numerator)`` makes the value.
@@ -275,7 +191,7 @@ def _r_family(measure_id: str, finish):
     def bind(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         r_total = universe.total_relevant
         if r_total == 0:
-            raise _undefined(measure_id, "R = 0")
+            raise UndefinedValueError(reason="R = 0")
         den, gains = _gain_numerators(scheme)
 
         def step(s, g):
@@ -290,12 +206,11 @@ def _r_family(measure_id: str, finish):
     return bind
 
 
-_r_precision = _r_family("r-precision", lambda c, cg, r, den, top: Fraction(c, r))
+_r_precision = _r_family(lambda c, cg, r, den, top: Fraction(c, r))
 _r_precision.__doc__ = "count(R) / R; the ranking is padded with the lowest grade if L < R."
-_r_wp = _r_family("r-wp", lambda c, cg, r, den, top: Fraction(cg, top * r))
+_r_wp = _r_family(lambda c, cg, r, den, top: Fraction(cg, top * r))
 _r_wp.__doc__ = "cg(R) / cig(R)"
-_r_measure = _r_family("r-measure",
-                       lambda c, cg, r, den, top: Fraction(cg + den * c, (top + den) * r))
+_r_measure = _r_family(lambda c, cg, r, den, top: Fraction(cg + den * c, (top + den) * r))
 _r_measure.__doc__ = "(cg(R) + count(R)) / (cig(R) + R)"
 
 
@@ -306,7 +221,7 @@ def _sr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 
     def finish(s):
         if ideal == 0:
-            raise _undefined("sr", "no relevant in universe")
+            raise UndefinedValueError(reason="no relevant in universe")
         return Exact(Fraction(s[1], ideal))
 
     return Kernel((0, 0), _prefix_gain(gains, length), finish)
@@ -326,22 +241,22 @@ def _msr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 
     def finish(s):
         if ideal == 0:
-            raise _undefined("msr", "no relevant in universe")
+            raise UndefinedValueError(reason="no relevant in universe")
         return Exact(Fraction(s[1] * ideal.denominator, den[-1] * ideal.numerator))
 
     return Kernel((0, 0), step, finish)
 
 
-def _check_rocchio(measure_id: str, universe: Universe, length: int) -> int:
+def _check_rocchio(universe: Universe, length: int) -> int:
     r = universe.total_relevant
     if r == 0 or r >= length:
-        raise _undefined(measure_id, "requires 0 < R < L")
+        raise UndefinedValueError(reason="requires 0 < R < L")
     return r
 
 
 def _rnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 - (sum of relevant ranks - sum of 1..R) / (R * (L - R))"""
-    r_total = _check_rocchio("rnorm", universe, length)
+    r_total = _check_rocchio(universe, length)
     span = r_total * (length - r_total)
     best = r_total * (r_total + 1) // 2
 
@@ -354,7 +269,7 @@ def _rnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 
 def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Log-weighted variant of normalized recall (float backend)."""
-    r_total = _check_rocchio("pnorm", universe, length)
+    r_total = _check_rocchio(universe, length)
     logs = [0.0] + [math.log(k) for k in range(1, length + 1)]
     best = sum(math.log(k) for k in range(1, r_total + 1))
     den = math.log(math.comb(length, r_total))
@@ -371,7 +286,7 @@ def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of count(r)/r."""
     r_total = universe.total_relevant
     if r_total == 0:
-        raise _undefined("ap", "R = 0")
+        raise UndefinedValueError(reason="R = 0")
     scale, weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
     total = den[-1] * r_total
 
@@ -402,7 +317,7 @@ def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 
     def finish(s):
         if r_total == 0:
-            raise _undefined("awp", "R = 0")
+            raise UndefinedValueError(reason="R = 0")
         return Exact(Fraction(s[2], total))
 
     return Kernel((0, 0, 0), step, finish)
@@ -412,7 +327,7 @@ def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of (cg(r)+count(r)) / (cig(r)+r)."""
     r_total = universe.total_relevant
     if r_total == 0:
-        raise _undefined("q-measure", "R = 0")
+        raise UndefinedValueError(reason="R = 0")
     den, gains = _gain_numerators(scheme)
     top = gains[-1]
     scale, weight, dens = _weights(
@@ -444,8 +359,6 @@ def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 
 def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Sum of g(r) / max(1, log_base r) -- float backend."""
-    if base <= 1:
-        raise ParameterError("measures: dcg base must be greater than 1")
     gains = [float(g) for g in scheme.gains]
     discounts = [1.0] + [
         max(1.0, math.log2(r) if base == 2 else math.log(r) / math.log(base))
@@ -461,9 +374,6 @@ def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> K
 
 def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1-p)/g(top) * sum of p^(r-1) * g(r); exact for rational p."""
-    p = Fraction(p)
-    if not 0 < p < 1:
-        raise ParameterError("measures: rbp persistence p must lie strictly in (0, 1)")
     _, gains = _gain_numerators(scheme)
     scale, weight, den = _weights(p ** (r - 1) for r in range(1, length + 1))
     # (1-p)/top * A/(D * den) with top = gains[-1]/D
@@ -481,7 +391,7 @@ def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of 1 - (r - count(r))/R."""
     r_total = universe.total_relevant
     if r_total == 0:
-        raise _undefined("bpref", "R = 0")
+        raise UndefinedValueError(reason="R = 0")
 
     def step(s, g):
         r = s[0] + 1
@@ -501,7 +411,7 @@ def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) 
 
     def finish(s):
         if ideal == 0:
-            raise _undefined(f"nxcg@{cutoff}", "no relevant in universe")
+            raise UndefinedValueError(reason="no relevant in universe")
         return Exact(Fraction(s[1], ideal))
 
     return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
@@ -526,7 +436,7 @@ def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
 
     def finish(s):
         if r_total == 0:
-            raise _undefined(f"manxcg@{cutoff}", "no relevant in universe")
+            raise UndefinedValueError(reason="no relevant in universe")
         while s[0] < cutoff:  # pad with the lowest grade
             s = step(s, 0)
         return Exact(Fraction(s[2], total))
@@ -542,7 +452,7 @@ def _gr_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) ->
 
     def finish(s):
         if ideal == 0:
-            raise _undefined(f"gr@{cutoff}", "no relevant in universe")
+            raise UndefinedValueError(reason="no relevant in universe")
         return Exact(Fraction(s[1], ideal))
 
     return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
@@ -553,57 +463,12 @@ def _bound(bind, scheme: GradeScheme, universe: Universe, length: int) -> Kernel
     return bind(scheme, universe, length)
 
 
-def evaluate_ranking(bind, ranking: Ranking, universe: Universe) -> Value:
-    """Run a rank measure's fold over one ranking, rank by rank."""
-    try:
-        kernel = _bound(bind, ranking.scheme, universe, ranking.length)
-        check_consistent(ranking, universe)
-        state, step, index = kernel.init, kernel.step, ranking.scheme.labels.index
-        for label in ranking.items:
-            state = step(state, index(label))
-        return kernel.finish(state)
-    except UndefinedValueError as exc:
-        raise UndefinedValueError(exc.measure_id, ranking.display(), exc.reason) from None
-
-
-def _on_ranking(bind):
-    """Plain function ``f(*params, ranking, universe)`` over a measure's fold."""
-
-    def evaluate(*args):
-        *params, ranking, universe = args
-        return evaluate_ranking(partial(bind, *params) if params else bind, ranking, universe)
-
-    evaluate.__doc__ = bind.__doc__
-    return evaluate
-
-
-precision_at = _on_ranking(_prec_at)
-recall_at = _on_ranking(_recall_at)
-r_precision = _on_ranking(_r_precision)
-r_weighted_precision = _on_ranking(_r_wp)
-r_measure = _on_ranking(_r_measure)
-sliding_ratio = _on_ranking(_sr)
-modified_sliding_ratio = _on_ranking(_msr)
-normalized_recall = _on_ranking(_rnorm)
-normalized_precision = _on_ranking(_pnorm)
-average_precision = _on_ranking(_ap)
-average_weighted_precision = _on_ranking(_awp)
-q_measure = _on_ranking(_q_measure)
-reciprocal_rank = _on_ranking(_rr)
-discounted_cumulative_gain = _on_ranking(_dcg)
-rank_biased_precision = _on_ranking(_rbp)
-bpref = _on_ranking(_bpref)
-nxcg_at = _on_ranking(_nxcg_at)
-manxcg_at = _on_ranking(_manxcg_at)
-gain_recall_at = _on_ranking(_gr_at)
-
-
 # ---------------------------------------------------------------------------
 # Expected search length over a leveled output
 # ---------------------------------------------------------------------------
 
 
-def expected_search_length(out: LeveledOutput) -> Exact:
+def _expected_search_length(out: LeveledOutput) -> Exact:
     """Nonrelevant documents passed before the need is met.
 
     The final level is the first level at which the cumulative relevant
@@ -631,15 +496,19 @@ PERMISSIBILITY_WARNING = (
     "an interval scale"
 )
 
+
 def _nth_root(n: int, k: int) -> int | None:
-    """Exact integer k-th root of n, or None."""
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    """Exact integer k-th root of n >= 1, or None.
+
+    Integer Newton steps from a power of two above the root, so n may lie
+    far past the float range.
+    """
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 def aggregate(values: list[Value], kind: str) -> tuple[Value, str]:
@@ -664,25 +533,27 @@ def aggregate(values: list[Value], kind: str) -> tuple[Value, str]:
             mean = Approx(total.real / len(values), total.eps)
         return mean, PERMISSIBILITY_WARNING
     # gmap: geometric mean, exact when the root is rational
-    floats = []
+    logs = []
     product = Fraction(1)
     all_exact = True
     for v in values:
         x = v.numeric()
-        if (isinstance(v, Exact) and x <= 0) or (not isinstance(v, Exact) and float(x) <= 0):
+        if x <= 0:
             raise UndefinedValueError("gmap", str(x), "requires strictly positive values")
-        floats.append(float(x))
         if isinstance(v, Exact):
-            product *= v.rational
+            product *= x
+            # log(num) - log(den) stays finite where float(x) would leave the float range
+            logs.append(math.log(x.numerator) - math.log(x.denominator))
         else:
             all_exact = False
+            logs.append(math.log(x))
     q = len(values)
     if all_exact:
         rn = _nth_root(product.numerator, q)
         rd = _nth_root(product.denominator, q)
         if rn is not None and rd is not None:
             return Exact(Fraction(rn, rd)), PERMISSIBILITY_WARNING
-    mean = math.exp(sum(math.log(x) for x in floats) / q)
+    mean = math.exp(sum(logs) / q)
     return Approx(mean, DEFAULT_EPS), PERMISSIBILITY_WARNING
 
 
@@ -703,11 +574,25 @@ class Measure:
     _fn: Callable  # element -> value; for rank measures the fold's binder
 
     def evaluate(self, element, universe: Optional[Universe] = None) -> Value:
-        if self.family == "ranking":
+        """The value on one element; a ranking is evaluated against a universe.
+
+        A rank measure runs its fold over the ranking, rank by rank.  An
+        ``UndefinedValueError`` is raised with this measure's id and the
+        element's display form.
+        """
+        try:
+            if self.family != "ranking":
+                return self._fn(element)
             if universe is None:
                 raise ParameterError(f"measures: {self.id} needs a universe")
-            return evaluate_ranking(self._fn, element, universe)
-        return self._fn(element)
+            kernel = _bound(self._fn, element.scheme, universe, element.length)
+            check_consistent(element, universe)
+            state, step, index = kernel.init, kernel.step, element.scheme.labels.index
+            for label in element.items:
+                state = step(state, index(label))
+            return kernel.finish(state)
+        except UndefinedValueError as exc:
+            raise UndefinedValueError(self.id, element.display(), exc.reason) from None
 
     def fold(self, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         """This rank measure's fold for rankings of one length (see module docstring)."""
@@ -754,25 +639,30 @@ _SET, _USER, _RANK = "contingency", "user", "ranking"
 
 # Keyed by id grammar, in the order list-measures prints.
 _MEASURES: dict[str, _Row] = {
-    "accuracy": _Row("classification accuracy", _SET, classification_accuracy),
-    "error-rate": _Row("error rate", _SET, error_rate),
-    "f-measure": _Row("F-measure", _SET, f_measure),
-    "fallout": _Row("fallout", _SET, fallout),
-    "fdr": _Row("false discovery rate", _SET, false_discovery_rate),
-    "for": _Row("false omission rate", _SET, false_omission_rate),
-    "generality": _Row("generality", _SET, generality),
-    "inverse-precision": _Row("inverse precision", _SET, inverse_precision),
-    "inverse-recall": _Row("inverse recall", _SET, inverse_recall),
-    "miss-rate": _Row("miss rate", _SET, miss_rate),
-    "precision": _Row("precision", _SET, precision),
-    "recall": _Row("recall", _SET, recall),
-    "specificity": _Row("specificity", _SET, specificity),
-    "utility?": _Row("utility", _SET, lambda **weights: partial(utility, **weights),
+    "accuracy": _Row("classification accuracy", _SET,
+                     lambda t: _ratio(t.tp + t.tn, t.collection_size)),
+    "error-rate": _Row("error rate", _SET, lambda t: _ratio(t.fp + t.fn, t.collection_size)),
+    "f-measure": _Row("F-measure", _SET, _f_measure),
+    "fallout": _Row("fallout", _SET, lambda t: _ratio(t.fp, t.fp + t.tn)),
+    "fdr": _Row("false discovery rate", _SET, lambda t: _ratio(t.fp, t.fp + t.tp)),
+    "for": _Row("false omission rate", _SET, lambda t: _ratio(t.fn, t.fn + t.tn)),
+    "generality": _Row("generality", _SET, lambda t: _ratio(t.tp + t.fn, t.collection_size)),
+    "inverse-precision": _Row("inverse precision", _SET, lambda t: _ratio(t.tn, t.fn + t.tn)),
+    "inverse-recall": _Row("inverse recall", _SET, lambda t: _ratio(t.tn, t.fp + t.tn)),
+    "miss-rate": _Row("miss rate", _SET, lambda t: _ratio(t.fn, t.tp + t.fn)),
+    "precision": _Row("precision", _SET, lambda t: _ratio(t.tp, t.tp + t.fp)),
+    "recall": _Row("recall", _SET, lambda t: _ratio(t.tp, t.tp + t.fn)),
+    "specificity": _Row("specificity", _SET, lambda t: _ratio(t.tn, t.tn + t.fp)),
+    "utility?": _Row("utility", _SET, lambda **weights: partial(_utility, **weights),
                      params=("alpha", "beta", "gamma", "delta")),
-    "coverage-ratio": _Row("coverage ratio", _USER, coverage_ratio),
-    "novelty-ratio": _Row("novelty ratio", _USER, novelty_ratio),
-    "recall-effort": _Row("recall effort", _USER, recall_effort),
-    "retrieval-recall": _Row("retrieval recall", _USER, retrieval_recall),
+    "coverage-ratio": _Row("coverage ratio", _USER,
+                           lambda c: exact(c.retrieved_known, c.known_relevant)),
+    "novelty-ratio": _Row("novelty ratio", _USER, _novelty_ratio),
+    "recall-effort": _Row("recall effort", _USER,
+                          lambda c: exact(c.known_relevant, c.retrieved_total)),
+    "retrieval-recall": _Row("retrieval recall", _USER,  # can exceed 1
+                             lambda c: exact(c.retrieved_known + c.retrieved_unknown,
+                                             c.known_relevant)),
     "gr@": _Row("gain recall@{r}", _RANK, _gr_at),
     "manxcg@": _Row("MAnxCG@{r}", _RANK, _manxcg_at),
     "nxcg@": _Row("nxCG@{r}", _RANK, _nxcg_at),
@@ -792,7 +682,7 @@ _MEASURES: dict[str, _Row] = {
     "sr": _Row("sliding ratio", _RANK, _sr),
     "dcg?": _Row("DCG (base {b})", _RANK, _dcg_of, "approx", ("b",)),
     "rbp?": _Row("RBP (p={p})", _RANK, _rbp_of, params=("p",)),
-    "esl": _Row("expected search length", "leveled", expected_search_length),
+    "esl": _Row("expected search length", "leveled", _expected_search_length),
 }
 
 
@@ -837,7 +727,10 @@ def measure_from_id(measure_id: str) -> Measure:
         if set(params) != set(row.params):
             raise ParameterError(f"measures: {base} needs exactly the parameters {list(row.params)}")
         values = {name: _parse_fraction(params[name]) for name in row.params}
-        canon = ",".join(f"{name}={value}" for name, value in values.items())
+        try:
+            canon = ",".join(f"{name}={value}" for name, value in values.items())
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            raise ParameterError(f"measures: a parameter of {base} has too many digits") from None
         return Measure(key + canon, key, row.display.format(**values), row.family, row.backend,
                        row.make(**values))
     return Measure(key, key, row.display, row.family, row.backend, row.make)

@@ -7,7 +7,7 @@ to re-check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstraintError, UnsatisfiableNeedError
@@ -54,28 +54,14 @@ class GradeScheme:
             tuple(Fraction(k, levels - 1) for k in range(levels)),
         )
 
-    def scaled(self, factor: Fraction) -> "GradeScheme":
-        """Same grades with all gains multiplied by a positive rational."""
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise ConstraintError("model: gain scale factor must be positive")
-        return GradeScheme(self.labels, tuple(g * factor for g in self.gains))
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise ConstraintError(f"model: unknown grade label {label!r}") from None
 
-    def gain(self, label: str) -> Fraction:
-        return self.gains[self.index(label)]
-
     def is_relevant(self, label: str) -> bool:
         return self.index(label) > 0  # only the lowest grade has gain 0
-
-    @property
-    def top_gain(self) -> Fraction:
-        return self.gains[-1]
 
     @property
     def size(self) -> int:
@@ -103,17 +89,6 @@ class Ranking:
     @property
     def relevant_count(self) -> int:
         return len(self.items) - self.items.count(self.scheme.labels[0])
-
-    def gain_at(self, rank: int) -> Fraction:
-        """Gain of the document at 1-based rank."""
-        return self.scheme.gain(self.items[rank - 1])
-
-    def padded(self, length: int) -> "Ranking":
-        """Extend with the lowest grade up to ``length`` (no-op if long enough)."""
-        if self.length >= length:
-            return self
-        pad = (self.scheme.labels[0],) * (length - self.length)
-        return Ranking(self.scheme, self.items + pad)
 
     def display(self) -> str:
         return ranking_label(self.items)
@@ -165,21 +140,6 @@ class ContingencyTable:
     @property
     def collection_size(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def retrieved(self) -> int:
-        return self.tp + self.fp
-
-    @property
-    def relevant(self) -> int:
-        return self.tp + self.fn
-
-    def bound_to(self, universe: Universe) -> None:
-        """Validate the table against a universe (N and R must agree)."""
-        if self.collection_size != universe.collection_size:
-            raise ConstraintError("model: contingency table does not sum to N")
-        if self.relevant != universe.total_relevant:
-            raise ConstraintError("model: contingency table relevant count is not R")
 
     def display(self) -> str:
         return f"tp={self.tp},fp={self.fp},fn={self.fn},tn={self.tn}"

@@ -113,15 +113,13 @@ class ClassificationReport:
     rows: tuple[ReportRow, ...]
 
 
-def build_published_suite(oracle_cap: int = 200) -> ClassificationReport:
+def build_published_suite() -> ClassificationReport:
     """Classify every suite measure on its documented default domains."""
     rows: list[ReportRow] = []
     for group, suite in (("set-based", SET_BASED_SUITE), ("rank-based", RANK_BASED_SUITE)):
         for measure_id, published, contested, domains in suite:
             measure = measure_from_id(measure_id)
-            verdicts = tuple(
-                classify(measure, parse_domain(d), oracle_cap=oracle_cap) for d in domains
-            )
+            verdicts = tuple(classify(measure, parse_domain(d)) for d in domains)
             rows.append(
                 ReportRow(measure.id, measure.display, group, published, contested, verdicts)
             )

@@ -21,7 +21,7 @@ from metriclass.intrinsic import (
     induced_order,
     pseudometric_check,
 )
-from metriclass.measures import measure_from_id, rank_biased_precision
+from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.report import RANK_BASED_SUITE, SET_BASED_SUITE, build_published_suite
 from metriclass.values import Approx, Exact, add, exact, value_eq
@@ -200,8 +200,9 @@ def test_criterion_5_rbp_crossing_and_dyadic_interval_scale():
     second = rk(0, 1, 1)
 
     def score_gap(p):
-        a = rank_biased_precision(p, first, universe)
-        b = rank_biased_precision(p, second, universe)
+        rbp = measure_from_id(f"rbp?p={p}")
+        a = rbp.evaluate(first, universe)
+        b = rbp.evaluate(second, universe)
         return a.rational - b.rational
 
     # rational grid bracket, then exact bisection
@@ -249,10 +250,8 @@ def test_criterion_6_set_based_table_reproduced(suite):
     assert varying.collision is not None
     measure = measure_from_id("f-measure")
     spec = parse_domain(varying.domain)
-    from metriclass.enumeration import element_from_str
-
-    va = measure.evaluate(element_from_str(spec, varying.collision.first))
-    vb = measure.evaluate(element_from_str(spec, varying.collision.second))
+    va = measure.evaluate(spec.element(varying.collision.first))
+    vb = measure.evaluate(spec.element(varying.collision.second))
     assert value_eq(va, vb)
     print("ACCEPTANCE 6 PASS: set-based table, 16/17 agree + contested F with witness")
 

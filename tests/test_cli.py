@@ -228,6 +228,18 @@ class TestIngestEval:
         payload = json.loads(out)
         assert payload["aggregate"]["permissibility_flag"] is True
 
+    def test_gmean_past_the_float_range_stays_exact(self, tmp_path):
+        # rr is 1/2 on each of 1,100 topics, so the product 2^-1100 underflows a float
+        topics = range(1, 1101)
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("".join(f"{t} 0 d1 0\n{t} 0 d2 1\n" for t in topics))
+        run_file = tmp_path / "run.txt"
+        run_file.write_text("".join(f"{t} Q0 d1 1 2.0 x\n{t} Q0 d2 2 1.0 x\n" for t in topics))
+        code, out, err = invoke("ingest-eval", "--qrels", str(qrels), "--run", str(run_file),
+                                "--measure", "rr", "--depth", "2", "--aggregate", "gmean")
+        assert (code, err) == (0, "")
+        assert "gmean rr over 1100 topics = 1/2 (0.500)" in out
+
     def test_missing_file_is_computation_error(self):
         code, _, err = invoke(
             "ingest-eval", "--qrels", "no-such-file", "--run", "also-missing",
@@ -264,6 +276,10 @@ class TestMalformedInput:
                      id="cap-abc"),
         pytest.param(("classify", "--measure", "dcg?b=1e400", "--domain", "binary:L=4"), None,
                      id="dcg-b=1e400"),
+        pytest.param(("evaluate", "--measure", "utility?alpha=1e5000,beta=1,gamma=1,delta=1",
+                      "--table", "tp=1,fp=0,fn=0,tn=0"), None, id="utility-alpha=1e5000"),
+        pytest.param(("evaluate", "--measure", "rbp?p=1e-5000", "--ranking", "1,1",
+                      "--universe", "N=2,R=2"), None, id="rbp-p=1e-5000"),
     ])
     def test_exits_with_an_error_line_not_a_traceback(self, argv, cap, monkeypatch):
         if cap is not None:
@@ -282,8 +298,10 @@ class TestMalformedInput:
 class TestDemos:
     @pytest.mark.parametrize("script", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
     def test_runs(self, script, capsys):
+        # the goldens were written by running each demo before its evaluation path changed
         runpy.run_path(str(script), run_name="__main__")
-        assert capsys.readouterr().out
+        golden = DATA / "demos" / f"{script.stem}.txt"
+        assert capsys.readouterr().out == golden.read_bytes().decode("utf-8")
 
 
 class TestUsageErrors:

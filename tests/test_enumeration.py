@@ -7,7 +7,6 @@ import pytest
 
 from metriclass.enumeration import (
     cardinality,
-    element_from_str,
     element_to_str,
     enumerate_domain,
     format_domain,
@@ -267,5 +266,5 @@ class TestSpecText:
         for text in SPEC_STRINGS:
             spec = parse_domain(text)
             for element in enumerate_domain(spec):
-                again = element_from_str(spec, element_to_str(element))
+                again = spec.element(element_to_str(element))
                 assert again == element

@@ -33,11 +33,11 @@ class TestParseQrels:
 class TestParseRun:
     def test_orders_by_descending_score(self):
         run = parse_run("1 Q0 dlo 1 0.3 sys\n1 Q0 dhi 2 0.9 sys\n")
-        assert [e.doc for e in run.topic_entries("1")] == ["dhi", "dlo"]
+        assert [e.doc for e in dict(run.by_topic)["1"]] == ["dhi", "dlo"]
 
     def test_score_ties_break_by_doc_id(self):
         run = parse_run("1 Q0 db 1 0.5 sys\n1 Q0 da 2 0.5 sys\n")
-        assert [e.doc for e in run.topic_entries("1")] == ["da", "db"]
+        assert [e.doc for e in dict(run.by_topic)["1"]] == ["da", "db"]
 
     def test_missing_tag_field_reports_line(self):
         with pytest.raises(ParseError) as err:

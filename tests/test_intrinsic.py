@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metriclass.enumeration import element_from_str, enumerate_domain, parse_domain
+from metriclass.enumeration import enumerate_domain, parse_domain
 from metriclass.errors import ConfigurationError, ConstraintError
 from metriclass.intrinsic import (
     INTERVAL_METRIC,
@@ -497,7 +497,7 @@ class TestClassify:
             assert witness is not None
             universe = spec.universe if spec.kind == "rankings" else None
             for label in (witness.first, witness.second):
-                element = element_from_str(spec, label)
+                element = spec.element(label)
                 assert value_eq(measure.evaluate(element, universe), witness.value)
 
     def test_all_undefined_domain_is_an_error(self):

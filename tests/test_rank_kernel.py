@@ -50,11 +50,22 @@ DOMAINS = (
 )
 
 
+def gain_at(ranking, r):
+    """Gain of the document at 1-based rank r."""
+    return ranking.scheme.gains[ranking.scheme.index(ranking.items[r - 1])]
+
+
+def padded(ranking, length):
+    """The ranking extended with the lowest grade up to ``length`` (unchanged if long enough)."""
+    pad = (ranking.scheme.labels[0],) * max(0, length - ranking.length)
+    return Ranking(ranking.scheme, ranking.items + pad)
+
+
 def prefix_sums(ranking, universe):
     """isrel, count, cg and cig per rank; the ideal lists R top-grade documents first."""
     scheme = ranking.scheme
-    gains = [scheme.gain(x) for x in ranking.items]
-    ideal = [scheme.top_gain if k < universe.total_relevant else Fraction(0)
+    gains = [gain_at(ranking, r) for r in range(1, ranking.length + 1)]
+    ideal = [scheme.gains[-1] if k < universe.total_relevant else Fraction(0)
              for k in range(ranking.length)]
     isrel = [g > 0 for g in gains]
     count = list(accumulate(map(int, isrel)))
@@ -63,21 +74,21 @@ def prefix_sums(ranking, universe):
 
 def reference(measure_id, ranking, universe):
     """The measure's formula evaluated directly; None where it is undefined."""
-    big_r, length, top = universe.total_relevant, ranking.length, ranking.scheme.top_gain
+    big_r, length, top = universe.total_relevant, ranking.length, ranking.scheme.gains[-1]
     base, _, param = measure_id.partition("?")
     base, _, cutoff = base.partition("@")
     k = int(cutoff) if cutoff else None
     if base in ("r-precision", "r-wp", "r-measure"):
         if big_r == 0:
             return None
-        _, count, cg, cig = prefix_sums(ranking.padded(big_r), universe)
+        _, count, cg, cig = prefix_sums(padded(ranking, big_r), universe)
         return {"r-precision": Fraction(count[big_r - 1], big_r),
                 "r-wp": cg[big_r - 1] / cig[big_r - 1],
                 "r-measure": (cg[big_r - 1] + count[big_r - 1]) / (cig[big_r - 1] + big_r)}[base]
     if base in ("nxcg", "manxcg", "gr"):
         if big_r == 0:
             return None
-        _, _, cg, cig = prefix_sums(ranking.padded(k), universe)
+        _, _, cg, cig = prefix_sums(padded(ranking, k), universe)
         return {"nxcg": cg[k - 1] / cig[k - 1],
                 "manxcg": sum(cg[j] / cig[j] for j in range(k)) / k,
                 "gr": cg[k - 1] / cig[-1]}[base]
@@ -92,11 +103,12 @@ def reference(measure_id, ranking, universe):
         tot = 0.0
         for r in range(1, length + 1):
             disc = math.log2(r) if b == 2 else math.log(r) / math.log(b)
-            tot += float(ranking.gain_at(r)) / max(1.0, disc)
+            tot += float(gain_at(ranking, r)) / max(1.0, disc)
         return tot
     if base == "rbp":
         p = Fraction(param.partition("=")[2])
-        return (1 - p) / top * sum(p ** (r - 1) * ranking.gain_at(r) for r in range(1, length + 1))
+        return (1 - p) / top * sum(p ** (r - 1) * gain_at(ranking, r)
+                                   for r in range(1, length + 1))
     if big_r == 0:
         return None
     if base == "recall":
@@ -105,7 +117,7 @@ def reference(measure_id, ranking, universe):
         return cg[-1] / cig[-1]
     if base == "msr":
         ideal = sum(top / r for r in range(1, min(length, big_r) + 1))
-        return sum(ranking.gain_at(r) / r for r in range(1, length + 1)) / ideal
+        return sum(gain_at(ranking, r) / r for r in range(1, length + 1)) / ideal
     if base in ("rnorm", "pnorm"):
         if big_r >= length:
             return None
