@@ -18,7 +18,6 @@ from .enumeration import (
     parse_domain,
 )
 from .errors import (
-    ConfigurationError,
     ConstraintError,
     DomainTooLargeError,
     MetriclassError,
@@ -46,7 +45,6 @@ from .intrinsic import (
     interval_scale_oracle,
     interval_span,
     order_values,
-    pseudometric_check,
 )
 from .measures import (
     PERMISSIBILITY_WARNING,
@@ -81,7 +79,6 @@ __all__ = [
     "Approx",
     "ClassificationReport",
     "CollisionWitness",
-    "ConfigurationError",
     "ConstraintError",
     "ContingencyTable",
     "DEFAULT_CAP",
@@ -138,7 +135,6 @@ __all__ = [
     "parse_json_report",
     "parse_qrels",
     "parse_run",
-    "pseudometric_check",
     "render_table",
     "to_rankings",
     "value_eq",

@@ -161,9 +161,8 @@ def _witness(args, out, cap: int) -> int:
     verdict = classify(measure, parse_domain(domain_text), cap=cap)
     if verdict.collision is not None:
         print(f"collision: {verdict.collision.describe()}", file=out)
-    elif not verdict.equispaced and verdict.violating_triple is not None:
-        a, b, c = verdict.violating_triple
-        print(f"uneven gaps across {fmt(a)}, {fmt(b)}, {fmt(c)}", file=out)
+    elif (uneven := verdict.uneven_gaps()) is not None:
+        print(uneven, file=out)
     else:
         print("no collision or uneven gap on this domain", file=out)
     print(f"domain: {verdict.domain}", file=out)

@@ -38,12 +38,8 @@ class ParameterError(MetriclassError, ValueError):
     """A measure parameter is missing or out of range."""
 
 
-class ConfigurationError(MetriclassError):
-    """Numeric backends were mixed without a declared tolerance."""
-
-
 class ParseError(MetriclassError, ValueError):
-    """A text input (qrels, run, domain spec, measure id) is malformed."""
+    """A text input (qrels, run, domain spec, measure id, JSON record) is malformed."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

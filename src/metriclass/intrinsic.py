@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, format_domain, labeled_values
-from .errors import ConfigurationError, ConstraintError
+from .errors import ConstraintError
 from .measures import Measure
 from .values import (
     Exact,
@@ -88,9 +88,9 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
     excluded: list[int] = []
     # value key -> first index, or the list of indices from a second hit on.
     # An exact value is keyed by its normalised (numerator, denominator),
-    # which hashes without Fraction.__hash__; a real by (value, eps).
+    # which hashes without Fraction.__hash__; a real by its float.
     exacts: dict[tuple, int | list[int]] = {}
-    reals: dict[tuple, int | list[int]] = {}
+    reals: dict[float, int | list[int]] = {}
     for i, v in enumerate(values):
         if v is None:
             excluded.append(i)
@@ -98,7 +98,7 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
         if v.__class__ is Exact:
             groups, key = exacts, v.rational.as_integer_ratio()
         else:
-            groups, key = reals, (v.real, v.eps)
+            groups, key = reals, v.real
         g = groups.setdefault(key, i)
         if g is i:  # a new key
             continue
@@ -108,17 +108,13 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
             g.append(i)
     if not exacts and not reals:
         raise ConstraintError("intrinsic: every element of the domain is undefined")
-    if len(values) - len(excluded) > 1 and any(eps is None for _, eps in reals):
-        raise ConfigurationError(
-            "values: comparison involves a real value with no declared tolerance"
-        )
     # Sorted by (float, exact value): float() of a rational is correctly
     # rounded, hence monotone, so exact comparisons run only on float ties.
     distinct = []
     for (num, den), g in exacts.items():
         first = g if g.__class__ is int else g[0]
         distinct.append((_ratio_to_float(num, den), values[first].rational, first, g))
-    for (real, _), g in reals.items():
+    for real, g in reals.items():
         first = g if g.__class__ is int else g[0]
         distinct.append((real, real, first, g))
     tolerance = bool(reals)
@@ -152,7 +148,7 @@ def _anchored_runs(distinct: list, values: tuple) -> list[tuple[Value, list[int]
 
     Each element joins the current run if ``value_eq`` to its anchor, else
     it starts a run.  The elements of one key share that outcome; a value
-    attained under several keys (an exact and a real, or two eps) is
+    attained under two keys (an exact and a real equal as floats) is
     walked element by element in enumeration order.
     """
     runs: list[tuple[Value, list[int]]] = []
@@ -375,49 +371,6 @@ def interval_scale_oracle(ordered: OrderedDomain, cap: int = DEFAULT_ORACLE_CAP)
 
 
 # ---------------------------------------------------------------------------
-# Pseudometric axioms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PseudometricReport:
-    elements: int
-    pairs_checked: int
-    triples_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def pseudometric_check(values: Sequence[Value]) -> PseudometricReport:
-    """Exhaustive symmetry and triangle-inequality check on attained values.
-
-    This must never fail for any measure: the distance is an absolute
-    difference of reals, so a violation indicates an arithmetic bug, not a
-    property of the measure.
-    """
-    n = len(values)
-    violations: list[str] = []
-    dist = [[absdiff(values[i], values[j]) for j in range(n)] for i in range(n)]
-    pairs = 0
-    for i in range(n):
-        for j in range(n):
-            pairs += 1
-            if not value_eq(dist[i][j], dist[j][i]):
-                violations.append(f"symmetry broken at ({i},{j})")
-    triples = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                triples += 1
-                if not value_le(dist[i][k], add(dist[i][j], dist[j][k])):
-                    violations.append(f"triangle inequality broken at ({i},{j},{k})")
-    return PseudometricReport(n, pairs, triples, tuple(violations))
-
-
-# ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
@@ -448,13 +401,19 @@ class Verdict:
     oracle: Optional[bool]
     oracle_note: Optional[str]
 
+    def uneven_gaps(self) -> Optional[str]:
+        """The uneven-gap witness as text, or None when there is none."""
+        if self.equispaced or self.violating_triple is None:
+            return None
+        a, b, c = self.violating_triple
+        return f"uneven gaps across {fmt(a)}, {fmt(b)}, {fmt(c)}"
+
     def describe(self) -> str:
         parts = [self.category]
         if self.collision is not None:
             parts.append(f"collision {self.collision.describe()}")
-        if not self.equispaced and self.violating_triple is not None:
-            a, b, c = self.violating_triple
-            parts.append(f"uneven gaps across {fmt(a)}, {fmt(b)}, {fmt(c)}")
+        if (uneven := self.uneven_gaps()) is not None:
+            parts.append(uneven)
         if self.equispaced and not self.degenerate and self.gap is not None:
             word = "gap" if self.injective else "quotient gap"
             parts.append(f"{word} {fmt(self.gap)}")

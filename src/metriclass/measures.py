@@ -530,7 +530,7 @@ def aggregate(values: list[Value], kind: str) -> tuple[Value, str]:
         if isinstance(total, Exact):
             mean: Value = Exact(total.rational / len(values))
         else:
-            mean = Approx(total.real / len(values), total.eps)
+            mean = Approx(total.real / len(values))
         return mean, PERMISSIBILITY_WARNING
     # gmap: geometric mean, exact when the root is rational
     logs = []
@@ -554,7 +554,7 @@ def aggregate(values: list[Value], kind: str) -> tuple[Value, str]:
         if rn is not None and rd is not None:
             return Exact(Fraction(rn, rd)), PERMISSIBILITY_WARNING
     mean = math.exp(sum(logs) / q)
-    return Approx(mean, DEFAULT_EPS), PERMISSIBILITY_WARNING
+    return Approx(mean), PERMISSIBILITY_WARNING
 
 
 # ---------------------------------------------------------------------------

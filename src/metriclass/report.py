@@ -146,9 +146,8 @@ _HEADERS = (
 def _witness_summary(display: str, verdict: Verdict) -> str:
     if verdict.collision is not None:
         return f"{display}: {verdict.collision.describe()}"
-    if not verdict.equispaced and verdict.violating_triple is not None:
-        a, b, c = verdict.violating_triple
-        return f"{display}: uneven gaps across {fmt(a)}, {fmt(b)}, {fmt(c)}"
+    if (uneven := verdict.uneven_gaps()) is not None:
+        return f"{display}: {uneven}"
     return "-"
 
 

@@ -1,11 +1,10 @@
-"""Tagged numeric values: exact rationals or tolerance-carrying reals.
+"""Tagged numeric values: exact rationals or reals compared within one tolerance.
 
 Equality of attained values is what every classification decision rests
 on, so measures whose formulas are rational functions of integer counts
 are evaluated in exact rational arithmetic, and only log-bearing measures
-fall back to floats with an explicit tolerance.  Mixing an exact value
-with a real works as long as the real declares a tolerance; comparing
-against a tolerance-free real raises ConfigurationError.
+fall back to floats.  Any comparison that involves a real, including one
+against an exact value, is made within ``DEFAULT_EPS``.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ConfigurationError
+from .errors import ConstraintError, ParseError
 
-#: Default comparison tolerance for the float backend.
+#: The comparison tolerance of every real value.
 DEFAULT_EPS = 1e-9
 
 Rationalish = Union[int, Fraction]
@@ -41,20 +40,15 @@ class Exact:
 
 @dataclass(frozen=True, slots=True)
 class Approx:
-    """Float value with a declared comparison tolerance.
-
-    ``eps=None`` marks a value produced outside any backend policy; it can
-    be stored but not compared.
-    """
+    """Float value; it equals any value within ``DEFAULT_EPS`` of it."""
 
     real: float
-    eps: float | None = DEFAULT_EPS
 
     def numeric(self) -> float:
         return self.real
 
     def __repr__(self):
-        return f"Approx({self.real!r}, eps={self.eps!r})"
+        return f"Approx({self.real!r})"
 
 
 Value = Union[Exact, Approx]
@@ -64,48 +58,30 @@ def exact(num: Rationalish, den: int = 1) -> Exact:
     return Exact(Fraction(num, den))
 
 
-def _resolve_eps(a: Value, b: Value) -> float:
-    epss = [v.eps for v in (a, b) if isinstance(v, Approx)]
-    if any(e is None for e in epss):
-        raise ConfigurationError(
-            "values: comparison involves a real value with no declared tolerance"
-        )
-    return max(epss)
-
-
 def value_eq(a: Value, b: Value) -> bool:
-    """Semantic equality: exact for rational pairs, within eps otherwise."""
+    """Semantic equality: exact for rational pairs, within ``DEFAULT_EPS`` otherwise."""
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a.rational == b.rational
-    eps = _resolve_eps(a, b)
-    return abs(float(a.numeric()) - float(b.numeric())) <= eps
+    return abs(float(a.numeric()) - float(b.numeric())) <= DEFAULT_EPS
 
 
 def value_le(a: Value, b: Value) -> bool:
     """a <= b up to the comparison tolerance (exact for rational pairs)."""
     if isinstance(a, Exact) and isinstance(b, Exact):
         return a.rational <= b.rational
-    eps = _resolve_eps(a, b)
-    return float(a.numeric()) <= float(b.numeric()) + eps
-
-
-def _combine_eps(a: Value, b: Value) -> float | None:
-    epss = [v.eps for v in (a, b) if isinstance(v, Approx)]
-    if any(e is None for e in epss):
-        return None
-    return max(epss) if epss else DEFAULT_EPS
+    return float(a.numeric()) <= float(b.numeric()) + DEFAULT_EPS
 
 
 def add(a: Value, b: Value) -> Value:
     if isinstance(a, Exact) and isinstance(b, Exact):
         return Exact(a.rational + b.rational)
-    return Approx(float(a.numeric()) + float(b.numeric()), _combine_eps(a, b))
+    return Approx(float(a.numeric()) + float(b.numeric()))
 
 
 def sub(a: Value, b: Value) -> Value:
     if isinstance(a, Exact) and isinstance(b, Exact):
         return Exact(a.rational - b.rational)
-    return Approx(float(a.numeric()) - float(b.numeric()), _combine_eps(a, b))
+    return Approx(float(a.numeric()) - float(b.numeric()))
 
 
 def absdiff(a: Value, b: Value) -> Value:
@@ -113,21 +89,32 @@ def absdiff(a: Value, b: Value) -> Value:
     d = sub(a, b)
     if isinstance(d, Exact):
         return Exact(abs(d.rational))
-    return Approx(abs(d.real), d.eps)
+    return Approx(abs(d.real))
+
+
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        raise ConstraintError("values: an exact value has too many digits to print") from None
 
 
 def fmt(v: Value) -> str:
     """Render a value as fraction plus 3-decimal float, fractions authoritative.
 
-    Exact 2/5 renders as ``2/5 (0.400)``; reals render as the 3-decimal
-    float with their tolerance, e.g. ``1.000 (~1e-09)``.
+    Exact 2/5 renders as ``2/5 (0.400)``, and one beyond the float range
+    as ``<fraction> (inf)``; reals render as the 3-decimal float with the
+    tolerance, e.g. ``1.000 (~1e-09)``.
     """
     if isinstance(v, Exact):
         r = v.rational
-        frac = str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-        return f"{frac} ({float(r):.3f})"
-    eps = "?" if v.eps is None else f"{v.eps:g}"
-    return f"{v.real:.3f} (~{eps})"
+        num, den = _decimal(r.numerator), _decimal(r.denominator)
+        frac = num if den == "1" else f"{num}/{den}"
+        try:
+            return f"{frac} ({float(r):.3f})"
+        except OverflowError:
+            return f"{frac} ({'inf' if r > 0 else '-inf'})"
+    return f"{v.real:.3f} (~{DEFAULT_EPS:g})"
 
 
 def fmt_short(v: Value) -> str:
@@ -138,11 +125,16 @@ def fmt_short(v: Value) -> str:
 def to_record(v: Value) -> dict:
     """JSON-ready record preserving exactness (numerator/denominator)."""
     if isinstance(v, Exact):
-        return {"kind": "exact", "num": v.rational.numerator, "den": v.rational.denominator}
-    return {"kind": "approx", "value": v.real, "eps": v.eps}
+        r = v.rational
+        _decimal(r.numerator), _decimal(r.denominator)  # both must print as JSON numbers
+        return {"kind": "exact", "num": r.numerator, "den": r.denominator}
+    return {"kind": "approx", "value": v.real, "eps": DEFAULT_EPS}
 
 
 def from_record(rec: dict) -> Value:
+    """The value of a ``to_record`` record; an approx one must name ``DEFAULT_EPS``."""
     if rec["kind"] == "exact":
         return Exact(Fraction(rec["num"], rec["den"]))
-    return Approx(rec["value"], rec["eps"])
+    if rec["eps"] != DEFAULT_EPS:
+        raise ParseError(f"values: approx record with eps {rec['eps']!r}, expected {DEFAULT_EPS:g}")
+    return Approx(rec["value"])

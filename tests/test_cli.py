@@ -280,6 +280,12 @@ class TestMalformedInput:
                       "--table", "tp=1,fp=0,fn=0,tn=0"), None, id="utility-alpha=1e5000"),
         pytest.param(("evaluate", "--measure", "rbp?p=1e-5000", "--ranking", "1,1",
                       "--universe", "N=2,R=2"), None, id="rbp-p=1e-5000"),
+        pytest.param(("evaluate", "--measure", "rbp?p=1e-4000", "--ranking", "1,1",
+                      "--universe", "N=2,R=2"), None, id="rbp-p=1e-4000-value-digits"),
+        pytest.param(("classify", "--measure", "rbp?p=1e-2200", "--domain", "binary:L=2"), None,
+                     id="rbp-p=1e-2200-value-digits"),
+        pytest.param(("classify", "--measure", "rbp?p=1e-2200", "--domain", "binary:L=2",
+                      "--json"), None, id="rbp-p=1e-2200-value-digits-json"),
     ])
     def test_exits_with_an_error_line_not_a_traceback(self, argv, cap, monkeypatch):
         if cap is not None:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metriclass.enumeration import enumerate_domain, parse_domain
-from metriclass.errors import ConfigurationError, ConstraintError
+from metriclass.errors import ConstraintError
 from metriclass.intrinsic import (
     INTERVAL_METRIC,
     EquivalenceClass,
@@ -24,11 +24,11 @@ from metriclass.intrinsic import (
     interval_scale_oracle,
     interval_span,
     order_values,
-    pseudometric_check,
 )
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.values import Approx, Exact, exact, value_eq
+from pseudometric import pseudometric_check
 
 BINARY = GradeScheme.binary()
 
@@ -122,7 +122,7 @@ def sort_and_scan(labeled_values):
     return tuple(classes), tuple(class_index), excluded
 
 
-EPSILONS = (1e-9, 1e-3)
+EPSILONS = (1e-9,)
 
 
 def attained_points():
@@ -143,21 +143,20 @@ POINTS = attained_points()
 
 @st.composite
 def attained_values(draw):
-    """(label, value) lists of Exact, Approx (declared eps) and None values."""
+    """(label, value) lists of Exact, Approx and None values."""
     chosen = draw(st.lists(
         st.tuples(
             st.sampled_from(POINTS),
             st.sampled_from(("exact", "approx", "undefined")),
-            st.sampled_from(EPSILONS),
         ),
         max_size=40,
     ))
     pairs = []
-    for i, ((rational, real), kind, eps) in enumerate(chosen):
+    for i, ((rational, real), kind) in enumerate(chosen):
         if kind == "exact":
             value = Exact(rational)
         elif kind == "approx":
-            value = Approx(real, eps)
+            value = Approx(real)
         else:
             value = None
         pairs.append((f"e{i}", value))
@@ -172,10 +171,6 @@ class TestOrderValuesMatchesSortAndScan:
     @example([  # the real joins the exact anchor, the equal exact starts a class
         ("a", exact(1, 2)), ("b", Approx(0.5 + 9e-10)), ("c", exact(Fraction(0.5 + 9e-10))),
         ("d", Approx(0.5 + 9e-10)),
-    ])
-    @example([  # one real under two tolerances: only the wider reaches the anchor
-        ("a", Approx(0.5, 1e-9)), ("b", Approx(0.5009, 1e-3)), ("c", Approx(0.5009, 1e-9)),
-        ("d", Approx(0.5009, 1e-3)),
     ])
     def test_same_classes_members_values_and_index(self, pairs):
         try:
@@ -193,20 +188,6 @@ class TestOrderValuesMatchesSortAndScan:
 
 
 class TestOrderValuesEdges:
-    def test_tolerance_free_reals_refuse_grouping(self):
-        for pairs in (
-            [("a", Approx(0.5, None)), ("b", Approx(0.5, None))],
-            [("a", exact(1)), ("b", Approx(0.5, None))],
-        ):
-            with pytest.raises(ConfigurationError):
-                sort_and_scan(pairs)
-            with pytest.raises(ConfigurationError):
-                order_values(pairs)
-
-    def test_single_tolerance_free_real_is_a_class(self):
-        ordered = order_values([("a", Approx(0.5, None)), ("b", None)])
-        assert [c.members for c in ordered.classes] == [(0,)]
-
     def test_rationals_beyond_float_range_sort_exactly(self):
         huge = 10 ** 400
         pairs = [("a", exact(huge + 1)), ("b", exact(-huge)), ("c", exact(huge)), ("d", exact(1))]

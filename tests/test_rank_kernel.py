@@ -202,7 +202,7 @@ def same_value(a, b):
         return a is None and b is None
     if isinstance(a, Exact):
         return isinstance(b, Exact) and a.rational == b.rational
-    return not isinstance(b, Exact) and a.real.hex() == b.real.hex() and a.eps == b.eps
+    return not isinstance(b, Exact) and a.real.hex() == b.real.hex()
 
 
 @pytest.mark.parametrize("measure_id", RANK_IDS)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from metriclass.errors import ConfigurationError
+from metriclass.errors import ParseError
 from metriclass.values import (
     Approx,
     Exact,
@@ -36,14 +36,6 @@ def test_mixed_backends_use_declared_eps():
     assert not value_eq(exact(1, 2), Approx(0.51))
 
 
-def test_tolerance_free_real_refuses_comparison():
-    loose = Approx(0.5, eps=None)
-    with pytest.raises(ConfigurationError):
-        value_eq(loose, exact(1, 2))
-    with pytest.raises(ConfigurationError):
-        value_eq(loose, exact(0))
-
-
 def test_value_eq_symmetric():
     rng = random.Random(7)
     for _ in range(200):
@@ -71,9 +63,9 @@ def test_absdiff_symmetry_and_zero():
 
 
 def test_approx_arithmetic_keeps_tolerance():
-    x = add(Approx(0.25, eps=1e-9), exact(1, 4))
-    assert isinstance(x, Approx)
-    assert x.eps == 1e-9
+    x = add(Approx(0.25), exact(1, 4))
+    assert x == Approx(0.5)
+    assert repr(x) == "Approx(0.5)"
     assert value_eq(x, exact(1, 2))
 
 
@@ -87,11 +79,19 @@ def test_fmt_fraction_and_decimal():
     assert fmt(exact(2, 5)) == "2/5 (0.400)"
     assert fmt(exact(15)) == "15 (15.000)"
     assert fmt(Approx(1.0)) == "1.000 (~1e-09)"
+    assert fmt(exact(-10 ** 400)) == f"{-10 ** 400} (-inf)"  # beyond the float range
 
 
 def test_record_round_trip():
-    for v in (exact(2, 5), exact(-7, 3), Approx(0.123456789), Approx(1.5, eps=None)):
+    for v in (exact(2, 5), exact(-7, 3), Approx(0.123456789), Approx(1.5)):
         assert from_record(to_record(v)) == v
+    assert to_record(Approx(1.5)) == {"kind": "approx", "value": 1.5, "eps": 1e-9}
+
+
+def test_record_under_a_foreign_tolerance_is_refused():
+    for eps in (1e-3, None):
+        with pytest.raises(ParseError):
+            from_record({"kind": "approx", "value": 0.5, "eps": eps})
 
 
 def test_sub_exact():
