@@ -27,7 +27,7 @@ for cls in ordered.classes:
     print(f"  value {fmt(cls.value):14s} class size {len(cls.members):2d}: {members}")
 
 chain = build_hasse(ordered)
-print(f"\nchain: {chain.node_count} classes, {chain.edge_count} edges,"
+print(f"\nchain: {len(chain.classes)} classes, {len(chain.weights)} edges,"
       f" every edge weighs {fmt(chain.weights[0])}")
 
 # spans count elements between two endpoints, inclusive of ties

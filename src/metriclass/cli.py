@@ -14,7 +14,7 @@ import os
 import sys
 
 from .enumeration import DEFAULT_CAP, Contingency, Leveled, User, parse_domain, parse_fields
-from .errors import MetriclassError, ParseError
+from .errors import MetriclassError, ParseError, UndefinedValueError
 from .ingest import parse_qrels, parse_run, to_rankings
 from .intrinsic import DEFAULT_ORACLE_CAP, INTERVAL_METRIC, build_hasse, classify, induced_order
 from .measures import aggregate, list_measure_ids, measure_from_id
@@ -199,12 +199,15 @@ def _ingest_eval(args, out) -> int:
         run = parse_run(handle.read())
     scheme = _parse_scheme(args.scheme)
     rankings, skipped = to_rankings(run, qrels, scheme, args.depth)
-    topics = sorted(rankings)
     values = []
     lines = []
-    for topic in topics:
-        ranking, universe = rankings[topic]
-        value = measure.evaluate(ranking, universe)
+    undefined = []  # (topic, reason): skipped and reported, never scored
+    for topic in sorted(rankings):
+        try:
+            value = measure.evaluate(*rankings[topic])
+        except UndefinedValueError as exc:
+            undefined.append((topic, exc.reason))
+            continue
         values.append(value)
         lines.append((topic, value))
 
@@ -214,7 +217,7 @@ def _ingest_eval(args, out) -> int:
     payload: dict = {
         "measure": measure.id,
         "topics": {topic: fmt(value) for topic, value in lines},
-        "skipped_topics": list(skipped),
+        "skipped_topics": [*skipped, *(topic for topic, _ in undefined)],
     }
     if args.json:
         if args.aggregate:
@@ -230,6 +233,8 @@ def _ingest_eval(args, out) -> int:
         print(f"topic {topic}: {measure.id} = {fmt(value)}", file=out)
     for topic in skipped:
         print(f"topic {topic}: skipped (no judgments)", file=out)
+    for topic, reason in undefined:
+        print(f"topic {topic}: skipped (undefined: {reason})", file=out)
     if args.aggregate:
         print(f"{args.aggregate} {measure.id} over {len(values)} topics = {fmt(agg)}", file=out)
         if warn_needed and not args.quiet_warnings:

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, format_domain, labeled_values
@@ -55,21 +54,23 @@ class EquivalenceClass:
 class OrderedDomain:
     """A domain sorted and grouped by attained value.
 
-    ``labels`` holds display strings in enumeration order; ``values`` holds
-    the attained value per element (None for excluded, undefined points);
-    ``classes`` is the quotient, in strictly increasing value order.
+    ``labels`` holds display strings in enumeration order; ``classes`` is
+    the quotient, in strictly increasing value order; ``excluded`` lists
+    the undefined points.
     """
 
     labels: tuple[str, ...]
-    values: tuple[Optional[Value], ...]
     classes: tuple[EquivalenceClass, ...]
     excluded: tuple[int, ...]
-    class_index: tuple[int, ...]  # per element; -1 marks an excluded element
+
+    @cached_property
+    def _class_index(self) -> dict[int, int]:
+        return {member: ci for ci, cls in enumerate(self.classes) for member in cls.members}
 
     def class_of(self, index: int) -> int:
-        ci = self.class_index[index]
-        if ci < 0:
-            raise ConstraintError(f"intrinsic: element {index} was excluded as undefined")
+        ci = self._class_index.get(index)
+        if ci is None:
+            raise ConstraintError(f"intrinsic: element {index} is excluded or out of range")
         return ci
 
 
@@ -77,28 +78,24 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
     """Build the induced order from (label, value) pairs; None values are excluded.
 
     One pass buckets the element indices by attained value, then only the
-    distinct values are sorted.  Two distinct exact values are never equal,
-    so without reals each is a class.  With reals, a class is a run of
-    sorted values equal (``value_eq``) to the run's first value, that of the
-    earliest element attaining the run's least value; the anchor matters
-    because nearness within a tolerance is not transitive.
+    distinct values are sorted.  The defined values must be all exact or
+    all real.  Two distinct exact values are never equal, so each is a
+    class.  A class of reals is a run of sorted values equal (``value_eq``)
+    to the run's first value, that of the earliest element attaining the
+    run's least value; the anchor matters because nearness within a
+    tolerance is not transitive.
     """
     labels = tuple(label for label, _ in labeled_values)
-    values = tuple(v for _, v in labeled_values)
     excluded: list[int] = []
     # value key -> first index, or the list of indices from a second hit on.
     # An exact value is keyed by its normalised (numerator, denominator),
     # which hashes without Fraction.__hash__; a real by its float.
-    exacts: dict[tuple, int | list[int]] = {}
-    reals: dict[float, int | list[int]] = {}
-    for i, v in enumerate(values):
+    groups: dict[tuple | float, int | list[int]] = {}
+    for i, (_, v) in enumerate(labeled_values):
         if v is None:
             excluded.append(i)
             continue
-        if v.__class__ is Exact:
-            groups, key = exacts, v.rational.as_integer_ratio()
-        else:
-            groups, key = reals, v.real
+        key = v.rational.as_integer_ratio() if v.__class__ is Exact else v.real
         g = groups.setdefault(key, i)
         if g is i:  # a new key
             continue
@@ -106,34 +103,40 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
             groups[key] = [g, i]
         else:
             g.append(i)
-    if not exacts and not reals:
+    if not groups:
         raise ConstraintError("intrinsic: every element of the domain is undefined")
-    # Sorted by (float, exact value): float() of a rational is correctly
-    # rounded, hence monotone, so exact comparisons run only on float ties.
+    kinds = set(map(type, groups))
+    if len(kinds) > 1:
+        raise ConstraintError("intrinsic: a domain mixes exact and real values")
+    real = float in kinds
+    # Exact values sort by (float, exact value): float() of a rational is
+    # correctly rounded, hence monotone, so exact comparisons run only on
+    # float ties.  Reals sort by their distinct float keys.
     distinct = []
-    for (num, den), g in exacts.items():
+    for key, g in groups.items():
         first = g if g.__class__ is int else g[0]
-        distinct.append((_ratio_to_float(num, den), values[first].rational, first, g))
-    for real, g in reals.items():
-        first = g if g.__class__ is int else g[0]
-        distinct.append((real, real, first, g))
-    tolerance = bool(reals)
-    del exacts, reals  # freed before sorting, to keep the peak memory down
+        if real:
+            distinct.append((key, first, g))
+        else:
+            distinct.append((_ratio_to_float(*key), labeled_values[first][1].rational, first, g))
+    del groups  # freed before sorting, to keep the peak memory down
     distinct.sort()
-    if tolerance:
-        runs = _anchored_runs(distinct, values)
+    if real:
+        runs: list[tuple[Value, list[int]]] = []
+        for _, first, g in distinct:
+            v = labeled_values[first][1]
+            members = [g] if g.__class__ is int else g
+            if runs and value_eq(v, runs[-1][0]):
+                runs[-1][1].extend(members)
+            else:
+                runs.append((v, members))
     else:
-        runs = ((values[first], g) for _, _, first, g in distinct)
+        runs = ((labeled_values[first][1], g) for _, _, first, g in distinct)
     classes = tuple(
         EquivalenceClass(v, (g,) if g.__class__ is int else tuple(sorted(g)))
         for v, g in runs
     )
-    del distinct, runs  # freed before class_index is built: this lowers the peak
-    class_index = [-1] * len(labels)
-    for ci, cls in enumerate(classes):
-        for member in cls.members:
-            class_index[member] = ci
-    return OrderedDomain(labels, values, classes, tuple(excluded), tuple(class_index))
+    return OrderedDomain(labels, classes, tuple(excluded))
 
 
 def _ratio_to_float(num: int, den: int) -> float:
@@ -141,35 +144,6 @@ def _ratio_to_float(num: int, den: int) -> float:
         return num / den
     except OverflowError:  # a rational beyond the float range
         return math.inf if num > 0 else -math.inf
-
-
-def _anchored_runs(distinct: list, values: tuple) -> list[tuple[Value, list[int]]]:
-    """Merge sorted distinct values into (anchor, members) runs.
-
-    Each element joins the current run if ``value_eq`` to its anchor, else
-    it starts a run.  The elements of one key share that outcome; a value
-    attained under two keys (an exact and a real equal as floats) is
-    walked element by element in enumeration order.
-    """
-    runs: list[tuple[Value, list[int]]] = []
-    for _, tied in groupby(distinct, key=itemgetter(0, 1)):
-        tied = list(tied)
-        if len(tied) == 1:
-            blocks = [tied[0][3]]
-        else:
-            blocks = sorted(i for *_, g in tied for i in _indices(g))
-        for block in blocks:
-            members = _indices(block)
-            v = values[members[0]]
-            if runs and value_eq(v, runs[-1][0]):
-                runs[-1][1].extend(members)
-            else:
-                runs.append((v, list(members)))
-    return runs
-
-
-def _indices(group: int | list[int]) -> list[int]:
-    return [group] if group.__class__ is int else group
 
 
 def induced_order(
@@ -207,14 +181,6 @@ class HasseDiagram:
 
     classes: tuple[EquivalenceClass, ...]
     weights: tuple[Value, ...]  # weights[i] joins classes[i] and classes[i+1]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.classes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.weights)
 
     def path_distance(self, i: int, j: int) -> Value:
         """Minimum path length between classes i and j.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .enumeration import parse_domain
 from .errors import ParseError
@@ -201,23 +201,15 @@ def render_table(report: ClassificationReport, fmt_name: str = "markdown") -> st
 # ---------------------------------------------------------------------------
 
 
-def export_dot(
-    diagram: HasseDiagram,
-    labels: Optional[Sequence[str]] = None,
-    name: str = "hasse",
-) -> str:
+def export_dot(diagram: HasseDiagram, labels: Sequence[str], name: str = "hasse") -> str:
     """Graphviz text for the quotient chain, low values at the bottom.
 
     ``labels`` names elements by enumeration index; class nodes list all
     their members.  Output bytes depend only on the inputs.
     """
-
-    def member_name(index: int) -> str:
-        return labels[index] if labels is not None else f"e{index}"
-
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
     for ci, cls in enumerate(diagram.classes):
-        members = ", ".join(member_name(i) for i in cls.members)
+        members = ", ".join(labels[i] for i in cls.members)
         label = f"{fmt_short(cls.value)}: {members}".replace('"', r"\"")
         lines.append(f'  c{ci} [label="{label}"];')
     for ci, weight in enumerate(diagram.weights):

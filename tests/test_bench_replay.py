@@ -15,16 +15,22 @@ import pytest
 
 from metriclass.cli import run
 
-REPLAY = Path(__file__).parent.parent / "bench" / "replay.py"
+BENCH = Path(__file__).parent.parent / "bench"
+DATA = Path(__file__).parent / "data"
 MODULES = ("enumeration", "errors", "ingest", "intrinsic", "measures", "model", "report",
            "values", "version")
 
 
-@pytest.fixture(scope="module")
-def replay():
-    spec = importlib.util.spec_from_file_location("bench_replay", REPLAY)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def replay():
+    module = load("replay")
     program = SimpleNamespace(
         **{name: importlib.import_module(f"metriclass.{name}") for name in MODULES}
     )
@@ -42,3 +48,14 @@ def test_replay_reproduces_cli_stdout(replay, argv):
     out = io.StringIO()
     assert run(list(argv), out=out) == 0
     assert replay.job(list(argv)) == out.getvalue()
+
+
+@pytest.mark.parametrize("measure_id", ["ap", "dcg?b=2"])
+def test_replay_reproduces_ingest_eval(replay, measure_id):
+    # the bench compares ingest jobs through its parser, which drops the warning line
+    argv = ["ingest-eval", "--qrels", str(DATA / "qrels.txt"), "--run", str(DATA / "run.txt"),
+            "--measure", measure_id, "--depth", "4", "--scheme", "binary", "--aggregate", "mean"]
+    out = io.StringIO()
+    assert run(argv, out=out) == 0
+    parse = load("jobs").parse_ingest_output
+    assert parse(replay.job(argv)) == parse(out.getvalue())

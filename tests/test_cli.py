@@ -240,6 +240,45 @@ class TestIngestEval:
         assert (code, err) == (0, "")
         assert "gmean rr over 1100 topics = 1/2 (0.500)" in out
 
+    @staticmethod
+    def probe(tmp_path, qrels="1 0 a 1\n2 0 b 0\n2 0 c 0\n"):
+        # topic 2 is judged but has no relevant document, so ap is undefined there
+        (tmp_path / "q.txt").write_text(qrels)
+        (tmp_path / "r.txt").write_text("1 Q0 a 1 0.9 x\n2 Q0 b 1 0.9 x\n2 Q0 c 2 0.8 x\n")
+        return ("ingest-eval", "--qrels", str(tmp_path / "q.txt"),
+                "--run", str(tmp_path / "r.txt"), "--depth", "2")
+
+    def test_undefined_topic_is_skipped_and_left_out_of_the_mean(self, tmp_path):
+        code, out, err = invoke(*self.probe(tmp_path), "--measure", "ap", "--aggregate", "mean",
+                                "--quiet-warnings")
+        assert (code, err) == (0, "")
+        assert out == (
+            "topic 1: ap = 1 (1.000)\n"
+            "topic 2: skipped (undefined: R = 0)\n"
+            "mean ap over 1 topics = 1 (1.000)\n"
+        )
+        code, out, _ = invoke(*self.probe(tmp_path), "--measure", "ap", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["topics"] == {"1": "1 (1.000)"}
+        assert payload["skipped_topics"] == ["2"]
+
+    def test_measure_defined_on_every_topic_scores_them_all(self, tmp_path):
+        code, out, err = invoke(*self.probe(tmp_path), "--measure", "rr", "--aggregate", "mean",
+                                "--quiet-warnings")
+        assert (code, err) == (0, "")
+        assert out == (
+            "topic 1: rr = 1 (1.000)\n"
+            "topic 2: rr = 0 (0.000)\n"
+            "mean rr over 2 topics = 1/2 (0.500)\n"
+        )
+
+    def test_mean_over_no_evaluated_topic_is_computation_error(self, tmp_path):
+        argv = self.probe(tmp_path, qrels="1 0 a 0\n2 0 b 0\n")
+        code, out, err = invoke(*argv, "--measure", "ap", "--aggregate", "mean")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_missing_file_is_computation_error(self):
         code, _, err = invoke(
             "ingest-eval", "--qrels", "no-such-file", "--run", "also-missing",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metriclass.enumeration import enumerate_domain, parse_domain
+from metriclass.enumeration import enumerate_domain, labeled_values, parse_domain
 from metriclass.errors import ConstraintError
 from metriclass.intrinsic import (
     INTERVAL_METRIC,
@@ -143,22 +143,17 @@ POINTS = attained_points()
 
 @st.composite
 def attained_values(draw):
-    """(label, value) lists of Exact, Approx and None values."""
-    chosen = draw(st.lists(
-        st.tuples(
-            st.sampled_from(POINTS),
-            st.sampled_from(("exact", "approx", "undefined")),
-        ),
-        max_size=40,
-    ))
+    """(label, value) lists of all Exact or all Approx values, and None values."""
+    kind = draw(st.sampled_from(("exact", "approx")))
+    chosen = draw(st.lists(st.tuples(st.sampled_from(POINTS), st.booleans()), max_size=40))
     pairs = []
-    for i, ((rational, real), kind) in enumerate(chosen):
-        if kind == "exact":
-            value = Exact(rational)
-        elif kind == "approx":
-            value = Approx(real)
-        else:
+    for i, ((rational, real), defined) in enumerate(chosen):
+        if not defined:
             value = None
+        elif kind == "exact":
+            value = Exact(rational)
+        else:
+            value = Approx(real)
         pairs.append((f"e{i}", value))
     return pairs
 
@@ -167,9 +162,9 @@ class TestOrderValuesMatchesSortAndScan:
     @settings(max_examples=300, deadline=None)
     @given(attained_values())
     @example([("a", None), ("b", None)])
-    @example([("a", Approx(-0.0)), ("b", exact(0)), ("c", Approx(0.0)), ("d", Approx(-0.0))])
-    @example([  # the real joins the exact anchor, the equal exact starts a class
-        ("a", exact(1, 2)), ("b", Approx(0.5 + 9e-10)), ("c", exact(Fraction(0.5 + 9e-10))),
+    @example([("a", Approx(-0.0)), ("b", Approx(0.0)), ("c", None), ("d", Approx(-0.0))])
+    @example([  # b joins the anchor a; c is near b but not a, so it starts a class
+        ("a", Approx(0.5)), ("b", Approx(0.5 + 9e-10)), ("c", Approx(0.5 + 1.8e-9)),
         ("d", Approx(0.5 + 9e-10)),
     ])
     def test_same_classes_members_values_and_index(self, pairs):
@@ -183,11 +178,21 @@ class TestOrderValuesMatchesSortAndScan:
         classes, class_index, excluded = expected
         assert [c.members for c in ordered.classes] == [c.members for c in classes]
         assert all(a.value is b.value for a, b in zip(ordered.classes, classes))
-        assert ordered.class_index == class_index
         assert ordered.excluded == excluded
+        for i, ci in enumerate(class_index):
+            if ci >= 0:
+                assert ordered.class_of(i) == ci
 
 
 class TestOrderValuesEdges:
+    @pytest.mark.parametrize("pairs", [
+        [("a", exact(1, 2)), ("b", Approx(0.5))],
+        [("a", None), ("b", Approx(0.25)), ("c", exact(1, 4)), ("d", Approx(0.25))],
+    ])
+    def test_mixed_exact_and_real_values_are_refused(self, pairs):
+        with pytest.raises(ConstraintError, match="mixes exact and real values"):
+            order_values(pairs)
+
     def test_rationals_beyond_float_range_sort_exactly(self):
         huge = 10 ** 400
         pairs = [("a", exact(huge + 1)), ("b", exact(-huge)), ("c", exact(huge)), ("d", exact(1))]
@@ -220,11 +225,11 @@ class TestDistance:
 class TestHasse:
     def test_single_class_has_no_edges(self):
         h = build_hasse(order_values([("a", exact(1)), ("b", exact(1))]))
-        assert h.node_count == 1 and h.edge_count == 0
+        assert len(h.classes) == 1 and len(h.weights) == 0
 
     def test_precision_chain_weights(self):
         h = build_hasse(ordered_for("prec@4", "binary:L=4"))
-        assert h.edge_count == 4
+        assert len(h.weights) == 4
         assert all(w == exact(1, 4) for w in h.weights)
 
     def test_six_element_chain_weights(self):
@@ -232,11 +237,13 @@ class TestHasse:
         assert [w.rational for w in h.weights] == [1, 1, 2]
 
     def test_path_distance_equals_value_difference_exhaustively(self):
-        ordered = ordered_for("prec@4", "binary:L=4")
+        spec, measure = parse_domain("binary:L=4"), measure_from_id("prec@4")
+        ordered = induced_order(measure, spec)
+        values = [v for _, v in labeled_values(spec, measure)]
         h = build_hasse(ordered)
         for i in range(len(ordered.labels)):
             for j in range(len(ordered.labels)):
-                direct = abs(ordered.values[i].rational - ordered.values[j].rational)
+                direct = abs(values[i].rational - values[j].rational)
                 path = h.path_distance(ordered.class_of(i), ordered.class_of(j))
                 assert path.rational == direct
 
@@ -421,8 +428,8 @@ class TestPseudometricCheck:
             ("dcg?b=2", "binary:L=4"),
             ("recall", "contingency:N=15,R=5,n=5"),
         ):
-            ordered = ordered_for(measure_id, domain)
-            values = [v for v in ordered.values if v is not None]
+            pairs = labeled_values(parse_domain(domain), measure_from_id(measure_id))
+            values = [v for _, v in pairs if v is not None]
             report = pseudometric_check(values)
             assert report.ok
             assert report.triples_checked == len(values) ** 3
