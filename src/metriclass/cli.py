@@ -41,6 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"wants a non-negative integer, got {text!r}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="metriclass", description=__doc__)
     parser.add_argument("--version", action="version", version=f"metriclass {VERSION}")
@@ -61,7 +71,7 @@ def _build_parser() -> _Parser:
     cl = sub.add_parser("classify", help="classify a measure over an explicit domain")
     cl.add_argument("--measure", required=True)
     cl.add_argument("--domain", required=True, help="domain spec, e.g. binary:L=4")
-    cl.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+    cl.add_argument("--oracle-cap", type=_non_negative, default=DEFAULT_ORACLE_CAP,
                     help="max quotient classes for the interval-scale oracle")
     cl.add_argument("--json", action="store_true", help="emit the verdict as JSON")
 

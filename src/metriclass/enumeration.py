@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
@@ -172,17 +173,23 @@ def _no_step(state, g):
 
 @dataclass(frozen=True)
 class Rankings(Domain):
-    """Rankings of the given lengths over a grade scheme and a universe."""
+    """Rankings of the given lengths over ``levels`` equispaced grades and a universe.
+
+    The grade scheme is built on first use, so counting, and refusing, a
+    domain with many grades allocates none of them.
+    """
 
     kind: ClassVar[str] = "rankings"
     family: ClassVar[str] = "ranking"
-    scheme: GradeScheme
+    levels: int  # 2 for binary rankings
     lengths: range
     universe: Universe
     exact_relevant: Optional[int] = None
     order_seed: Optional[int] = None
 
     def __post_init__(self):
+        if self.levels < 2:
+            raise ConstraintError("model: need at least 2 grade levels")
         if not self.lengths:
             raise ConstraintError("enumeration: ranking length range is empty")
         if self.lengths[0] < 1:
@@ -204,7 +211,7 @@ class Rankings(Domain):
         lo, hi = fields["L"]
         r = fields.get("R", hi)
         return cls(
-            GradeScheme.equispaced(fields["levels"]) if graded else GradeScheme.binary(),
+            fields["levels"] if graded else 2,
             range(lo, hi + 1),
             Universe(fields.get("N", hi + r), r),
             fields.get("rel"),
@@ -214,8 +221,7 @@ class Rankings(Domain):
     def format(self) -> str:
         lengths = self.lengths
         lpart = str(lengths[0]) if len(lengths) == 1 else f"{lengths[0]}..{lengths[-1]}"
-        size = self.scheme.size
-        head = "binary:" if size == 2 else f"graded:levels={size},"
+        head = "binary:" if self.levels == 2 else f"graded:levels={self.levels},"
         rel = f",rel={self.exact_relevant}" if self.exact_relevant is not None else ""
         return (
             f"{head}L={lpart},R={self.universe.total_relevant},"
@@ -224,7 +230,7 @@ class Rankings(Domain):
 
     def counts(self, cap: Optional[int] = None) -> Iterator[int]:
         """C(L, k) (g-1)^k rankings of length L with k relevant, g grades."""
-        g = self.scheme.size
+        g = self.levels
         exact_rel = self.exact_relevant
         most = self.universe.total_relevant if exact_rel is None else exact_rel
         if most == 0:  # one all-nonrelevant ranking per length
@@ -236,6 +242,10 @@ class Rankings(Domain):
                 continue
             for k in range(exact_rel or 0, min(length, most) + 1):
                 yield _binomial(length, k, cap) * _power(g - 1, k, cap)
+
+    @cached_property
+    def scheme(self) -> GradeScheme:
+        return GradeScheme.equispaced(self.levels)
 
     def walk(self, length: int, init=None, step=_no_step) -> Iterator[tuple]:
         """Depth-first walk over the rankings of one length, in lexicographic order.

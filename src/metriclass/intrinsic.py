@@ -19,14 +19,17 @@ the quotient-gap route, so the two must always agree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, format_domain, labeled_values
 from .errors import ConstraintError
 from .measures import Measure
 from .values import (
+    DEFAULT_EPS,
     Exact,
     Value,
     absdiff,
@@ -35,7 +38,6 @@ from .values import (
     fmt,
     sub,
     value_eq,
-    value_le,
 )
 
 #: Above this many quotient classes the definitional oracle is skipped.
@@ -305,33 +307,45 @@ def interval_scale_oracle(ordered: OrderedDomain, cap: int = DEFAULT_ORACLE_CAP)
     the distance to be a metric (no two distinct elements at distance
     zero); a non-injective measure fails that hypothesis outright.
 
-    Spans depend only on the endpoint classes, so the quadratic-in-classes
-    reduction buckets all intervals by span: every bucket must hold one
-    value difference, and bucket differences must strictly increase with
-    span.  Quotients above ``cap`` classes are skipped with a marker.
+    Past the metric check every class is a singleton, so the span of
+    classes i..j is j - i + 1 and all intervals of one span are the pairs
+    at one offset d = j - i.  Each such pair's value difference must equal
+    the first, classes 0..d, and these first differences must strictly
+    increase with d.  Every pair is compared, not only consecutive gaps.
+    Exact values are compared as integers over their common denominator;
+    a domain with real values as floats within ``DEFAULT_EPS``, each pair
+    against its offset's first difference, since nearness within a
+    tolerance is not transitive.  Quotients above ``cap`` classes are
+    skipped with a marker.
     """
     classes = ordered.classes
     if len(classes) > cap:
         return OracleResult(None, f"skipped: {len(classes)} classes exceed the oracle cap {cap}")
     if any(len(cls.members) > 1 for cls in classes):
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
-    sizes = [len(cls.members) for cls in classes]
-    prefix = [0]
-    for s in sizes:
-        prefix.append(prefix[-1] + s)
-    buckets: dict[int, Value] = {}
-    for i in range(len(classes)):
-        for j in range(i, len(classes)):
-            span = prefix[j + 1] - prefix[i]
-            diff = sub(classes[j].value, classes[i].value)
-            if span in buckets:
-                if not value_eq(buckets[span], diff):
-                    return OracleResult(False, "equal spans with unequal value differences")
-            else:
-                buckets[span] = diff
-    spans = sorted(buckets)
-    for lo, hi in zip(spans, spans[1:]):
-        if not value_le(buckets[lo], buckets[hi]) or value_eq(buckets[lo], buckets[hi]):
+    k = len(classes)
+    exact_values = all(cls.value.__class__ is Exact for cls in classes)
+    if exact_values:
+        rationals = [cls.value.rational for cls in classes]
+        den = math.lcm(*(r.denominator for r in rationals))
+        xs = [r.numerator * (den // r.denominator) for r in rationals]
+        tol = 0
+    else:
+        xs = [float(cls.value.numeric()) for cls in classes]
+        tol = DEFAULT_EPS
+    firsts = []
+    for d in range(k):
+        first = xs[d] - xs[0]
+        rest = map(operator.sub, islice(xs, d + 1, None), islice(xs, 1, None))
+        if exact_values:
+            same = list(rest) == [first] * (k - 1 - d)
+        else:  # |diff - first| <= eps for every later pair
+            same = all(map(tol.__ge__, map(abs, map(operator.sub, rest, repeat(first)))))
+        if not same:
+            return OracleResult(False, "equal spans with unequal value differences")
+        firsts.append(first)
+    for lo, hi in zip(firsts, firsts[1:]):
+        if not lo <= hi + tol or abs(lo - hi) <= tol:
             return OracleResult(False, "value differences not strictly increasing with span")
     return OracleResult(True)
 

@@ -334,6 +334,20 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("cap", ["-3", "-1", "x"])
+    def test_oracle_cap_must_be_a_non_negative_integer(self, cap):
+        code, out, err = invoke("classify", "--measure", "rbp?p=1/2", "--domain", "binary:L=4",
+                                "--oracle-cap", cap, "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_oracle_cap_zero_skips_the_oracle(self):
+        code, out, _ = invoke("classify", "--measure", "rbp?p=1/2", "--domain", "binary:L=4",
+                              "--oracle-cap", "0", "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"]["oracle_note"] == (
+            "skipped: 16 classes exceed the oracle cap 0")
+
     def test_nonpositive_need_reports_the_model_rule(self):
         code, _, err = invoke("evaluate", "--measure", "esl", "--leveled", "(1,2)", "--need", "0")
         assert code == 2

@@ -230,6 +230,20 @@ class TestEnumerate:
         assert verdict["category"] == "ordinal/metric"  # 1/r is injective, gaps uneven
         assert took < 2.0
 
+    def test_many_grades_are_refused_before_any_is_built(self, monkeypatch):
+        from metriclass.intrinsic import induced_order
+        from metriclass.measures import measure_from_id
+        from metriclass.model import GradeScheme
+
+        def refuse(levels):
+            raise AssertionError(f"built a scheme of {levels} grades")
+
+        monkeypatch.setattr(GradeScheme, "equispaced", staticmethod(refuse))
+        spec = parse_domain("graded:levels=100000,L=2")
+        assert format_domain(spec) == "graded:levels=100000,L=2,R=2,N=4"
+        with pytest.raises(DomainTooLargeError):
+            induced_order(measure_from_id("ap"), spec)
+
     def test_cap_refusal_reports_cardinality(self):
         with pytest.raises(DomainTooLargeError) as err:
             list(enumerate_domain(parse_domain("binary:L=10"), cap=1000))

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +15,7 @@ from metriclass.intrinsic import (
     EquivalenceClass,
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
+    OrderedDomain,
     build_hasse,
     check_equispaced,
     check_injective,
@@ -27,7 +28,8 @@ from metriclass.intrinsic import (
 )
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
-from metriclass.values import Approx, Exact, exact, value_eq
+from metriclass.values import DEFAULT_EPS, Approx, Exact, exact, value_eq
+from oracle_reference import reference_oracle
 from pseudometric import pseudometric_check
 
 BINARY = GradeScheme.binary()
@@ -340,6 +342,7 @@ class TestIntervalScaleOracle:
     def test_msr_spans_equal_but_gaps_differ(self):
         result = interval_scale_oracle(ordered_for("msr", "binary:L=4,R=1,rel=1"))
         assert result.verdict is False
+        assert result.note == "equal spans with unequal value differences"
 
     def test_two_element_domain_accepted(self):
         ordered = order_values([("a", exact(0)), ("b", exact(1, 3))])
@@ -354,6 +357,92 @@ class TestIntervalScaleOracle:
         result = interval_scale_oracle(ordered_for("msr", "binary:L=4"), cap=1)
         assert result.skipped
         assert "skipped" in result.note
+
+
+UNEQUAL = "equal spans with unequal value differences"
+NOT_INCREASING = "value differences not strictly increasing with span"
+
+
+def singleton_chain(values):
+    """One singleton class per value, in the given order, sorted or not."""
+    classes = tuple(EquivalenceClass(v, (i,)) for i, v in enumerate(values))
+    return OrderedDomain(tuple(f"e{i}" for i in range(len(values))), classes, ())
+
+
+@st.composite
+def oracle_inputs(draw):
+    """(ordered domain, cap) pairs for the oracle.
+
+    Exact inputs are equispaced rationals, one of them nudged at a random
+    position, or small integers with repeats; real inputs are floats near
+    k * gap, with the values or the gaps jittered on the scale of
+    ``DEFAULT_EPS`` so that chains of near differences break the
+    tolerance's transitivity.  Most go through ``order_values``; some are
+    equispaced class lists built directly, in either direction, so that
+    differences can fail to increase.  The cap is sometimes below the
+    class count.
+    """
+    k = draw(st.one_of(st.integers(1, 4), st.integers(1, 40)))
+    shape = draw(st.sampled_from(("exact", "repeats", "real", "direct-exact", "direct-real")))
+    if shape == "repeats":
+        values = [exact(n) for n in draw(st.lists(st.integers(0, 6), min_size=1, max_size=k))]
+    elif shape.endswith("exact"):
+        gap = Fraction(draw(st.integers(-3 if shape == "direct-exact" else 1, 5)),
+                       draw(st.integers(1, 7)))
+        start = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+        xs = [start + i * gap for i in range(k)]
+        if draw(st.booleans()):
+            at = draw(st.integers(0, k - 1))
+            xs[at] += Fraction(draw(st.sampled_from((-1, 1))), draw(st.integers(1, 64)))
+        values = [Exact(x) for x in xs]
+    else:
+        gap = draw(st.sampled_from((1e-9, 2e-9, 3e-9, 0.1, 1 / 3, 7.0)))
+        if shape == "direct-real" and draw(st.booleans()):
+            gap = -gap
+        # tenths of eps: on each value, or on each gap, so that differences that
+        # are each within eps of the next drift more than eps from the first
+        drift = draw(st.booleans())
+        tenths = draw(st.lists(st.integers(0, 9) if drift else st.integers(-20, 20),
+                               min_size=k, max_size=k))
+        if drift:
+            tenths = list(accumulate(tenths))
+        values = [Approx(i * gap + n * DEFAULT_EPS / 10) for i, n in enumerate(tenths)]
+    if shape.startswith("direct"):
+        ordered = singleton_chain(values)
+    else:
+        ordered = order_values([(f"e{i}", v) for i, v in enumerate(values)])
+    cap = draw(st.one_of(st.just(200), st.integers(0, 45)))
+    return ordered, cap
+
+
+class TestOracleMatchesPairLoop:
+    """The offset scan gives the verdict and note of the pair-loop reference."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(oracle_inputs())
+    def test_same_verdict_and_note(self, drawn):
+        ordered, cap = drawn
+        expected = reference_oracle(ordered, cap)
+        result = interval_scale_oracle(ordered, cap)
+        assert (result.verdict, result.note) == (expected.verdict, expected.note)
+
+    @pytest.mark.parametrize("values, note", [
+        ([exact(0), exact(1), exact(3)], UNEQUAL),
+        ([exact(2), exact(1), exact(0)], NOT_INCREASING),
+        ([exact(0), exact(-1)], NOT_INCREASING),
+        # at offset 2 each difference is within eps of the next one, but the last is
+        # not within eps of the first: only a comparison against the first sees it
+        ([Approx(0.0), Approx(1.0), Approx(2.0), Approx(3 + 0.9e-9), Approx(4 + 1.8e-9)],
+         UNEQUAL),
+        ([Approx(0.5), Approx(0.25), Approx(0.0)], NOT_INCREASING),
+        ([Approx(0.0), Approx(1 / 3), Approx(2 / 3), Approx(1.0)], None),
+    ])
+    def test_each_note_on_both_routes(self, values, note):
+        ordered = singleton_chain(values)
+        expected = reference_oracle(ordered)
+        result = interval_scale_oracle(ordered)
+        assert (result.verdict, result.note) == (expected.verdict, expected.note)
+        assert result.note == note
 
 
 class TestOracleTheorem:
