@@ -35,6 +35,7 @@ from .intrinsic import (
     EquivalenceClass,
     HasseDiagram,
     OrderedDomain,
+    ValueSummary,
     Verdict,
     build_hasse,
     check_equispaced,
@@ -45,6 +46,7 @@ from .intrinsic import (
     interval_scale_oracle,
     interval_span,
     order_values,
+    summarize,
 )
 from .measures import (
     PERMISSIBILITY_WARNING,
@@ -107,6 +109,7 @@ __all__ = [
     "UnsatisfiableNeedError",
     "UserContext",
     "Value",
+    "ValueSummary",
     "Verdict",
     "VERSION",
     "absdiff",
@@ -136,6 +139,7 @@ __all__ = [
     "parse_qrels",
     "parse_run",
     "render_table",
+    "summarize",
     "to_rankings",
     "value_eq",
     "value_le",

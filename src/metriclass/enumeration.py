@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterator, Optional
+from itertools import count
+from typing import Callable, ClassVar, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
 from .model import (
@@ -148,27 +150,34 @@ class Domain:
     writes it back; ``counts(cap)`` yields the sizes of consecutive parts
     of the enumeration (a part that passes ``cap`` alone may be a lower
     bound above it); ``elements()`` iterates in lexicographic order,
-    ``values(measure)`` gives ``(label, value or None)`` in that order, and
-    ``element(text)`` parses a display form.
+    ``labels()`` gives their display forms, ``evaluators(measure)`` how to
+    evaluate them, and ``element(text)`` parses a display form.
     """
 
     kind: ClassVar[str]
     family: ClassVar[str]
     order_seed: Optional[int]
 
-    def values(self, measure) -> list[tuple]:
-        pairs = []
-        for element in self.elements():
-            try:
-                value = measure.evaluate(element)
-            except UndefinedValueError:
-                value = None
-            pairs.append((element.display(), value))
-        return pairs
+    def labels(self) -> Iterator[str]:
+        return (element.display() for element in self.elements())
+
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
+        """``(stream, evaluate)`` pairs covering the elements in order.
+
+        ``evaluate(item)`` over the items of each stream in turn gives the
+        measure's value on every element, in lexicographic order, or raises
+        ``UndefinedValueError`` where the value is undefined.  Here the one
+        stream is the elements themselves.
+        """
+        yield self.elements(), measure.evaluate
 
 
 def _no_step(state, g):
     return state
+
+
+def _undefined(state):
+    raise UndefinedValueError
 
 
 @dataclass(frozen=True)
@@ -247,63 +256,65 @@ class Rankings(Domain):
     def scheme(self) -> GradeScheme:
         return GradeScheme.equispaced(self.levels)
 
-    def walk(self, length: int, init=None, step=_no_step) -> Iterator[tuple]:
+    def walk(self, length: int, init, step) -> Iterator:
         """Depth-first walk over the rankings of one length, in lexicographic order.
 
-        Yields ``(labels, state)`` per ranking, where ``state`` is ``init``
-        folded through ``step(state, grade index)`` along the ranking's
-        grades.  Each prefix is stepped once and its state shared by every
-        extension.  Prefixes whose relevant count cannot end within R (or at
-        ``rel=``) are pruned, so every node visited lies on the path to some
-        element and the walk costs at most ``length`` steps per element.
+        Yields, per ranking, ``init`` folded through ``step(state, grade
+        index)`` along the ranking's grades.  Each prefix is stepped once and
+        its state shared by every extension.  Prefixes whose relevant count
+        cannot end within R (or at ``rel=``) are pruned, so every node visited
+        lies on the path to some element and the walk costs at most
+        ``length`` steps per element.
         """
-        labels = self.scheme.labels
-        ascending = range(len(labels))
+        ascending = range(self.levels)
         descending = ascending[::-1]  # pushed so that the stack pops them ascending
         exact_rel = self.exact_relevant
         most = self.universe.total_relevant if exact_rel is None else exact_rel
         least = exact_rel or 0
-        stack = [((), 0, init)]
+        last = length - 1
+        stack = [(0, 0, init)]  # (depth, relevant count, state) of a prefix
         while stack:
-            items, rel, state = stack.pop()
-            room = length - len(items) - 1  # positions after the next one
-            if room == 0:  # the children are elements
+            depth, rel, state = stack.pop()
+            if depth == last:  # the children are elements
                 for g in ascending:
                     if least <= rel + (g > 0) <= most:
-                        yield items + (labels[g],), step(state, g)
+                        yield step(state, g)
                 continue
+            room = last - depth  # positions after the next one
             for g in descending:
                 r = rel + (g > 0)
                 if r <= most and r + room >= least:
-                    stack.append((items + (labels[g],), r, step(state, g)))
+                    stack.append((depth + 1, r, step(state, g)))
+
+    def _items(self) -> Iterator[tuple[str, ...]]:
+        labels = self.scheme.labels
+
+        def push(items, g):
+            return items + (labels[g],)
+
+        for length in self.lengths:
+            yield from self.walk(length, (), push)
 
     def elements(self) -> Iterator[Ranking]:
-        for length in self.lengths:
-            for items, _ in self.walk(length):
-                yield Ranking(self.scheme, items)
+        return (Ranking(self.scheme, items) for items in self._items())
 
-    def values(self, measure) -> list[tuple]:
-        """One pruned walk per length over the measure's fold.
+    def labels(self) -> Iterator[str]:
+        return map(ranking_label, self._items())
 
-        An ``UndefinedValueError`` from the fold or its ``finish`` marks the
-        elements concerned as undefined (None); any other error propagates.
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
+        """One pruned walk per length over the measure's fold, into its ``finish``.
+
+        A fold that is undefined for a whole length marks every element of
+        that length undefined; any other error propagates.
         """
-        pairs: list[tuple] = []
         for length in self.lengths:
             if self.exact_relevant is not None and self.exact_relevant > length:
                 continue  # no element of this length, so its fold is never made
             try:
                 init, step, finish = measure.fold(self.scheme, self.universe, length)
             except UndefinedValueError:
-                pairs.extend((ranking_label(items), None) for items, _ in self.walk(length))
-                continue
-            for items, state in self.walk(length, init, step):
-                try:
-                    value = finish(state)
-                except UndefinedValueError:
-                    value = None
-                pairs.append((ranking_label(items), value))
-        return pairs
+                init, step, finish = None, _no_step, _undefined
+            yield self.walk(length, init, step), finish
 
     def element(self, text: str) -> Ranking:
         if not (text.startswith("<") and text.endswith(">")):
@@ -547,13 +558,14 @@ def format_domain(spec: Domain) -> str:
     return spec.format()
 
 
-def _check_cap(spec: Domain, cap: int) -> None:
+def _check_cap(spec: Domain, cap: int) -> int:
     size = cardinality(spec, cap)
     if size > cap:
         raise DomainTooLargeError(size, cap)
+    return size
 
 
-def _shuffled(spec: Domain, items: list) -> list:
+def _shuffled(spec: Domain, items):
     if spec.order_seed is not None:
         random.Random(spec.order_seed).shuffle(items)
     return items
@@ -574,13 +586,65 @@ def enumerate_domain(spec: Domain, cap: int = DEFAULT_CAP) -> Iterator:
 def labeled_values(spec: Domain, measure, cap: int = DEFAULT_CAP) -> list[tuple]:
     """``(label, value or None)`` for every element, in ``enumerate_domain`` order.
 
-    Undefined points (``UndefinedValueError``) get None; any other error
-    propagates.  Rankings domains are evaluated by one prefix-sharing walk
-    per length over the measure's fold, and the pairs are shuffled under a
-    seed exactly as the elements are.
+    The values come from ``spec.evaluators(measure)``, the walks that the
+    value summary streams; undefined points (``UndefinedValueError``) get
+    None and any other error propagates.  Under a seed the pairs are
+    shuffled exactly as the elements are.
     """
     _check_cap(spec, cap)
-    return _shuffled(spec, spec.values(measure))
+    labels = spec.labels()
+    pairs = []
+    for stream, evaluate in spec.evaluators(measure):
+        # stream first: zip stops on an exhausted stream without taking a label
+        for item, label in zip(stream, labels):
+            try:
+                value = evaluate(item)
+            except UndefinedValueError:
+                value = None
+            pairs.append((label, value))
+    return _shuffled(spec, pairs)
+
+
+class ElementOrder:
+    """Where each element of a domain stands in ``enumerate_domain``'s order.
+
+    Refuses an over-cap domain up front, as ``enumerate_domain`` does.
+    Without a seed an element's position is its index in lexicographic
+    order.  With one, a compact array of the indices is shuffled as
+    ``enumerate_domain`` shuffles the elements (a shuffle depends only on
+    the length), and its inverse maps each index to its position.
+    """
+
+    def __init__(self, spec: Domain, cap: int = DEFAULT_CAP):
+        size = _check_cap(spec, cap)
+        self.spec = spec
+        self._positions: Optional[array] = None
+        if spec.order_seed is not None:
+            typecode = "i" if size < 2**31 else "q"  # 4 bytes per element below the default cap
+            shuffled = _shuffled(spec, array(typecode, range(size)))
+            self._positions = positions = array(typecode, shuffled)
+            for position, index in enumerate(shuffled):
+                positions[index] = position
+
+    def positions(self) -> Iterator[int]:
+        """The position of each element, in lexicographic order."""
+        return count() if self._positions is None else iter(self._positions)
+
+    def labels_at(self, *positions: int) -> list[str]:
+        """Display forms of the elements at ``positions``.
+
+        Found by one walk of the domain up to the last of them, evaluating
+        nothing.
+        """
+        if self._positions is None:
+            indices = positions
+        else:
+            indices = [self._positions.index(position) for position in positions]
+        found = {}
+        for index, label in zip(range(max(indices) + 1), self.spec.labels()):
+            if index in indices:
+                found[index] = label
+        return [found[index] for index in indices]
 
 
 def element_to_str(element) -> str:

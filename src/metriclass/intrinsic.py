@@ -14,6 +14,11 @@ an ordinal scale and a pseudometric.  ``interval_scale_oracle`` re-derives
 the same verdict from the definition of an interval scale (span ordering
 vs value-difference ordering over all interval pairs), independently of
 the quotient-gap route, so the two must always agree.
+
+Classification needs only the attained values in order, how often each is
+attained and the two earliest elements attaining it (``summarize``); the
+induced order with every member listed (``induced_order``) is built only
+for the Hasse export.
 """
 
 from __future__ import annotations
@@ -21,15 +26,17 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
-from typing import Optional, Sequence
+from itertools import count, islice, repeat
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import DEFAULT_CAP, Domain, format_domain, labeled_values
-from .errors import ConstraintError
+from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain, labeled_values
+from .errors import ConstraintError, UndefinedValueError
 from .measures import Measure
 from .values import (
     DEFAULT_EPS,
+    Approx,
     Exact,
     Value,
     absdiff,
@@ -44,6 +51,41 @@ from .values import (
 DEFAULT_ORACLE_CAP = 200
 
 
+# ---------------------------------------------------------------------------
+# Grouping attained values
+# ---------------------------------------------------------------------------
+
+
+class ValueClass(NamedTuple):
+    """One attained value, how many elements attain it, and the earliest one or two."""
+
+    value: Value
+    size: int
+    earliest: tuple[int, ...]  # the smallest positions, two unless the class is a singleton
+
+
+@dataclass(frozen=True)
+class ValueSummary:
+    """What classification needs of a domain's attained values, from one pass.
+
+    ``classes`` is the quotient in strictly increasing value order; each
+    class keeps its size and its two earliest positions in
+    ``enumerate_domain`` order, and no member list.  ``elements`` and
+    ``excluded`` count the domain and its undefined points, and
+    ``first_excluded`` is the earliest undefined position.  ``labels_at``
+    re-walks the domain to name the elements at some positions.
+    """
+
+    classes: tuple[ValueClass, ...]
+    elements: int
+    excluded: int
+    first_excluded: Optional[int]
+    order: ElementOrder
+
+    def labels_at(self, *positions: int) -> list[str]:
+        return self.order.labels_at(*positions)
+
+
 @dataclass(frozen=True, slots=True)
 class EquivalenceClass:
     """One attained value and the (enumeration-order) indices that share it."""
@@ -51,10 +93,18 @@ class EquivalenceClass:
     value: Value
     members: tuple[int, ...]
 
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @property
+    def earliest(self) -> tuple[int, ...]:
+        return self.members[:2]
+
 
 @dataclass(frozen=True)
 class OrderedDomain:
-    """A domain sorted and grouped by attained value.
+    """A domain sorted and grouped by attained value, every member listed.
 
     ``labels`` holds display strings in enumeration order; ``classes`` is
     the quotient, in strictly increasing value order; ``excluded`` lists
@@ -75,70 +125,98 @@ class OrderedDomain:
             raise ConstraintError(f"intrinsic: element {index} is excluded or out of range")
         return ci
 
+    def labels_at(self, *indices: int) -> list[str]:
+        return [self.labels[i] for i in indices]
 
-def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
-    """Build the induced order from (label, value) pairs; None values are excluded.
 
-    One pass buckets the element indices by attained value, then only the
-    distinct values are sorted.  The defined values must be all exact or
-    all real.  Two distinct exact values are never equal, so each is a
-    class.  A class of reals is a run of sorted values equal (``value_eq``)
-    to the run's first value, that of the earliest element attaining the
-    run's least value; the anchor matters because nearness within a
-    tolerance is not transitive.
+def _gather(evaluators: Iterable[tuple[Iterable, Callable]], positions):
+    """Bucket attained values by key in one pass over the elements.
+
+    ``evaluate(item)`` over each stream in turn gives the elements' values
+    or raises ``UndefinedValueError``; ``positions`` yields each element's
+    position.  An exact value is keyed by its normalised (numerator,
+    denominator), which hashes without Fraction.__hash__; a real by its
+    float.  A key maps to its element's position while it is attained
+    once, then to ``[count, earliest, second earliest]``.  Returns the
+    buckets, the number of undefined elements and the earliest of them.
     """
-    labels = tuple(label for label, _ in labeled_values)
-    excluded: list[int] = []
-    # value key -> first index, or the list of indices from a second hit on.
-    # An exact value is keyed by its normalised (numerator, denominator),
-    # which hashes without Fraction.__hash__; a real by its float.
     groups: dict[tuple | float, int | list[int]] = {}
-    for i, (_, v) in enumerate(labeled_values):
-        if v is None:
-            excluded.append(i)
-            continue
-        key = v.rational.as_integer_ratio() if v.__class__ is Exact else v.real
-        g = groups.setdefault(key, i)
-        if g is i:  # a new key
-            continue
-        if g.__class__ is int:
-            groups[key] = [g, i]
-        else:
-            g.append(i)
+    excluded = 0
+    first_excluded: Optional[int] = None
+    for stream, evaluate in evaluators:
+        # stream first: zip stops on an exhausted stream without taking a position
+        for item, position in zip(stream, positions):
+            try:
+                v = evaluate(item)
+            except UndefinedValueError:
+                excluded += 1
+                if first_excluded is None or position < first_excluded:
+                    first_excluded = position
+                continue
+            key = v.rational.as_integer_ratio() if v.__class__ is Exact else v.real
+            g = groups.setdefault(key, position)
+            if g is position:  # a new key
+                continue
+            if g.__class__ is int:
+                groups[key] = [2, g, position] if g < position else [2, position, g]
+            else:
+                g[0] += 1
+                if position < g[2]:  # only under a seed do positions arrive out of order
+                    g[1:] = sorted((g[1], position))
+    return groups, excluded, first_excluded
+
+
+def _float_order(key: tuple) -> float:
+    return _ratio_to_float(*key)
+
+
+def _exact_order(key: tuple) -> tuple:
+    return _ratio_to_float(*key), Fraction(*key)
+
+
+def _value_of_key(key: tuple | float, position: int) -> Value:
+    return Approx(key) if key.__class__ is float else Exact(Fraction(*key))
+
+
+def _quotient(groups: dict, value_of: Callable = _value_of_key) -> list[ValueClass]:
+    """Sort the distinct keys and merge them into classes, in increasing value order.
+
+    The defined values must be all exact or all real.  Two distinct exact
+    values are never equal, so each is a class.  A class of reals is a
+    run of sorted values equal (``value_eq``) to the run's first value,
+    whose value the class keeps; the anchor matters because nearness
+    within a tolerance is not transitive.  A class's value is
+    ``value_of(key, earliest position)`` of its first key.  Each record
+    in ``groups`` is replaced by the index of its class.
+    """
     if not groups:
         raise ConstraintError("intrinsic: every element of the domain is undefined")
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
     real = float in kinds
-    # Exact values sort by (float, exact value): float() of a rational is
-    # correctly rounded, hence monotone, so exact comparisons run only on
-    # float ties.  Reals sort by their distinct float keys.
-    distinct = []
-    for key, g in groups.items():
-        first = g if g.__class__ is int else g[0]
-        if real:
-            distinct.append((key, first, g))
-        else:
-            distinct.append((_ratio_to_float(*key), labeled_values[first][1].rational, first, g))
-    del groups  # freed before sorting, to keep the peak memory down
-    distinct.sort()
     if real:
-        runs: list[tuple[Value, list[int]]] = []
-        for _, first, g in distinct:
-            v = labeled_values[first][1]
-            members = [g] if g.__class__ is int else g
-            if runs and value_eq(v, runs[-1][0]):
-                runs[-1][1].extend(members)
-            else:
-                runs.append((v, members))
+        keys = sorted(groups)
     else:
-        runs = ((labeled_values[first][1], g) for _, _, first, g in distinct)
-    classes = tuple(
-        EquivalenceClass(v, (g,) if g.__class__ is int else tuple(sorted(g)))
-        for v, g in runs
-    )
-    return OrderedDomain(labels, classes, tuple(excluded))
+        # float() of a rational is correctly rounded, hence monotone: only
+        # distinct rationals that round to one float need exact comparisons
+        floats = list(map(_float_order, groups))
+        tied = len(set(floats)) < len(floats)
+        del floats  # freed before the sort and the classes, to keep the peak memory down
+        keys = sorted(groups, key=_exact_order if tied else _float_order)
+    classes: list[ValueClass] = []
+    for key in keys:
+        g = groups[key]
+        size, earliest = (1, (g,)) if g.__class__ is int else (g[0], (g[1], g[2]))
+        # value_eq of two reals; the keys ascend
+        if real and classes and key - classes[-1].value.real <= DEFAULT_EPS:
+            last = classes[-1]
+            earliest = tuple(sorted(last.earliest + earliest)[:2])
+            classes[-1] = ValueClass(last.value, last.size + size, earliest)
+        else:
+            classes.append(ValueClass(value_of(key, earliest[0]), size, earliest))
+        groups[key] = len(classes) - 1
+    return classes
 
 
 def _ratio_to_float(num: int, den: int) -> float:
@@ -148,22 +226,74 @@ def _ratio_to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def induced_order(
-    measure: Measure, spec: Domain, cap: int | None = None
-) -> OrderedDomain:
-    """Evaluate the measure over the domain and sort it into the weak order.
-
-    Rankings domains are evaluated by one prefix-sharing walk per length
-    over the measure's fold; the values equal ``measure.evaluate`` on each
-    element of ``enumerate_domain``.  Undefined points (zero denominators)
-    are excluded and recorded rather than mapped to a sentinel, so they
-    cannot manufacture collisions.
-    """
+def _check_family(measure: Measure, spec: Domain) -> None:
     if spec.family != measure.family:
         raise ConstraintError(
             f"intrinsic: {measure.id} evaluates {measure.family} elements,"
             f" but the domain enumerates {spec.kind}"
         )
+
+
+def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSummary:
+    """Evaluate the measure over the domain into a summary of its attained values.
+
+    One pass keeps, per distinct value, its count and two earliest
+    positions, so memory grows with the distinct values, not with the
+    elements.  Rankings domains are evaluated by one prefix-sharing walk
+    per length over the measure's fold.  Undefined points (zero
+    denominators) are excluded and counted rather than mapped to a
+    sentinel, so they cannot manufacture collisions.  Under a seed the
+    elements are still walked in lexicographic order, and each is given
+    its shuffled position.
+    """
+    _check_family(measure, spec)
+    order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
+    groups, excluded, first_excluded = _gather(spec.evaluators(measure), order.positions())
+    classes = tuple(_quotient(groups))
+    elements = excluded + sum(cls.size for cls in classes)
+    return ValueSummary(classes, elements, excluded, first_excluded, order)
+
+
+def _defined(pair: tuple[str, Optional[Value]]) -> Value:
+    if pair[1] is None:
+        raise UndefinedValueError
+    return pair[1]
+
+
+def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
+    """Build the induced order from (label, value) pairs; None values are excluded.
+
+    The classes are those of the one-pass summary (``summarize``), and one
+    more pass lists each defined element in its class.  A class's value is
+    that of the earliest element with the class's key.
+    """
+    groups, _, _ = _gather([(labeled_values, _defined)], count())
+    classes = _quotient(groups, lambda key, position: labeled_values[position][1])
+    members: list[list[int]] = [[] for _ in classes]
+    excluded = []
+    for i, (_, v) in enumerate(labeled_values):
+        if v is None:
+            excluded.append(i)
+        else:
+            key = v.rational.as_integer_ratio() if v.__class__ is Exact else v.real  # _gather's key
+            members[groups[key]].append(i)
+    return OrderedDomain(
+        tuple(label for label, _ in labeled_values),
+        tuple(EquivalenceClass(cls.value, tuple(m)) for cls, m in zip(classes, members)),
+        tuple(excluded),
+    )
+
+
+def induced_order(
+    measure: Measure, spec: Domain, cap: int | None = None
+) -> OrderedDomain:
+    """Evaluate the measure over the domain and sort it into the weak order.
+
+    The values come from the walks ``summarize`` streams; unlike the
+    summary this keeps every element's label and class, as the Hasse
+    export lists them.  Undefined points are excluded.
+    """
+    _check_family(measure, spec)
     return order_values(labeled_values(spec, measure, DEFAULT_CAP if cap is None else cap))
 
 
@@ -224,23 +354,22 @@ class CollisionWitness:
         return f"{self.first} = {self.second} = {fmt(self.value)}"
 
 
-def check_injective(ordered: OrderedDomain) -> tuple[bool, Optional[CollisionWitness]]:
+def check_injective(
+    ordered: ValueSummary | OrderedDomain,
+) -> tuple[bool, Optional[CollisionWitness]]:
     """True iff every class is a singleton.
 
     The witness is the earliest collision in enumeration order: the first
     element whose value was already attained, paired with the earliest
     element attaining it.
     """
-    best: Optional[tuple[int, int, Value]] = None
+    best: Optional[ValueClass | EquivalenceClass] = None
     for cls in ordered.classes:
-        if len(cls.members) > 1:
-            a, b = cls.members[0], cls.members[1]
-            if best is None or b < best[1]:
-                best = (a, b, cls.value)
+        if cls.size > 1 and (best is None or cls.earliest[1] < best.earliest[1]):
+            best = cls
     if best is None:
         return True, None
-    a, b, value = best
-    return False, CollisionWitness(ordered.labels[a], ordered.labels[b], value)
+    return False, CollisionWitness(*ordered.labels_at(*best.earliest), best.value)
 
 
 @dataclass(frozen=True)
@@ -251,7 +380,7 @@ class SpacingResult:
     violating_triple: Optional[tuple[Value, Value, Value]] = None
 
 
-def check_equispaced(ordered: OrderedDomain) -> SpacingResult:
+def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
     """Are consecutive quotient gaps all equal?
 
     Returns the common gap, or the first three consecutive class values
@@ -285,7 +414,7 @@ def interval_span(ordered: OrderedDomain, i: int, j: int) -> int:
     ci, cj = ordered.class_of(i), ordered.class_of(j)
     if ci > cj:
         raise ConstraintError("intrinsic: interval endpoints are reversed")
-    return sum(len(ordered.classes[k].members) for k in range(ci, cj + 1))
+    return sum(ordered.classes[k].size for k in range(ci, cj + 1))
 
 
 @dataclass(frozen=True)
@@ -298,7 +427,9 @@ class OracleResult:
         return self.verdict is None
 
 
-def interval_scale_oracle(ordered: OrderedDomain, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
+def interval_scale_oracle(
+    ordered: ValueSummary | OrderedDomain, cap: int = DEFAULT_ORACLE_CAP
+) -> OracleResult:
     """Decide interval scale straight from the definition.
 
     An order-preserving assignment is an interval scale when the ordering
@@ -321,7 +452,7 @@ def interval_scale_oracle(ordered: OrderedDomain, cap: int = DEFAULT_ORACLE_CAP)
     classes = ordered.classes
     if len(classes) > cap:
         return OracleResult(None, f"skipped: {len(classes)} classes exceed the oracle cap {cap}")
-    if any(len(cls.members) > 1 for cls in classes):
+    if any(cls.size > 1 for cls in classes):
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
     k = len(classes)
     exact_values = all(cls.value.__class__ is Exact for cls in classes)
@@ -410,17 +541,17 @@ def classify(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     cap: int | None = None,
 ) -> Verdict:
-    """Order the domain, run both routes, and name the intrinsic category.
+    """Summarize the attained values, run both routes, and name the intrinsic category.
 
     Category rule: injective and equispaced (non-degenerate) makes an
     interval scale backed by a metric; injective alone is ordinal/metric;
     otherwise ordinal/pseudometric.  The definitional oracle result is
     embedded so reports can show the two routes agreeing.
     """
-    ordered = induced_order(measure, spec, cap=cap)
-    injective, collision = check_injective(ordered)
-    spacing = check_equispaced(ordered)
-    oracle = interval_scale_oracle(ordered, cap=oracle_cap)
+    summary = summarize(measure, spec, cap=cap)
+    injective, collision = check_injective(summary)
+    spacing = check_equispaced(summary)
+    oracle = interval_scale_oracle(summary, cap=oracle_cap)
     if injective and spacing.equispaced and not spacing.degenerate:
         category = INTERVAL_METRIC
     elif injective:
@@ -437,11 +568,12 @@ def classify(
         degenerate=spacing.degenerate,
         gap=spacing.gap,
         violating_triple=spacing.violating_triple,
-        classes=len(ordered.classes),
-        elements=len(ordered.labels),
-        excluded=len(ordered.excluded),
+        classes=len(summary.classes),
+        elements=summary.elements,
+        excluded=summary.excluded,
         excluded_example=(
-            ordered.labels[ordered.excluded[0]] if ordered.excluded else None
+            None if summary.first_excluded is None
+            else summary.labels_at(summary.first_excluded)[0]
         ),
         backend=measure.backend,
         eps=measure.eps,

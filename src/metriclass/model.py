@@ -60,9 +60,6 @@ class GradeScheme:
         except ValueError:
             raise ConstraintError(f"model: unknown grade label {label!r}") from None
 
-    def is_relevant(self, label: str) -> bool:
-        return self.index(label) > 0  # only the lowest grade has gain 0
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -216,17 +213,6 @@ class LeveledOutput:
             raise UnsatisfiableNeedError(
                 f"model: need {self.need} exceeds {self.total_relevant} relevant documents"
             )
-
-    @classmethod
-    def from_graded_levels(
-        cls, level_labels: list[list[str]], scheme: GradeScheme, need: int
-    ) -> "LeveledOutput":
-        """Count each level's labels; within-level order is discarded."""
-        levels = []
-        for labels in level_labels:
-            rel = sum(1 for x in labels if scheme.is_relevant(x))
-            levels.append((rel, len(labels) - rel))
-        return cls(tuple(levels), need)
 
     def display(self) -> str:
         body = "".join(f"({rel},{non})" for rel, non in self.levels)

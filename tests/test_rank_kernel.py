@@ -4,10 +4,10 @@
   (``reference`` below): ``Measure.evaluate`` must give the same exact
   values and bit-equal floats on rankings up to length 12.
 * The prefix-sharing domain walk against per-element evaluation:
-  ``induced_order`` evaluates a rankings domain with one pruned walk per
-  length (``enumeration.labeled_values``), and must give the same labels,
-  values, undefined elements and errors as ``Measure.evaluate`` over
-  ``enumerate_domain``.
+  ``classify`` and ``induced_order`` evaluate a rankings domain with one
+  pruned walk per length (``Domain.evaluators``), which must give the same
+  labels, values, undefined elements, errors and verdicts as
+  ``Measure.evaluate`` over ``enumerate_domain``.
 """
 
 import math
@@ -17,6 +17,7 @@ from itertools import accumulate
 
 import pytest
 
+import summary_reference
 from metriclass.enumeration import (
     element_to_str,
     enumerate_domain,
@@ -24,7 +25,7 @@ from metriclass.enumeration import (
     parse_domain,
 )
 from metriclass.errors import ConstraintError, ParameterError, UndefinedValueError
-from metriclass.intrinsic import induced_order, order_values
+from metriclass.intrinsic import classify, induced_order, order_values
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.values import Exact
@@ -232,16 +233,22 @@ def test_induced_order_matches_per_element_order(measure_id):
     defined = [i for i in range(len(ordered.labels)) if i not in ordered.excluded]
     assert [ordered.class_of(i) for i in defined] == [reference.class_of(i) for i in defined]
     assert [c.members for c in ordered.classes] == [c.members for c in reference.classes]
+    assert classify(measure, spec) == summary_reference.classify(measure, spec)
 
 
 def test_errors_still_abort_the_walk():
-    with pytest.raises(ParameterError):
-        induced_order(measure_from_id("prec@5"), parse_domain("binary:L=1..4"))
-    with pytest.raises(ConstraintError):  # nxcg@3 pads length-2 rankings past N=2
-        induced_order(measure_from_id("nxcg@3"), parse_domain("binary:L=2,R=1,N=2"))
+    for walk in (induced_order, classify):
+        with pytest.raises(ParameterError):
+            walk(measure_from_id("prec@5"), parse_domain("binary:L=1..4"))
+        with pytest.raises(ConstraintError):  # nxcg@3 pads length-2 rankings past N=2
+            walk(measure_from_id("nxcg@3"), parse_domain("binary:L=2,R=1,N=2"))
 
 
 def test_lengths_without_elements_are_not_evaluated():
     # prec@3 cannot evaluate length 2, but rel=3 leaves no length-2 element
-    ordered = induced_order(measure_from_id("prec@3"), parse_domain("binary:L=2..4,rel=3"))
+    measure, spec = measure_from_id("prec@3"), parse_domain("binary:L=2..4,rel=3")
+    ordered = induced_order(measure, spec)
     assert ordered.labels[0] == "<1,1,1>"
+    verdict = classify(measure, spec)
+    assert (verdict.elements, verdict.classes) == (5, 2)
+    assert verdict == summary_reference.classify(measure, spec)
