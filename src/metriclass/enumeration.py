@@ -536,7 +536,6 @@ def _seed(spec: Domain) -> str:
 _KINDS_BY_PREFIX: dict[str, type[Domain]] = {
     "binary": Rankings,
     "graded": Rankings,
-    "rankings": Rankings,
     "contingency": Contingency,
     "user": User,
     "leveled": Leveled,

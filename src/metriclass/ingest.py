@@ -20,35 +20,29 @@ from .model import GradeScheme, Ranking, Universe
 
 @dataclass(frozen=True)
 class QrelsSet:
-    judgments: tuple[tuple[str, str, int], ...]  # (topic, doc, grade)
+    by_topic: dict[str, dict[str, int]]  # topic -> {doc: grade}, in first-seen order
 
-    def by_topic(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for topic, doc, grade in self.judgments:
-            out.setdefault(topic, {})[doc] = grade
-        return out
-
-
-@dataclass(frozen=True)
-class RunEntry:
-    doc: str
-    score: float
+    @property
+    def judgments(self) -> tuple[tuple[str, str, int], ...]:
+        """(topic, doc, grade) triples, grouped by topic."""
+        return tuple(
+            (topic, doc, grade) for topic, grades in self.by_topic.items()
+            for doc, grade in grades.items()
+        )
 
 
 @dataclass(frozen=True)
 class RunSet:
     tag: str
-    by_topic: tuple[tuple[str, tuple[RunEntry, ...]], ...]
+    by_topic: tuple[tuple[str, tuple[str, ...]], ...]  # (topic, doc ids best first)
 
 
 def parse_qrels(text: str) -> QrelsSet:
-    judgments: list[tuple[str, str, int]] = []
-    seen: set[tuple[str, str]] = set()
+    by_topic: dict[str, dict[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 4:
             raise ParseError(f"ingest: qrels line needs 4 fields, got {len(fields)}", lineno)
         topic, _, doc, grade_text = fields
@@ -58,22 +52,20 @@ def parse_qrels(text: str) -> QrelsSet:
             raise ParseError(f"ingest: qrels grade {grade_text!r} is not an integer", lineno)
         if grade < 0:
             raise ParseError(f"ingest: qrels grade {grade} is negative", lineno)
-        if (topic, doc) in seen:
+        grades = by_topic.setdefault(topic, {})
+        if doc in grades:
             raise ParseError(f"ingest: duplicate judgment for ({topic}, {doc})", lineno)
-        seen.add((topic, doc))
-        judgments.append((topic, doc, grade))
-    return QrelsSet(tuple(judgments))
+        grades[doc] = grade
+    return QrelsSet(by_topic)
 
 
 def parse_run(text: str) -> RunSet:
-    per_topic: dict[str, list[RunEntry]] = {}
-    seen: set[tuple[str, str]] = set()
+    by_topic: dict[str, dict[str, float]] = {}
     tag = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 6:
             raise ParseError(f"ingest: run line needs 6 fields, got {len(fields)}", lineno)
         topic, _, doc, rank_text, score_text, line_tag = fields
@@ -84,16 +76,15 @@ def parse_run(text: str) -> RunSet:
             raise ParseError("ingest: run rank/score fields are not numeric", lineno)
         if not math.isfinite(score):  # nan/inf would sort arbitrarily
             raise ParseError(f"ingest: run score {score_text!r} is not finite", lineno)
-        if (topic, doc) in seen:
+        scores = by_topic.setdefault(topic, {})
+        if doc in scores:
             raise ParseError(f"ingest: duplicate document {doc!r} in topic {topic}", lineno)
-        seen.add((topic, doc))
+        scores[doc] = score
         tag = tag or line_tag
-        per_topic.setdefault(topic, []).append(RunEntry(doc, score))
-    ordered = tuple(
-        (topic, tuple(sorted(entries, key=lambda e: (-e.score, e.doc))))
-        for topic, entries in per_topic.items()
-    )
-    return RunSet(tag, ordered)
+    return RunSet(tag, tuple(
+        (topic, tuple(sorted(scores, key=lambda doc: (-scores[doc], doc))))
+        for topic, scores in by_topic.items()
+    ))
 
 
 def to_rankings(
@@ -110,28 +101,24 @@ def to_rankings(
     """
     if depth < 1:
         raise ConstraintError("ingest: depth must be positive")
-    judged = qrels.by_topic()
+    judged = qrels.by_topic
     for topic, grades in judged.items():
-        worst = max(grades.values(), default=0)
+        worst = max(grades.values())
         if worst >= scheme.size:
             raise ConstraintError(
                 f"ingest: topic {topic} uses grade {worst}, scheme has {scheme.size} grades"
             )
     out: dict[str, tuple[Ranking, Universe]] = {}
     skipped: list[str] = []
-    lowest = scheme.labels[0]
-    for topic, entries in run.by_topic:
-        if topic not in judged:
+    for topic, docs in run.by_topic:
+        grades = judged.get(topic)
+        if grades is None:
             skipped.append(topic)
             continue
-        grades = judged[topic]
-        labels = []
-        for entry in entries[:depth]:
-            grade = grades.get(entry.doc, 0)
-            labels.append(scheme.labels[grade])
-        labels.extend(lowest for _ in range(depth - len(labels)))
-        total_relevant = sum(1 for g in grades.values() if scheme.gains[g] > 0)
+        items = [scheme.labels[grades.get(doc, 0)] for doc in docs[:depth]]
+        items += [scheme.labels[0]] * (depth - len(items))
+        # gains start at 0 and strictly increase, so grade g is relevant iff g > 0
+        total_relevant = sum(1 for g in grades.values() if g > 0)
         collection = max(len(grades), depth)
-        ranking = Ranking(scheme, tuple(labels))
-        out[topic] = (ranking, Universe(collection, total_relevant))
+        out[topic] = (Ranking(scheme, tuple(items)), Universe(collection, total_relevant))
     return out, tuple(skipped)

@@ -54,12 +54,6 @@ class GradeScheme:
             tuple(Fraction(k, levels - 1) for k in range(levels)),
         )
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ConstraintError(f"model: unknown grade label {label!r}") from None
-
     @property
     def size(self) -> int:
         return len(self.labels)

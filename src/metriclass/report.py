@@ -11,7 +11,7 @@ keeps them visible with their witnesses instead of dropping them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .enumeration import parse_domain
@@ -224,70 +224,36 @@ def export_dot(diagram: HasseDiagram, labels: Sequence[str], name: str = "hasse"
 # ---------------------------------------------------------------------------
 
 
+# JSON keys that differ from Verdict field names, and (to JSON, from JSON)
+# for the fields that are not plain JSON; None stays None both ways
+_KEYS = {"measure_id": "measure"}
+_CONVERTED = {
+    "collision": (
+        lambda c: {"first": c.first, "second": c.second, "value": to_record(c.value)},
+        lambda rec: CollisionWitness(rec["first"], rec["second"], from_record(rec["value"])),
+    ),
+    "gap": (to_record, from_record),
+    "violating_triple": (lambda t: list(map(to_record, t)), lambda t: tuple(map(from_record, t))),
+}
+
+
+def _convert(name: str, value, direction: int):
+    if value is None or name not in _CONVERTED:
+        return value
+    return _CONVERTED[name][direction](value)
+
+
 def _verdict_to_json(v: Verdict) -> dict:
     return {
-        "measure": v.measure_id,
-        "domain": v.domain,
-        "category": v.category,
-        "injective": v.injective,
-        "collision": (
-            None
-            if v.collision is None
-            else {
-                "first": v.collision.first,
-                "second": v.collision.second,
-                "value": to_record(v.collision.value),
-            }
-        ),
-        "equispaced": v.equispaced,
-        "degenerate": v.degenerate,
-        "gap": None if v.gap is None else to_record(v.gap),
-        "violating_triple": (
-            None
-            if v.violating_triple is None
-            else [to_record(x) for x in v.violating_triple]
-        ),
-        "classes": v.classes,
-        "elements": v.elements,
-        "excluded": v.excluded,
-        "excluded_example": v.excluded_example,
-        "backend": v.backend,
-        "eps": v.eps,
-        "oracle": v.oracle,
-        "oracle_note": v.oracle_note,
+        _KEYS.get(f.name, f.name): _convert(f.name, getattr(v, f.name), 0)
+        for f in fields(Verdict)
     }
 
 
 def _verdict_from_json(rec: dict) -> Verdict:
-    collision = None
-    if rec["collision"] is not None:
-        collision = CollisionWitness(
-            rec["collision"]["first"],
-            rec["collision"]["second"],
-            from_record(rec["collision"]["value"]),
-        )
-    triple = None
-    if rec["violating_triple"] is not None:
-        triple = tuple(from_record(x) for x in rec["violating_triple"])
-    return Verdict(
-        measure_id=rec["measure"],
-        domain=rec["domain"],
-        category=rec["category"],
-        injective=rec["injective"],
-        collision=collision,
-        equispaced=rec["equispaced"],
-        degenerate=rec["degenerate"],
-        gap=None if rec["gap"] is None else from_record(rec["gap"]),
-        violating_triple=triple,
-        classes=rec["classes"],
-        elements=rec["elements"],
-        excluded=rec["excluded"],
-        excluded_example=rec["excluded_example"],
-        backend=rec["backend"],
-        eps=rec["eps"],
-        oracle=rec["oracle"],
-        oracle_note=rec["oracle_note"],
-    )
+    return Verdict(**{
+        f.name: _convert(f.name, rec[_KEYS.get(f.name, f.name)], 1) for f in fields(Verdict)
+    })
 
 
 def emit_json_report(report: ClassificationReport) -> str:

@@ -311,6 +311,8 @@ class TestMalformedInput:
                      id="domain-seed=x"),
         pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=3..2"), None,
                      id="domain-L=3..2"),
+        pytest.param(("classify", "--measure", "ap", "--domain", "rankings:L=4"), None,
+                     id="domain-kind-rankings"),
         pytest.param(("classify", "--measure", "ap", "--domain", "binary:L=4"), "abc",
                      id="cap-abc"),
         pytest.param(("classify", "--measure", "dcg?b=1e400", "--domain", "binary:L=4"), None,

@@ -1,6 +1,8 @@
 """TREC-style qrels and run parsing plus conversion to rankings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclass.errors import ConstraintError, ParseError
 from metriclass.ingest import parse_qrels, parse_run, to_rankings
@@ -33,11 +35,11 @@ class TestParseQrels:
 class TestParseRun:
     def test_orders_by_descending_score(self):
         run = parse_run("1 Q0 dlo 1 0.3 sys\n1 Q0 dhi 2 0.9 sys\n")
-        assert [e.doc for e in dict(run.by_topic)["1"]] == ["dhi", "dlo"]
+        assert dict(run.by_topic)["1"] == ("dhi", "dlo")
 
     def test_score_ties_break_by_doc_id(self):
         run = parse_run("1 Q0 db 1 0.5 sys\n1 Q0 da 2 0.5 sys\n")
-        assert [e.doc for e in dict(run.by_topic)["1"]] == ["da", "db"]
+        assert dict(run.by_topic)["1"] == ("da", "db")
 
     def test_missing_tag_field_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -109,3 +111,105 @@ class TestToRankings:
         run = parse_run("1 Q0 d1 1 0.9 sys\n")
         rankings, _ = to_rankings(run, qrels, BINARY, depth=3)
         assert rankings["1"][0].length == 3
+
+
+DOCS = ("d1", "d10", "d2", "d0", "a", "b9", "zz", "e")
+TOPICS = ("1", "2", "3", "10", "q7")
+SCORES = (-1.5, 0.0, 0.25, 0.5, 2.0)  # few values, so ties are common
+# a blank or whitespace-only line before the row (or none), the field
+# separator, and the line ending
+LAYOUT = st.tuples(
+    st.sampled_from((None, "", "  ", "\t", " \t ")),
+    st.sampled_from((" ", "\t", "  ")),
+    st.sampled_from(("\n", "\r\n")),
+)
+
+
+def trec_rows(*values):
+    """File rows in file order, one per (topic, doc), so topics interleave."""
+    return st.lists(
+        st.tuples(st.sampled_from(TOPICS), st.sampled_from(DOCS), *values, LAYOUT),
+        unique_by=lambda row: row[:2], max_size=20,
+    )
+
+
+RUN_ROWS = trec_rows(st.sampled_from(SCORES), st.sampled_from(("sysA", "sysB")))
+QRELS_ROWS = trec_rows(st.integers(0, 3))
+
+
+def run_lines(rows):
+    return [(layout, (t, "Q0", d, str(k), str(score), tag))
+            for k, (t, d, score, tag, layout) in enumerate(rows)]
+
+
+def qrels_lines(rows):
+    return [(layout, (t, "0", d, str(g))) for t, d, g, layout in rows]
+
+
+def file_text(lines):
+    text = ""
+    for (blank, sep, end), fields in lines:
+        if blank is not None:
+            text += blank + end
+        text += sep.join(fields) + end
+    return text
+
+
+def reference_rankings(run_rows, qrels_rows, depth):
+    """Rankings as the docstring of ``metriclass.ingest`` defines them.
+
+    Documents by descending score then doc id, grade 0 when unjudged,
+    padded to the depth; R counts grades above 0, N = max(judged, depth);
+    run topics without judgments are skipped in run order.
+    """
+    grades = {}
+    for topic, doc, grade, _ in qrels_rows:
+        grades.setdefault(topic, {})[doc] = grade
+    scores = {}
+    for topic, doc, score, _, _ in run_rows:
+        scores.setdefault(topic, {})[doc] = score
+    out, skipped = {}, []
+    for topic, docs in scores.items():
+        if topic not in grades:
+            skipped.append(topic)
+            continue
+        ranked = sorted(docs, key=lambda d: (-docs[d], d))[:depth]
+        items = [grades[topic].get(d, 0) for d in ranked] + [0] * (depth - len(ranked))
+        relevant = sum(1 for g in grades[topic].values() if g > 0)
+        out[topic] = (tuple(str(g) for g in items), max(len(grades[topic]), depth), relevant)
+    return out, tuple(skipped)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(RUN_ROWS, QRELS_ROWS, st.integers(1, 6))
+    def test_rankings_match_the_reference(self, run_rows, qrels_rows, depth):
+        run = parse_run(file_text(run_lines(run_rows)))
+        qrels = parse_qrels(file_text(qrels_lines(qrels_rows)))
+        scheme = GradeScheme.equispaced(4)
+        rankings, skipped = to_rankings(run, qrels, scheme, depth)
+        got = {
+            topic: (ranking.items, universe.collection_size, universe.total_relevant)
+            for topic, (ranking, universe) in rankings.items()
+        }
+        expected, expected_skipped = reference_rankings(run_rows, qrels_rows, depth)
+        assert list(got.items()) == list(expected.items())
+        assert skipped == expected_skipped
+        assert run.tag == (run_rows[0][3] if run_rows else "")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.just(parse_run), RUN_ROWS.filter(bool).map(run_lines), st.just(4)),
+        st.tuples(st.just(parse_qrels), QRELS_ROWS.filter(bool).map(qrels_lines), st.just(3)),
+    ), st.data())
+    def test_duplicate_pair_reports_its_line(self, case, data):
+        parse, lines, changed = case
+        first = data.draw(st.integers(0, len(lines) - 1))
+        at = data.draw(st.integers(first + 1, len(lines)))
+        layout, fields = lines[first]
+        again = fields[:changed] + ("1",) + fields[changed + 1:]  # another score or grade
+        lines.insert(at, (layout, again))
+        blanks_before = sum(blank is not None for (blank, _, _), _ in lines[:at + 1])
+        with pytest.raises(ParseError) as err:
+            parse(file_text(lines))
+        assert err.value.line == at + 1 + blanks_before

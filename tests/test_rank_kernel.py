@@ -53,7 +53,7 @@ DOMAINS = (
 
 def gain_at(ranking, r):
     """Gain of the document at 1-based rank r."""
-    return ranking.scheme.gains[ranking.scheme.index(ranking.items[r - 1])]
+    return ranking.scheme.gains[ranking.scheme.labels.index(ranking.items[r - 1])]
 
 
 def padded(ranking, length):
