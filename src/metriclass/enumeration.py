@@ -29,7 +29,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import count, starmap
 from typing import Callable, ClassVar, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
@@ -42,6 +42,7 @@ from .model import (
     UserContext,
     ranking_label,
 )
+from .values import as_value
 
 #: Refuse to enumerate domains larger than this (overridable per call).
 DEFAULT_CAP = 10_000_000
@@ -151,7 +152,8 @@ class Domain:
     of the enumeration (a part that passes ``cap`` alone may be a lower
     bound above it); ``elements()`` iterates in lexicographic order,
     ``labels()`` gives their display forms, ``evaluators(measure)`` how to
-    evaluate them, and ``element(text)`` parses a display form.
+    get the measure's raw results on them, and ``element(text)`` parses a
+    display form.
     """
 
     kind: ClassVar[str]
@@ -165,11 +167,26 @@ class Domain:
         """``(stream, evaluate)`` pairs covering the elements in order.
 
         ``evaluate(item)`` over the items of each stream in turn gives the
-        measure's value on every element, in lexicographic order, or raises
-        ``UndefinedValueError`` where the value is undefined.  Here the one
-        stream is the elements themselves.
+        measure's raw result (``(num, den)`` or a float, see
+        :mod:`metriclass.measures`) on every element, in lexicographic
+        order, or raises ``UndefinedValueError`` where the value is
+        undefined.  Here the one stream is the elements themselves.
         """
-        yield self.elements(), measure.evaluate
+        yield self.elements(), measure.fn
+
+
+class _CountTuples(Domain):
+    """A domain of four-count elements; its measures take the counts, so it
+    is walked as the plain tuples from ``count_tuples()``."""
+
+    element_type: ClassVar[type]
+
+    def elements(self) -> Iterator:
+        return starmap(self.element_type, self.count_tuples())
+
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
+        fn = measure.fn
+        yield self.count_tuples(), lambda counts: fn(*counts)
 
 
 def _no_step(state, g):
@@ -323,11 +340,12 @@ class Rankings(Domain):
 
 
 @dataclass(frozen=True)
-class Contingency(Domain):
+class Contingency(_CountTuples):
     """Contingency tables over N documents, R relevant, retrieved size in a range."""
 
     kind: ClassVar[str] = "contingency"
     family: ClassVar[str] = "contingency"
+    element_type: ClassVar[type] = ContingencyTable
     collection: int
     relevant: int
     retrieved: tuple[int, int]  # inclusive range
@@ -371,13 +389,15 @@ class Contingency(Domain):
 
         yield (hi - lo + 1) + capped(hi) - capped(lo - 1) - excess(hi) + excess(lo - 1)
 
-    def elements(self) -> Iterator[ContingencyTable]:
+    def count_tuples(self) -> Iterator[tuple[int, int, int, int]]:
+        """(tp, fp, fn, tn) by retrieved size n, then by tp."""
         lo, hi = self.retrieved
-        nonrel = self.collection - self.relevant
+        relevant = self.relevant
+        nonrel = self.collection - relevant
         for n in range(lo, hi + 1):
-            for tp in range(max(0, n - nonrel), min(self.relevant, n) + 1):
+            for tp in range(max(0, n - nonrel), min(relevant, n) + 1):
                 fp = n - tp
-                yield ContingencyTable(tp, fp, self.relevant - tp, nonrel - fp)
+                yield tp, fp, relevant - tp, nonrel - fp
 
     @staticmethod
     def element(text: str) -> ContingencyTable:
@@ -386,11 +406,12 @@ class Contingency(Domain):
 
 
 @dataclass(frozen=True)
-class User(Domain):
+class User(_CountTuples):
     """User contexts with U known relevant documents and A = 1..max retrieved."""
 
     kind: ClassVar[str] = "user"
     family: ClassVar[str] = "user"
+    element_type: ClassVar[type] = UserContext
     known: int
     max_retrieved: int
     order_seed: Optional[int] = None
@@ -426,11 +447,13 @@ class User(Domain):
             total += (known + 1) * shifted - above * known * (known + 1) // 2
         yield total
 
-    def elements(self) -> Iterator[UserContext]:
+    def count_tuples(self) -> Iterator[tuple[int, int, int, int]]:
+        """(U, R_k, R_u, A) by A, then by R_k, then by R_u."""
+        known = self.known
         for a in range(1, self.max_retrieved + 1):
-            for rk in range(0, min(self.known, a) + 1):
+            for rk in range(0, min(known, a) + 1):
                 for ru in range(0, a - rk + 1):
-                    yield UserContext(self.known, rk, ru, a)
+                    yield known, rk, ru, a
 
     @staticmethod
     def element(text: str) -> UserContext:
@@ -586,9 +609,10 @@ def labeled_values(spec: Domain, measure, cap: int = DEFAULT_CAP) -> list[tuple]
     """``(label, value or None)`` for every element, in ``enumerate_domain`` order.
 
     The values come from ``spec.evaluators(measure)``, the walks that the
-    value summary streams; undefined points (``UndefinedValueError``) get
-    None and any other error propagates.  Under a seed the pairs are
-    shuffled exactly as the elements are.
+    value summary streams, each raw result wrapped as ``Measure.evaluate``
+    wraps it; undefined points (``UndefinedValueError``) get None and any
+    other error propagates.  Under a seed the pairs are shuffled exactly as
+    the elements are.
     """
     _check_cap(spec, cap)
     labels = spec.labels()
@@ -597,7 +621,7 @@ def labeled_values(spec: Domain, measure, cap: int = DEFAULT_CAP) -> list[tuple]
         # stream first: zip stops on an exhausted stream without taking a label
         for item, label in zip(stream, labels):
             try:
-                value = evaluate(item)
+                value = as_value(evaluate(item))
             except UndefinedValueError:
                 value = None
             pairs.append((label, value))

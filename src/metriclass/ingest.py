@@ -3,10 +3,14 @@
 qrels lines:  ``topic iter doc grade``    (iter column ignored)
 run lines:    ``topic Q0 doc rank score tag``
 
-Both formats are whitespace-delimited UTF-8 text, LF or CRLF.  The rank
-field of a run line must be an integer, but ordering always comes from
-descending score; score ties break by ascending doc id so conversion is
-deterministic.  Unjudged documents receive the lowest grade.
+Both formats are whitespace-delimited UTF-8 text, LF or CRLF.  A line
+ends at LF only, so the line numbers in a ``ParseError`` are those that
+``wc -l`` and editors count; a CR, form feed or Unicode line separator is
+whitespace inside a line, and a file ending lines in a bare CR is one
+line.  The rank field of a run line must be an integer, but ordering
+always comes from descending score; score ties break by ascending doc id
+so conversion is deterministic.  Unjudged documents receive the lowest
+grade.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class RunSet:
 
 def parse_qrels(text: str) -> QrelsSet:
     by_topic: dict[str, dict[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         fields = raw.split()
         if not fields:
             continue
@@ -62,7 +66,7 @@ def parse_qrels(text: str) -> QrelsSet:
 def parse_run(text: str) -> RunSet:
     by_topic: dict[str, dict[str, float]] = {}
     tag = ""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         fields = raw.split()
         if not fields:
             continue

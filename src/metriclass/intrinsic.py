@@ -18,7 +18,10 @@ the quotient-gap route, so the two must always agree.
 Classification needs only the attained values in order, how often each is
 attained and the two earliest elements attaining it (``summarize``); the
 induced order with every member listed (``induced_order``) is built only
-for the Hasse export.
+for the Hasse export.  Values are grouped, ordered and compared by their
+keys, the reduced integers ``(num, den)`` of an exact value or the float
+of a real, and a value object is built only where one is reported: a
+witness, a gap or a violating triple.
 """
 
 from __future__ import annotations
@@ -29,26 +32,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, repeat
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain, labeled_values
 from .errors import ConstraintError, UndefinedValueError
 from .measures import Measure
-from .values import (
-    DEFAULT_EPS,
-    Approx,
-    Exact,
-    Value,
-    absdiff,
-    add,
-    exact,
-    fmt,
-    sub,
-    value_eq,
-)
+from .values import DEFAULT_EPS, Exact, Value, absdiff, add, as_value, exact, fmt, sub
 
 #: Above this many quotient classes the definitional oracle is skipped.
 DEFAULT_ORACLE_CAP = 200
+
+#: How classes are grouped and compared: an exact value's reduced (num, den), a real's float.
+Key = tuple[int, int] | float
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +53,19 @@ DEFAULT_ORACLE_CAP = 200
 
 
 class ValueClass(NamedTuple):
-    """One attained value, how many elements attain it, and the earliest one or two."""
+    """One attained value's key, how many elements attain it, and the earliest one or two.
 
-    value: Value
+    The value itself is built from the key each time it is read, which only
+    a reported witness, gap or triple does.
+    """
+
+    key: Key
     size: int
     earliest: tuple[int, ...]  # the smallest positions, two unless the class is a singleton
+
+    @property
+    def value(self) -> Value:
+        return as_value(self.key)
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,8 @@ class ValueSummary:
     """What classification needs of a domain's attained values, from one pass.
 
     ``classes`` is the quotient in strictly increasing value order; each
-    class keeps its size and its two earliest positions in
-    ``enumerate_domain`` order, and no member list.  ``elements`` and
+    class keeps its key, its size and its two earliest positions in
+    ``enumerate_domain`` order, and no value object or member list.  ``elements`` and
     ``excluded`` count the domain and its undefined points, and
     ``first_excluded`` is the earliest undefined position.  ``labels_at``
     re-walks the domain to name the elements at some positions.
@@ -86,12 +90,21 @@ class ValueSummary:
         return self.order.labels_at(*positions)
 
 
+def _key_of(value: Value) -> Key:
+    """The key of a value: the reduced (num, den) of an exact one, a real's float."""
+    return value.rational.as_integer_ratio() if value.__class__ is Exact else value.real
+
+
 @dataclass(frozen=True, slots=True)
 class EquivalenceClass:
     """One attained value and the (enumeration-order) indices that share it."""
 
     value: Value
     members: tuple[int, ...]
+
+    @property
+    def key(self) -> Key:
+        return _key_of(self.value)
 
     @property
     def size(self) -> int:
@@ -132,13 +145,15 @@ class OrderedDomain:
 def _gather(evaluators: Iterable[tuple[Iterable, Callable]], positions):
     """Bucket attained values by key in one pass over the elements.
 
-    ``evaluate(item)`` over each stream in turn gives the elements' values
-    or raises ``UndefinedValueError``; ``positions`` yields each element's
-    position.  An exact value is keyed by its normalised (numerator,
-    denominator), which hashes without Fraction.__hash__; a real by its
-    float.  A key maps to its element's position while it is attained
-    once, then to ``[count, earliest, second earliest]``.  Returns the
-    buckets, the number of undefined elements and the earliest of them.
+    ``evaluate(item)`` over each stream in turn gives the elements' raw
+    results, ``(num, den)`` with a positive ``den`` or a float, or raises
+    ``UndefinedValueError``; ``positions`` yields each element's position.
+    An exact result is keyed by the pair reduced by one ``gcd``, which is
+    ``Fraction(num, den).as_integer_ratio()`` without a ``Fraction``; a
+    real by its float.  A key maps to its element's position while it is
+    attained once, then to ``[count, earliest, second earliest]``.
+    Returns the buckets, the number of undefined elements and the earliest
+    of them.
     """
     groups: dict[tuple | float, int | list[int]] = {}
     excluded = 0
@@ -153,7 +168,12 @@ def _gather(evaluators: Iterable[tuple[Iterable, Callable]], positions):
                 if first_excluded is None or position < first_excluded:
                     first_excluded = position
                 continue
-            key = v.rational.as_integer_ratio() if v.__class__ is Exact else v.real
+            if v.__class__ is float:
+                key = v
+            else:
+                num, den = v
+                d = gcd(num, den)
+                key = v if d == 1 else (num // d, den // d)
             g = groups.setdefault(key, position)
             if g is position:  # a new key
                 continue
@@ -174,20 +194,16 @@ def _exact_order(key: tuple) -> tuple:
     return _ratio_to_float(*key), Fraction(*key)
 
 
-def _value_of_key(key: tuple | float, position: int) -> Value:
-    return Approx(key) if key.__class__ is float else Exact(Fraction(*key))
-
-
-def _quotient(groups: dict, value_of: Callable = _value_of_key) -> list[ValueClass]:
+def _quotient(groups: dict) -> list[ValueClass]:
     """Sort the distinct keys and merge them into classes, in increasing value order.
 
     The defined values must be all exact or all real.  Two distinct exact
     values are never equal, so each is a class.  A class of reals is a
-    run of sorted values equal (``value_eq``) to the run's first value,
-    whose value the class keeps; the anchor matters because nearness
-    within a tolerance is not transitive.  A class's value is
-    ``value_of(key, earliest position)`` of its first key.  Each record
-    in ``groups`` is replaced by the index of its class.
+    run of sorted values within ``DEFAULT_EPS`` of the run's first value,
+    whose key the class keeps; the anchor matters because nearness within
+    a tolerance is not transitive.  Classes keep keys only, no value
+    objects.  Each record in ``groups`` is replaced by the index of its
+    class.
     """
     if not groups:
         raise ConstraintError("intrinsic: every element of the domain is undefined")
@@ -209,12 +225,12 @@ def _quotient(groups: dict, value_of: Callable = _value_of_key) -> list[ValueCla
         g = groups[key]
         size, earliest = (1, (g,)) if g.__class__ is int else (g[0], (g[1], g[2]))
         # value_eq of two reals; the keys ascend
-        if real and classes and key - classes[-1].value.real <= DEFAULT_EPS:
+        if real and classes and key - classes[-1].key <= DEFAULT_EPS:
             last = classes[-1]
             earliest = tuple(sorted(last.earliest + earliest)[:2])
-            classes[-1] = ValueClass(last.value, last.size + size, earliest)
+            classes[-1] = ValueClass(last.key, last.size + size, earliest)
         else:
-            classes.append(ValueClass(value_of(key, earliest[0]), size, earliest))
+            classes.append(ValueClass(key, size, earliest))
         groups[key] = len(classes) - 1
     return classes
 
@@ -254,10 +270,10 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     return ValueSummary(classes, elements, excluded, first_excluded, order)
 
 
-def _defined(pair: tuple[str, Optional[Value]]) -> Value:
+def _pair_key(pair: tuple[str, Optional[Value]]) -> Key:
     if pair[1] is None:
         raise UndefinedValueError
-    return pair[1]
+    return _key_of(pair[1])
 
 
 def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
@@ -267,19 +283,23 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
     more pass lists each defined element in its class.  A class's value is
     that of the earliest element with the class's key.
     """
-    groups, _, _ = _gather([(labeled_values, _defined)], count())
-    classes = _quotient(groups, lambda key, position: labeled_values[position][1])
+    groups, _, _ = _gather([(labeled_values, _pair_key)], count())
+    classes = _quotient(groups)
     members: list[list[int]] = [[] for _ in classes]
+    values: list[Optional[Value]] = [None] * len(classes)
     excluded = []
     for i, (_, v) in enumerate(labeled_values):
         if v is None:
             excluded.append(i)
-        else:
-            key = v.rational.as_integer_ratio() if v.__class__ is Exact else v.real  # _gather's key
-            members[groups[key]].append(i)
+            continue
+        key = _key_of(v)
+        ci = groups[key]
+        members[ci].append(i)
+        if values[ci] is None and key == classes[ci].key:
+            values[ci] = v
     return OrderedDomain(
         tuple(label for label, _ in labeled_values),
-        tuple(EquivalenceClass(cls.value, tuple(m)) for cls, m in zip(classes, members)),
+        tuple(EquivalenceClass(v, tuple(m)) for v, m in zip(values, members)),
         tuple(excluded),
     )
 
@@ -385,19 +405,29 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
 
     Returns the common gap, or the first three consecutive class values
     whose two gaps disagree.  Single-class quotients report equispaced
-    vacuously but carry the degenerate flag.
+    vacuously but carry the degenerate flag.  Gaps are taken between class
+    keys: exact ones are compared by integer cross-multiplication, real
+    ones within ``DEFAULT_EPS``.
     """
     classes = ordered.classes
     if len(classes) < 2:
         return SpacingResult(equispaced=True, degenerate=True)
-    first = previous = sub(classes[1].value, classes[0].value)
-    for k in range(2, len(classes)):
-        gap = sub(classes[k].value, classes[k - 1].value)
-        if not value_eq(previous, gap):
+    real = classes[0].key.__class__ is not tuple
+    previous = None
+    for k in range(1, len(classes)):
+        lo, hi = classes[k - 1].key, classes[k].key
+        if real:
+            gap = hi - lo
+            same = previous is None or abs(gap - previous) <= DEFAULT_EPS  # value_eq
+        else:  # a gap (num, den) over a positive den
+            gap = hi[0] * lo[1] - lo[0] * hi[1], lo[1] * hi[1]
+            same = previous is None or gap[0] * previous[1] == previous[0] * gap[1]
+        if not same:
             triple = (classes[k - 2].value, classes[k - 1].value, classes[k].value)
             return SpacingResult(equispaced=False, degenerate=False, violating_triple=triple)
         previous = gap
-    return SpacingResult(equispaced=True, degenerate=False, gap=first)
+    return SpacingResult(equispaced=True, degenerate=False,
+                         gap=sub(classes[1].value, classes[0].value))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +473,7 @@ def interval_scale_oracle(
     at one offset d = j - i.  Each such pair's value difference must equal
     the first, classes 0..d, and these first differences must strictly
     increase with d.  Every pair is compared, not only consecutive gaps.
-    Exact values are compared as integers over their common denominator;
+    Exact keys are compared as integers over their common denominator;
     a domain with real values as floats within ``DEFAULT_EPS``, each pair
     against its offset's first difference, since nearness within a
     tolerance is not transitive.  Quotients above ``cap`` classes are
@@ -455,14 +485,14 @@ def interval_scale_oracle(
     if any(cls.size > 1 for cls in classes):
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
     k = len(classes)
-    exact_values = all(cls.value.__class__ is Exact for cls in classes)
+    keys = [cls.key for cls in classes]
+    exact_values = all(key.__class__ is tuple for key in keys)
     if exact_values:
-        rationals = [cls.value.rational for cls in classes]
-        den = math.lcm(*(r.denominator for r in rationals))
-        xs = [r.numerator * (den // r.denominator) for r in rationals]
+        den = math.lcm(*(d for _, d in keys))
+        xs = [n * (den // d) for n, d in keys]
         tol = 0
     else:
-        xs = [float(cls.value.numeric()) for cls in classes]
+        xs = keys
         tol = DEFAULT_EPS
     firsts = []
     for d in range(k):

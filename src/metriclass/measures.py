@@ -1,27 +1,34 @@
 """Registry of retrieval evaluation measures.
 
-Each measure is a pure function from a domain element to a tagged value.
-Rational-formula measures run on the exact backend; only the log-bearing
-ones (discounted gain, normalized log precision) use floats, with the
-default tolerance from :mod:`metriclass.values`.
+Each measure is a pure function from a domain element to a raw result:
+rational-formula measures (the exact backend) give the integers
+``(num, den)`` of their value, with ``den`` positive and not necessarily
+in lowest terms, and only the log-bearing ones (discounted gain,
+normalized log precision) give a float, compared with the default
+tolerance from :mod:`metriclass.values`.  ``Measure.evaluate`` wraps the
+result into an ``Exact`` or ``Approx`` value; classification keys on the
+raw result and builds a value only for what it reports.  Set-based rows
+take the four counts ``(tp, fp, fn, tn)`` and user rows ``(U, R_k, R_u,
+A)``, so a domain walk can stream plain count tuples.
 
 Rank-based measures are folds over ranks.  ``measure.fold(scheme,
 universe, length)`` checks the measure's parameters against the universe
 and the ranking length and returns a :class:`Kernel`: an ``init`` state,
 ``step(state, g)`` for the grade index ``g`` at the next rank, and
-``finish(state)``, called after exactly ``length`` steps, which builds the
-value.  States hold integers: the rank, the relevant count, and gain sums
+``finish(state)``, called after exactly ``length`` steps, which gives the
+result.  States hold integers: the rank, the relevant count, and gain sums
 as integer numerators over the scheme's common gain denominator (per-rank
-rational weights share one growing denominator too), so a ``Fraction``
-is made only in ``finish``.  ``dcg`` and ``pnorm`` add their float terms
-rank by rank in rank order.  A value that does not exist for the universe
+rational weights share one growing denominator too), so ``finish`` of an
+exact fold returns ``(num, den)`` from them without any ``Fraction``.
+``dcg`` and ``pnorm`` add their float terms rank by rank in rank order and
+finish with the float.  A value that does not exist for the universe
 raises ``UndefinedValueError`` from ``fold`` or ``finish``; a bad
 parameter raises ``ParameterError`` and a cutoff padded past N raises
 ``ConstraintError`` from ``fold``.  ``Measure.evaluate`` runs the fold
 over one ranking (and calls any other measure's function on its element);
 formulas raise ``UndefinedValueError`` with a reason only, and
 ``evaluate`` names the measure and the element.  A domain walk
-(``enumeration.Rankings.values``) steps the fold once per prefix, so
+(``enumeration.Rankings.evaluators``) steps the fold once per prefix, so
 rankings that share a prefix share its state.
 
 Measure ids are stable strings: plain (``recall``), with a rank cutoff
@@ -41,59 +48,46 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConstraintError, ParameterError, ParseError, UndefinedValueError
-from .model import (
-    ContingencyTable,
-    GradeScheme,
-    LeveledOutput,
-    Universe,
-    UserContext,
-    check_consistent,
-)
-from .values import DEFAULT_EPS, Approx, Exact, Value, add, exact
+from .model import GradeScheme, LeveledOutput, Universe, check_consistent
+from .values import DEFAULT_EPS, Approx, Exact, Value, add, as_value, exact
 
 # ---------------------------------------------------------------------------
 # Set-based and user-oriented measures
 # ---------------------------------------------------------------------------
 
 
-def _ratio(num: int, den: int) -> Exact:
+def _ratio(num: int, den: int, reason: str = "zero denominator") -> tuple[int, int]:
     if den == 0:
-        raise UndefinedValueError()
-    return exact(num, den)
+        raise UndefinedValueError(reason=reason)
+    return num, den
 
 
-def _f_measure(t: ContingencyTable) -> Exact:
+def _f_measure(tp: int, fp: int, fn: int, tn: int) -> tuple[int, int]:
     """2 * prec * recall / (prec + recall)
 
     Undefined whenever precision or recall is undefined or both are zero,
     that is whenever tp = 0; otherwise it equals 2*tp / (2*tp + fp + fn).
     """
-    if t.tp == 0:
+    if tp == 0:
         raise UndefinedValueError()
-    p, r = Fraction(t.tp, t.tp + t.fp), Fraction(t.tp, t.tp + t.fn)
-    return Exact(2 * p * r / (p + r))
+    return 2 * tp, 2 * tp + fp + fn
 
 
 def _utility(
-    t: ContingencyTable,
+    tp: int,
+    fp: int,
+    fn: int,
+    tn: int,
     alpha: Fraction,
     beta: Fraction,
     gamma: Fraction,
     delta: Fraction,
-) -> Exact:
+) -> tuple[int, int]:
     """alpha*tp + beta*fn + gamma*fp + delta*tn with positive user weights."""
     for name, w in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
         if w <= 0:
             raise ParameterError(f"measures: utility weight {name} must be positive")
-    return Exact(alpha * t.tp + beta * t.fn + gamma * t.fp + delta * t.tn)
-
-
-def _novelty_ratio(c: UserContext) -> Exact:
-    """R_u / (R_u + R_k)"""
-    den = c.retrieved_unknown + c.retrieved_known
-    if den == 0:
-        raise UndefinedValueError(reason="no relevant retrieved")
-    return exact(c.retrieved_unknown, den)
+    return (alpha * tp + beta * fn + gamma * fp + delta * tn).as_integer_ratio()
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +106,7 @@ class Kernel(NamedTuple):
 
     init: tuple
     step: Callable[[tuple, int], tuple]
-    finish: Callable[[tuple], Value]
+    finish: Callable[[tuple], tuple[int, int] | float]  # (num, den), or a float
 
 
 @lru_cache(maxsize=64)
@@ -168,8 +162,7 @@ def _prec_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) 
     """cg(r) / r at the cutoff rank."""
     _check_cutoff(cutoff, length)
     den, gains = _gain_numerators(scheme)
-    return Kernel((0, 0), _prefix_gain(gains, cutoff),
-                  lambda s: Exact(Fraction(s[1], den * cutoff)))
+    return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: (s[1], den * cutoff))
 
 
 def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -179,13 +172,13 @@ def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
     total = gains[-1] * universe.total_relevant
     if total == 0:
         raise UndefinedValueError(reason="no relevant in universe")
-    return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: Exact(Fraction(s[1], total)))
+    return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: (s[1], total))
 
 
 def _r_family(finish):
     """Fold of count(R) and cg(R), padding with the lowest grade when L < R.
 
-    ``finish(count, gain numerator, R, D, top gain numerator)`` makes the value.
+    ``finish(count, gain numerator, R, D, top gain numerator)`` gives ``(num, den)``.
     """
 
     def bind(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -200,17 +193,16 @@ def _r_family(finish):
                 return (r, s[1], s[2])
             return (r, s[1] + (g > 0), s[2] + gains[g])
 
-        return Kernel((0, 0, 0), step,
-                      lambda s: Exact(finish(s[1], s[2], r_total, den, gains[-1])))
+        return Kernel((0, 0, 0), step, lambda s: finish(s[1], s[2], r_total, den, gains[-1]))
 
     return bind
 
 
-_r_precision = _r_family(lambda c, cg, r, den, top: Fraction(c, r))
+_r_precision = _r_family(lambda c, cg, r, den, top: (c, r))
 _r_precision.__doc__ = "count(R) / R; the ranking is padded with the lowest grade if L < R."
-_r_wp = _r_family(lambda c, cg, r, den, top: Fraction(cg, top * r))
+_r_wp = _r_family(lambda c, cg, r, den, top: (cg, top * r))
 _r_wp.__doc__ = "cg(R) / cig(R)"
-_r_measure = _r_family(lambda c, cg, r, den, top: Fraction(cg + den * c, (top + den) * r))
+_r_measure = _r_family(lambda c, cg, r, den, top: (cg + den * c, (top + den) * r))
 _r_measure.__doc__ = "(cg(R) + count(R)) / (cig(R) + R)"
 
 
@@ -222,7 +214,7 @@ def _sr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     def finish(s):
         if ideal == 0:
             raise UndefinedValueError(reason="no relevant in universe")
-        return Exact(Fraction(s[1], ideal))
+        return s[1], ideal
 
     return Kernel((0, 0), _prefix_gain(gains, length), finish)
 
@@ -242,7 +234,7 @@ def _msr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     def finish(s):
         if ideal == 0:
             raise UndefinedValueError(reason="no relevant in universe")
-        return Exact(Fraction(s[1] * ideal.denominator, den[-1] * ideal.numerator))
+        return s[1] * ideal.denominator, den[-1] * ideal.numerator
 
     return Kernel((0, 0), step, finish)
 
@@ -264,7 +256,7 @@ def _rnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         r = s[0] + 1
         return (r, s[1] + r) if g else (r, s[1])
 
-    return Kernel((0, 0), step, lambda s: Exact(Fraction(span - s[1] + best, span)))
+    return Kernel((0, 0), step, lambda s: (span - s[1] + best, span))
 
 
 def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -279,7 +271,7 @@ def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         return (r, s[1] + logs[r]) if g else (r, s[1])
 
     # the log sum starts at int 0, as sum() does, so the floats match it bit for bit
-    return Kernel((0, 0), step, lambda s: Approx(1 - (s[1] - best) / den))
+    return Kernel((0, 0), step, lambda s: 1 - (s[1] - best) / den)
 
 
 def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -297,7 +289,7 @@ def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
             return (r, c, s[2] * scale[r] + c * weight[r])
         return (r, s[1], s[2] * scale[r])
 
-    return Kernel((0, 0, 0), step, lambda s: Exact(Fraction(s[2], total)))
+    return Kernel((0, 0, 0), step, lambda s: (s[2], total))
 
 
 def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -318,7 +310,7 @@ def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     def finish(s):
         if r_total == 0:
             raise UndefinedValueError(reason="R = 0")
-        return Exact(Fraction(s[2], total))
+        return s[2], total
 
     return Kernel((0, 0, 0), step, finish)
 
@@ -343,12 +335,12 @@ def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
             return (r, c, cg, s[3] * scale[r] + (cg + den * c) * weight[r])
         return (r, s[1], cg, s[3] * scale[r])
 
-    return Kernel((0, 0, 0, 0), step, lambda s: Exact(Fraction(s[3], total)))
+    return Kernel((0, 0, 0, 0), step, lambda s: (s[3], total))
 
 
 def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 over the rank of the first relevant document, 0 if none."""
-    values = [exact(0)] + [exact(1, r) for r in range(1, length + 1)]
+    values = [(0, 1)] + [(1, r) for r in range(1, length + 1)]
 
     def step(s, g):
         r = s[0] + 1
@@ -369,7 +361,7 @@ def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> K
         r = s[0] + 1
         return (r, s[1] + gains[g] / discounts[r])
 
-    return Kernel((0, 0.0), step, lambda s: Approx(s[1]))
+    return Kernel((0, 0.0), step, lambda s: s[1])
 
 
 def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -383,8 +375,7 @@ def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> K
         r = s[0] + 1
         return (r, s[1] * scale[r] + gains[g] * weight[r])
 
-    return Kernel((0, 0), step,
-                  lambda s: Exact(Fraction(s[1] * factor.numerator, factor.denominator)))
+    return Kernel((0, 0), step, lambda s: (s[1] * factor.numerator, factor.denominator))
 
 
 def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -400,7 +391,7 @@ def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
             return (r, c, s[2] + r_total - r + c)
         return (r, s[1], s[2])
 
-    return Kernel((0, 0, 0), step, lambda s: Exact(Fraction(s[2], r_total * r_total)))
+    return Kernel((0, 0, 0), step, lambda s: (s[2], r_total * r_total))
 
 
 def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -412,7 +403,7 @@ def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) 
     def finish(s):
         if ideal == 0:
             raise UndefinedValueError(reason="no relevant in universe")
-        return Exact(Fraction(s[1], ideal))
+        return s[1], ideal
 
     return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
 
@@ -439,7 +430,7 @@ def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
             raise UndefinedValueError(reason="no relevant in universe")
         while s[0] < cutoff:  # pad with the lowest grade
             s = step(s, 0)
-        return Exact(Fraction(s[2], total))
+        return s[2], total
 
     return Kernel((0, 0, 0), step, finish)
 
@@ -453,7 +444,7 @@ def _gr_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) ->
     def finish(s):
         if ideal == 0:
             raise UndefinedValueError(reason="no relevant in universe")
-        return Exact(Fraction(s[1], ideal))
+        return s[1], ideal
 
     return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
 
@@ -468,7 +459,7 @@ def _bound(bind, scheme: GradeScheme, universe: Universe, length: int) -> Kernel
 # ---------------------------------------------------------------------------
 
 
-def _expected_search_length(out: LeveledOutput) -> Exact:
+def _expected_search_length(out: LeveledOutput) -> tuple[int, int]:
     """Nonrelevant documents passed before the need is met.
 
     The final level is the first level at which the cumulative relevant
@@ -481,7 +472,7 @@ def _expected_search_length(out: LeveledOutput) -> Exact:
     remaining = out.need
     for rel, non in out.levels:
         if rel >= remaining:
-            return Exact(passed + Fraction(non * remaining, rel + 1))
+            return passed * (rel + 1) + non * remaining, rel + 1
         remaining -= rel
         passed += non
     raise AssertionError("unreachable: satisfiability was checked")
@@ -571,32 +562,38 @@ class Measure:
     display: str
     family: str  # contingency | user | ranking | leveled
     backend: str  # exact | approx
-    _fn: Callable  # element -> value; for rank measures the fold's binder
+    # the raw result (num, den) or float: of a leveled output, of a set or user
+    # element's four counts, or for rank measures the fold's binder
+    fn: Callable
 
     def evaluate(self, element, universe: Optional[Universe] = None) -> Value:
         """The value on one element; a ranking is evaluated against a universe.
 
-        A rank measure runs its fold over the ranking, rank by rank.  An
-        ``UndefinedValueError`` is raised with this measure's id and the
-        element's display form.
+        A rank measure runs its fold over the ranking, rank by rank.  This
+        is where a raw result becomes a value.  An ``UndefinedValueError``
+        is raised with this measure's id and the element's display form.
         """
         try:
-            if self.family != "ranking":
-                return self._fn(element)
-            if universe is None:
-                raise ParameterError(f"measures: {self.id} needs a universe")
-            kernel = _bound(self._fn, element.scheme, universe, element.length)
-            check_consistent(element, universe)
-            state, step, index = kernel.init, kernel.step, element.scheme.labels.index
-            for label in element.items:
-                state = step(state, index(label))
-            return kernel.finish(state)
+            if self.family == "ranking":
+                if universe is None:
+                    raise ParameterError(f"measures: {self.id} needs a universe")
+                kernel = _bound(self.fn, element.scheme, universe, element.length)
+                check_consistent(element, universe)
+                state, step, index = kernel.init, kernel.step, element.scheme.labels.index
+                for label in element.items:
+                    state = step(state, index(label))
+                result = kernel.finish(state)
+            elif self.family == "leveled":
+                result = self.fn(element)
+            else:
+                result = self.fn(*element.counts)
         except UndefinedValueError as exc:
             raise UndefinedValueError(self.id, element.display(), exc.reason) from None
+        return as_value(result)
 
     def fold(self, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         """This rank measure's fold for rankings of one length (see module docstring)."""
-        return self._fn(scheme, universe, length)
+        return self.fn(scheme, universe, length)
 
     @property
     def eps(self) -> float | None:
@@ -606,7 +603,7 @@ class Measure:
 class _Row(NamedTuple):
     """One entry of the measure table.
 
-    A plain measure's ``make`` is its element function or fold binder.  A
+    A plain measure's ``make`` is its raw function or fold binder.  A
     ``base@`` row's ``make`` takes the cutoff first; a ``base?`` row's
     ``make`` is called with the rational parameters named in ``params``
     and returns the function.  ``display`` may refer to ``{r}`` or to the
@@ -640,29 +637,31 @@ _SET, _USER, _RANK = "contingency", "user", "ranking"
 # Keyed by id grammar, in the order list-measures prints.
 _MEASURES: dict[str, _Row] = {
     "accuracy": _Row("classification accuracy", _SET,
-                     lambda t: _ratio(t.tp + t.tn, t.collection_size)),
-    "error-rate": _Row("error rate", _SET, lambda t: _ratio(t.fp + t.fn, t.collection_size)),
+                     lambda tp, fp, fn, tn: _ratio(tp + tn, tp + fp + fn + tn)),
+    "error-rate": _Row("error rate", _SET,
+                       lambda tp, fp, fn, tn: _ratio(fp + fn, tp + fp + fn + tn)),
     "f-measure": _Row("F-measure", _SET, _f_measure),
-    "fallout": _Row("fallout", _SET, lambda t: _ratio(t.fp, t.fp + t.tn)),
-    "fdr": _Row("false discovery rate", _SET, lambda t: _ratio(t.fp, t.fp + t.tp)),
-    "for": _Row("false omission rate", _SET, lambda t: _ratio(t.fn, t.fn + t.tn)),
-    "generality": _Row("generality", _SET, lambda t: _ratio(t.tp + t.fn, t.collection_size)),
-    "inverse-precision": _Row("inverse precision", _SET, lambda t: _ratio(t.tn, t.fn + t.tn)),
-    "inverse-recall": _Row("inverse recall", _SET, lambda t: _ratio(t.tn, t.fp + t.tn)),
-    "miss-rate": _Row("miss rate", _SET, lambda t: _ratio(t.fn, t.tp + t.fn)),
-    "precision": _Row("precision", _SET, lambda t: _ratio(t.tp, t.tp + t.fp)),
-    "recall": _Row("recall", _SET, lambda t: _ratio(t.tp, t.tp + t.fn)),
-    "specificity": _Row("specificity", _SET, lambda t: _ratio(t.tn, t.tn + t.fp)),
+    "fallout": _Row("fallout", _SET, lambda tp, fp, fn, tn: _ratio(fp, fp + tn)),
+    "fdr": _Row("false discovery rate", _SET, lambda tp, fp, fn, tn: _ratio(fp, fp + tp)),
+    "for": _Row("false omission rate", _SET, lambda tp, fp, fn, tn: _ratio(fn, fn + tn)),
+    "generality": _Row("generality", _SET,
+                       lambda tp, fp, fn, tn: _ratio(tp + fn, tp + fp + fn + tn)),
+    "inverse-precision": _Row("inverse precision", _SET,
+                              lambda tp, fp, fn, tn: _ratio(tn, fn + tn)),
+    "inverse-recall": _Row("inverse recall", _SET, lambda tp, fp, fn, tn: _ratio(tn, fp + tn)),
+    "miss-rate": _Row("miss rate", _SET, lambda tp, fp, fn, tn: _ratio(fn, tp + fn)),
+    "precision": _Row("precision", _SET, lambda tp, fp, fn, tn: _ratio(tp, tp + fp)),
+    "recall": _Row("recall", _SET, lambda tp, fp, fn, tn: _ratio(tp, tp + fn)),
+    "specificity": _Row("specificity", _SET, lambda tp, fp, fn, tn: _ratio(tn, tn + fp)),
     "utility?": _Row("utility", _SET, lambda **weights: partial(_utility, **weights),
                      params=("alpha", "beta", "gamma", "delta")),
-    "coverage-ratio": _Row("coverage ratio", _USER,
-                           lambda c: exact(c.retrieved_known, c.known_relevant)),
-    "novelty-ratio": _Row("novelty ratio", _USER, _novelty_ratio),
-    "recall-effort": _Row("recall effort", _USER,
-                          lambda c: exact(c.known_relevant, c.retrieved_total)),
+    # user rows take (U, R_k, R_u, A)
+    "coverage-ratio": _Row("coverage ratio", _USER, lambda u, rk, ru, a: _ratio(rk, u)),
+    "novelty-ratio": _Row("novelty ratio", _USER,  # R_u / (R_u + R_k)
+                          lambda u, rk, ru, a: _ratio(ru, ru + rk, "no relevant retrieved")),
+    "recall-effort": _Row("recall effort", _USER, lambda u, rk, ru, a: _ratio(u, a)),
     "retrieval-recall": _Row("retrieval recall", _USER,  # can exceed 1
-                             lambda c: exact(c.retrieved_known + c.retrieved_unknown,
-                                             c.known_relevant)),
+                             lambda u, rk, ru, a: _ratio(rk + ru, u)),
     "gr@": _Row("gain recall@{r}", _RANK, _gr_at),
     "manxcg@": _Row("MAnxCG@{r}", _RANK, _manxcg_at),
     "nxcg@": _Row("nxCG@{r}", _RANK, _nxcg_at),

@@ -129,8 +129,9 @@ class ContingencyTable:
                 raise ConstraintError(f"model: contingency count {name} must be non-negative")
 
     @property
-    def collection_size(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
+    def counts(self) -> tuple[int, int, int, int]:
+        """(tp, fp, fn, tn), the arguments of a set-based measure."""
+        return self.tp, self.fp, self.fn, self.tn
 
     def display(self) -> str:
         return f"tp={self.tp},fp={self.fp},fn={self.fn},tn={self.tn}"
@@ -162,6 +163,12 @@ class UserContext:
             raise ConstraintError("model: retrieved known relevant exceeds known relevant")
         if self.retrieved_known + self.retrieved_unknown > self.retrieved_total:
             raise ConstraintError("model: retrieved relevant exceeds retrieved total")
+
+    @property
+    def counts(self) -> tuple[int, int, int, int]:
+        """(U, R_k, R_u, A), the arguments of a user-oriented measure."""
+        return (self.known_relevant, self.retrieved_known, self.retrieved_unknown,
+                self.retrieved_total)
 
     def display(self) -> str:
         return (

@@ -58,6 +58,11 @@ def exact(num: Rationalish, den: int = 1) -> Exact:
     return Exact(Fraction(num, den))
 
 
+def as_value(result: tuple[int, int] | float) -> Value:
+    """The value of a measure's raw result: ``(num, den)`` is exact, a float real."""
+    return Approx(result) if result.__class__ is float else Exact(Fraction(*result))
+
+
 def value_eq(a: Value, b: Value) -> bool:
     """Semantic equality: exact for rational pairs, within ``DEFAULT_EPS`` otherwise."""
     if isinstance(a, Exact) and isinstance(b, Exact):

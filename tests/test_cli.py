@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -102,6 +103,32 @@ class TestClassify:
         code, _, err = invoke("classify", "--measure", "prec@4", "--domain", "binary:L=4")
         assert code == 2
         assert "16 elements" in err
+
+
+# classify jobs whose --json bytes are pinned: large contingency, user and
+# leveled domains with thousands of classes, rankings, a raised oracle cap
+# and a seed; each golden was written before exact measures returned (num, den)
+CLASSIFY_GOLDENS = [
+    ("recall", "contingency:N=600,R=200"),
+    ("precision", "contingency:N=600,R=200,n=0..600"),
+    ("f-measure", "contingency:N=400,R=100"),
+    ("novelty-ratio", "user:U=3,A=1..120"),
+    ("esl", "leveled:docs=8,s=1"),
+    ("ap", "binary:L=12"),
+    ("rbp?p=1/2", "binary:L=8", "--oracle-cap", "1024"),
+    ("precision", "contingency:N=15,R=5,seed=3"),
+]
+
+
+class TestClassifyGoldens:
+    @pytest.mark.parametrize("job", CLASSIFY_GOLDENS, ids=" ".join)
+    def test_matches_golden_bytes(self, job):
+        measure, domain, *extra = job
+        name = re.sub(r"[^A-Za-z0-9]+", "-", " ".join(job)).strip("-") + ".json"
+        code, out, _ = invoke("classify", "--measure", measure, "--domain", domain, *extra,
+                              "--json")
+        assert code == 0
+        assert out == (DATA / "classify" / name).read_bytes().decode("utf-8")
 
 
 class TestWitness:

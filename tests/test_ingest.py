@@ -64,6 +64,37 @@ class TestParseRun:
         assert err.value.line == 2
 
 
+# characters that str.splitlines() would break a line at; here they are whitespace
+IN_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+class TestLineNumbersFollowNewlines:
+    @pytest.mark.parametrize("char", IN_LINE_BREAKS)
+    @pytest.mark.parametrize("parse, line", [(parse_qrels, "1 0 a 1"),
+                                             (parse_run, "1 Q0 a 1 0.5 sys")])
+    def test_duplicate_after_an_in_line_break_is_on_line_two(self, parse, line, char):
+        with pytest.raises(ParseError) as err:
+            parse(f"{line}{char}\n{line}\n")
+        assert err.value.line == 2
+        assert str(err.value).endswith("(line 2)")
+
+    @pytest.mark.parametrize("char", IN_LINE_BREAKS)
+    def test_in_line_breaks_separate_fields(self, char):
+        assert parse_qrels(f"1{char}0 a{char}1\n").judgments == (("1", "a", 1),)
+        run = parse_run(f"1 Q0{char}a 1 0.5 sys{char}\n")
+        assert run.by_topic == (("1", ("a",)),) and run.tag == "sys"
+
+    @pytest.mark.parametrize("parse, text, fields", [
+        (parse_qrels, "1 0 a 1\r1 0 b 1\r", 8),
+        (parse_run, "1 Q0 a 1 0.5 sys\r1 Q0 b 2 0.4 sys\r", 12),
+    ])
+    def test_bare_carriage_returns_make_one_line(self, parse, text, fields):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 1
+        assert f"got {fields}" in str(err.value)
+
+
 class TestToRankings:
     def test_unjudged_documents_get_lowest_grade(self):
         qrels = parse_qrels("1 0 d1 1\n")
