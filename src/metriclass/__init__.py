@@ -32,7 +32,6 @@ from .intrinsic import (
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
     CollisionWitness,
-    EquivalenceClass,
     HasseDiagram,
     OrderedDomain,
     ValueSummary,
@@ -44,7 +43,6 @@ from .intrinsic import (
     distance,
     induced_order,
     interval_scale_oracle,
-    interval_span,
     order_values,
     summarize,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "DEFAULT_CAP",
     "Domain",
     "DomainTooLargeError",
-    "EquivalenceClass",
     "Exact",
     "GradeScheme",
     "HasseDiagram",
@@ -130,7 +127,6 @@ __all__ = [
     "format_domain",
     "induced_order",
     "interval_scale_oracle",
-    "interval_span",
     "list_measure_ids",
     "measure_from_id",
     "order_values",

@@ -16,12 +16,13 @@ vs value-difference ordering over all interval pairs), independently of
 the quotient-gap route, so the two must always agree.
 
 Classification needs only the attained values in order, how often each is
-attained and the two earliest elements attaining it (``summarize``); the
-induced order with every member listed (``induced_order``) is built only
-for the Hasse export.  Values are grouped, ordered and compared by their
-keys, the reduced integers ``(num, den)`` of an exact value or the float
-of a real, and a value object is built only where one is reported: a
-witness, a gap or a violating triple.
+attained and the two earliest elements attaining it (``summarize``).  The
+induced order (``induced_order``) has the same classes, one ``ValueClass``
+each, and beside them lists every class's members, which only the Hasse
+export reads.  Values are grouped, ordered and compared by their keys,
+the reduced integers ``(num, den)`` of an exact value or the float of a
+real, and a value object is built only where one is reported: a witness,
+a gap, a violating triple or a node of the Hasse chain.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import count, islice, repeat
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -56,7 +56,7 @@ class ValueClass(NamedTuple):
     """One attained value's key, how many elements attain it, and the earliest one or two.
 
     The value itself is built from the key each time it is read, which only
-    a reported witness, gap or triple does.
+    a reported witness, gap or triple does, and the Hasse chain once per class.
     """
 
     key: Key
@@ -95,48 +95,20 @@ def _key_of(value: Value) -> Key:
     return value.rational.as_integer_ratio() if value.__class__ is Exact else value.real
 
 
-@dataclass(frozen=True, slots=True)
-class EquivalenceClass:
-    """One attained value and the (enumeration-order) indices that share it."""
-
-    value: Value
-    members: tuple[int, ...]
-
-    @property
-    def key(self) -> Key:
-        return _key_of(self.value)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def earliest(self) -> tuple[int, ...]:
-        return self.members[:2]
-
-
 @dataclass(frozen=True)
 class OrderedDomain:
     """A domain sorted and grouped by attained value, every member listed.
 
     ``labels`` holds display strings in enumeration order; ``classes`` is
-    the quotient, in strictly increasing value order; ``excluded`` lists
-    the undefined points.
+    the quotient, in strictly increasing value order, as ``summarize``
+    gives it; ``members[ci]`` lists the indices in ``classes[ci]``,
+    ascending; ``excluded`` lists the undefined points.
     """
 
     labels: tuple[str, ...]
-    classes: tuple[EquivalenceClass, ...]
+    classes: tuple[ValueClass, ...]
+    members: tuple[tuple[int, ...], ...]
     excluded: tuple[int, ...]
-
-    @cached_property
-    def _class_index(self) -> dict[int, int]:
-        return {member: ci for ci, cls in enumerate(self.classes) for member in cls.members}
-
-    def class_of(self, index: int) -> int:
-        ci = self._class_index.get(index)
-        if ci is None:
-            raise ConstraintError(f"intrinsic: element {index} is excluded or out of range")
-        return ci
 
     def labels_at(self, *indices: int) -> list[str]:
         return [self.labels[i] for i in indices]
@@ -280,26 +252,21 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
     """Build the induced order from (label, value) pairs; None values are excluded.
 
     The classes are those of the one-pass summary (``summarize``), and one
-    more pass lists each defined element in its class.  A class's value is
-    that of the earliest element with the class's key.
+    more pass lists each defined element in its class.
     """
     groups, _, _ = _gather([(labeled_values, _pair_key)], count())
     classes = _quotient(groups)
     members: list[list[int]] = [[] for _ in classes]
-    values: list[Optional[Value]] = [None] * len(classes)
     excluded = []
     for i, (_, v) in enumerate(labeled_values):
         if v is None:
             excluded.append(i)
-            continue
-        key = _key_of(v)
-        ci = groups[key]
-        members[ci].append(i)
-        if values[ci] is None and key == classes[ci].key:
-            values[ci] = v
+        else:
+            members[groups[_key_of(v)]].append(i)
     return OrderedDomain(
         tuple(label for label, _ in labeled_values),
-        tuple(EquivalenceClass(v, tuple(m)) for v, m in zip(values, members)),
+        tuple(classes),
+        tuple(map(tuple, members)),
         tuple(excluded),
     )
 
@@ -309,9 +276,10 @@ def induced_order(
 ) -> OrderedDomain:
     """Evaluate the measure over the domain and sort it into the weak order.
 
-    The values come from the walks ``summarize`` streams; unlike the
-    summary this keeps every element's label and class, as the Hasse
-    export lists them.  Undefined points are excluded.
+    The values come from the walks ``summarize`` streams, and the classes
+    are the summary's; unlike the summary this keeps every element's label
+    and the member list of each class, as the Hasse export lists them.
+    Undefined points are excluded.
     """
     _check_family(measure, spec)
     return order_values(labeled_values(spec, measure, DEFAULT_CAP if cap is None else cap))
@@ -329,9 +297,15 @@ def distance(measure: Measure, a, b, universe=None) -> Value:
 
 @dataclass(frozen=True)
 class HasseDiagram:
-    """Chain over the quotient classes with value-gap edge weights."""
+    """Chain over the quotient classes with value-gap edge weights.
 
-    classes: tuple[EquivalenceClass, ...]
+    ``members`` is the ordered domain's member lists, shared, not copied;
+    ``values`` holds each class's value, built once from its key.
+    """
+
+    classes: tuple[ValueClass, ...]
+    members: tuple[tuple[int, ...], ...]
+    values: tuple[Value, ...]
     weights: tuple[Value, ...]  # weights[i] joins classes[i] and classes[i+1]
 
     def path_distance(self, i: int, j: int) -> Value:
@@ -350,11 +324,9 @@ class HasseDiagram:
 
 def build_hasse(ordered: OrderedDomain) -> HasseDiagram:
     """Chain the quotient classes; each edge carries the value gap."""
-    weights = tuple(
-        sub(hi.value, lo.value)
-        for lo, hi in zip(ordered.classes, ordered.classes[1:])
-    )
-    return HasseDiagram(ordered.classes, weights)
+    values = tuple(cls.value for cls in ordered.classes)
+    weights = tuple(map(sub, values[1:], values))
+    return HasseDiagram(ordered.classes, ordered.members, values, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +355,7 @@ def check_injective(
     element whose value was already attained, paired with the earliest
     element attaining it.
     """
-    best: Optional[ValueClass | EquivalenceClass] = None
+    best: Optional[ValueClass] = None
     for cls in ordered.classes:
         if cls.size > 1 and (best is None or cls.earliest[1] < best.earliest[1]):
             best = cls
@@ -431,20 +403,8 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
 
 
 # ---------------------------------------------------------------------------
-# Interval spans and the definitional interval-scale oracle
+# The definitional interval-scale oracle
 # ---------------------------------------------------------------------------
-
-
-def interval_span(ordered: OrderedDomain, i: int, j: int) -> int:
-    """Number of domain elements z with f(i) <= f(z) <= f(j).
-
-    Elements are addressed by enumeration index; the lower endpoint must
-    not exceed the upper one in the induced order.
-    """
-    ci, cj = ordered.class_of(i), ordered.class_of(j)
-    if ci > cj:
-        raise ConstraintError("intrinsic: interval endpoints are reversed")
-    return sum(ordered.classes[k].size for k in range(ci, cj + 1))
 
 
 @dataclass(frozen=True)

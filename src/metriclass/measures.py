@@ -84,9 +84,6 @@ def _utility(
     delta: Fraction,
 ) -> tuple[int, int]:
     """alpha*tp + beta*fn + gamma*fp + delta*tn with positive user weights."""
-    for name, w in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
-        if w <= 0:
-            raise ParameterError(f"measures: utility weight {name} must be positive")
     return (alpha * tp + beta * fn + gamma * fp + delta * tn).as_integer_ratio()
 
 
@@ -626,6 +623,13 @@ def _dcg_of(b: Fraction) -> Callable:
         raise ParameterError("measures: dcg base is beyond the float range") from None
 
 
+def _utility_of(**weights: Fraction) -> Callable:
+    for name, w in weights.items():
+        if w <= 0:
+            raise ParameterError(f"measures: utility weight {name} must be positive")
+    return partial(_utility, **weights)
+
+
 def _rbp_of(p: Fraction) -> Callable:
     if not 0 < p < 1:
         raise ParameterError("measures: rbp persistence p must lie strictly in (0, 1)")
@@ -653,8 +657,7 @@ _MEASURES: dict[str, _Row] = {
     "precision": _Row("precision", _SET, lambda tp, fp, fn, tn: _ratio(tp, tp + fp)),
     "recall": _Row("recall", _SET, lambda tp, fp, fn, tn: _ratio(tp, tp + fn)),
     "specificity": _Row("specificity", _SET, lambda tp, fp, fn, tn: _ratio(tn, tn + fp)),
-    "utility?": _Row("utility", _SET, lambda **weights: partial(_utility, **weights),
-                     params=("alpha", "beta", "gamma", "delta")),
+    "utility?": _Row("utility", _SET, _utility_of, params=("alpha", "beta", "gamma", "delta")),
     # user rows take (U, R_k, R_u, A)
     "coverage-ratio": _Row("coverage ratio", _USER, lambda u, rk, ru, a: _ratio(rk, u)),
     "novelty-ratio": _Row("novelty ratio", _USER,  # R_u / (R_u + R_k)

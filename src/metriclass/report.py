@@ -208,9 +208,9 @@ def export_dot(diagram: HasseDiagram, labels: Sequence[str], name: str = "hasse"
     their members.  Output bytes depend only on the inputs.
     """
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=box];']
-    for ci, cls in enumerate(diagram.classes):
-        members = ", ".join(labels[i] for i in cls.members)
-        label = f"{fmt_short(cls.value)}: {members}".replace('"', r"\"")
+    for ci, (value, members) in enumerate(zip(diagram.values, diagram.members)):
+        names = ", ".join(labels[i] for i in members)
+        label = f"{fmt_short(value)}: {names}".replace('"', r"\"")
         lines.append(f'  c{ci} [label="{label}"];')
     for ci, weight in enumerate(diagram.weights):
         shown = fmt(weight).split(" ")[0].replace('"', r"\"")

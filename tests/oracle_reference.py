@@ -19,9 +19,9 @@ def reference_oracle(ordered: OrderedDomain, cap: int = DEFAULT_ORACLE_CAP) -> O
     classes = ordered.classes
     if len(classes) > cap:
         return OracleResult(None, f"skipped: {len(classes)} classes exceed the oracle cap {cap}")
-    if any(len(cls.members) > 1 for cls in classes):
+    if any(cls.size > 1 for cls in classes):
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
-    sizes = [len(cls.members) for cls in classes]
+    sizes = [cls.size for cls in classes]
     prefix = [0]
     for s in sizes:
         prefix.append(prefix[-1] + s)

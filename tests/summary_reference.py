@@ -4,8 +4,10 @@
 values (``intrinsic.summarize``): per distinct value a count and the two
 earliest positions.  This module is the path it replaced, which kept
 every element: ``labeled_values`` lists a ``(label, value)`` pair per
-element, ``order_values`` sorts them into classes with member lists, and
-the three checks and ``classify`` read those.  Unlike
+element, ``order_values`` sorts them into classes that carry a value and
+a member list, and the three checks and ``classify`` read those.  The
+records (``Class``, ``Ordered``) are this module's own, so the reference
+shares no class type with ``intrinsic``.  Unlike
 ``enumeration.labeled_values``, which ``hasse`` uses, this
 ``labeled_values`` evaluates each element of ``enumerate_domain`` on its
 own, so it does not share the prefix-sharing walk it checks.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import islice, repeat
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from metriclass.enumeration import DEFAULT_CAP, Domain, enumerate_domain, format_domain
 from metriclass.errors import ConstraintError, UndefinedValueError
@@ -27,14 +29,27 @@ from metriclass.intrinsic import (
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
     CollisionWitness,
-    EquivalenceClass,
     OracleResult,
-    OrderedDomain,
     SpacingResult,
     Verdict,
 )
 from metriclass.measures import Measure
 from metriclass.values import DEFAULT_EPS, Exact, Value, sub, value_eq
+
+
+class Class(NamedTuple):
+    """One attained value and the positions that attain it, ascending."""
+
+    value: Value
+    members: tuple[int, ...]
+
+
+class Ordered(NamedTuple):
+    """Every element's label, the classes in value order, and the undefined positions."""
+
+    labels: tuple[str, ...]
+    classes: tuple[Class, ...]
+    excluded: tuple[int, ...]
 
 
 def labeled_values(spec: Domain, measure: Measure, cap: int = DEFAULT_CAP) -> list[tuple]:
@@ -50,7 +65,7 @@ def labeled_values(spec: Domain, measure: Measure, cap: int = DEFAULT_CAP) -> li
     return pairs
 
 
-def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
+def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Ordered:
     """Bucket the element indices by value key, then sort only the distinct values."""
     labels = tuple(label for label, _ in labeled_values)
     excluded: list[int] = []
@@ -93,10 +108,10 @@ def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> Order
     else:
         runs = ((labeled_values[first][1], g) for _, _, first, g in distinct)
     classes = tuple(
-        EquivalenceClass(v, (g,) if g.__class__ is int else tuple(sorted(g)))
+        Class(v, (g,) if g.__class__ is int else tuple(sorted(g)))
         for v, g in runs
     )
-    return OrderedDomain(labels, classes, tuple(excluded))
+    return Ordered(labels, classes, tuple(excluded))
 
 
 def _ratio_to_float(num: int, den: int) -> float:
@@ -106,7 +121,7 @@ def _ratio_to_float(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def check_injective(ordered: OrderedDomain) -> tuple[bool, Optional[CollisionWitness]]:
+def check_injective(ordered: Ordered) -> tuple[bool, Optional[CollisionWitness]]:
     best = None
     for cls in ordered.classes:
         if len(cls.members) > 1:
@@ -119,7 +134,7 @@ def check_injective(ordered: OrderedDomain) -> tuple[bool, Optional[CollisionWit
     return False, CollisionWitness(ordered.labels[a], ordered.labels[b], value)
 
 
-def check_equispaced(ordered: OrderedDomain) -> SpacingResult:
+def check_equispaced(ordered: Ordered) -> SpacingResult:
     classes = ordered.classes
     if len(classes) < 2:
         return SpacingResult(equispaced=True, degenerate=True)
@@ -133,7 +148,7 @@ def check_equispaced(ordered: OrderedDomain) -> SpacingResult:
     return SpacingResult(equispaced=True, degenerate=False, gap=first)
 
 
-def interval_scale_oracle(ordered: OrderedDomain, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
+def interval_scale_oracle(ordered: Ordered, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     classes = ordered.classes
     if len(classes) > cap:
         return OracleResult(None, f"skipped: {len(classes)} classes exceed the oracle cap {cap}")

@@ -120,12 +120,13 @@ def test_criterion_3_hasse_path_equals_value_distance(suite):
                     running = add(running, chain.weights[j - 1])
                     path[i][j] = running
             indices = [i for i in range(len(ordered.labels)) if i not in ordered.excluded]
+            class_of = {i: ci for ci, members in enumerate(ordered.members) for i in members}
             approx = measure.backend == "approx"
             for a_pos, i in enumerate(indices):
-                ci = ordered.class_of(i)
+                ci = class_of[i]
                 vi = values[i]
                 for j in indices[a_pos:]:
-                    cj = ordered.class_of(j)
+                    cj = class_of[j]
                     direct = abs(float(vi.numeric()) - float(values[j].numeric()))
                     via_chain = path[min(ci, cj)][max(ci, cj)]
                     if approx:

@@ -162,7 +162,29 @@ class TestWitness:
         assert "enumerates rankings" in err
 
 
+# hasse jobs whose DOT bytes are pinned: a seed, reals, and a domain of each
+# other kind; each golden was written while the Hasse export still kept a
+# value and a member list in each class
+HASSE_GOLDENS = [
+    ("ap", "binary:L=6,seed=3"),
+    ("dcg?b=2", "binary:L=4"),
+    ("recall", "contingency:N=15,R=5"),
+    ("novelty-ratio", "user:U=1,A=1..4"),
+    ("esl", "leveled:docs=4,s=1"),
+]
+
+
 class TestHasse:
+    @pytest.mark.parametrize("job", HASSE_GOLDENS, ids=" ".join)
+    def test_matches_golden_bytes(self, job, tmp_path):
+        measure, domain = job
+        name = re.sub(r"[^A-Za-z0-9]+", "-", " ".join(job)).strip("-") + ".gv"
+        target = tmp_path / name
+        code, _, _ = invoke("hasse", "--measure", measure, "--domain", domain,
+                            "--out", str(target))
+        assert code == 0
+        assert target.read_bytes() == (DATA / "hasse" / name).read_bytes()
+
     def test_writes_dot_file(self, tmp_path):
         target = tmp_path / "chain.gv"
         code, out, _ = invoke(

@@ -12,10 +12,10 @@ from metriclass.enumeration import enumerate_domain, labeled_values, parse_domai
 from metriclass.errors import ConstraintError
 from metriclass.intrinsic import (
     INTERVAL_METRIC,
-    EquivalenceClass,
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
     OrderedDomain,
+    ValueClass,
     build_hasse,
     check_equispaced,
     check_injective,
@@ -23,7 +23,6 @@ from metriclass.intrinsic import (
     distance,
     induced_order,
     interval_scale_oracle,
-    interval_span,
     order_values,
 )
 from metriclass.measures import measure_from_id
@@ -50,15 +49,20 @@ def ordered_for(measure_id, domain_text):
     return induced_order(measure_from_id(measure_id), parse_domain(domain_text))
 
 
+def class_index(ordered):
+    """Each defined element's class, read off the member lists."""
+    return {i: ci for ci, members in enumerate(ordered.members) for i in members}
+
+
 class TestInducedOrder:
     def test_constant_assignment_collapses_to_one_class(self):
         ordered = order_values([("a", exact(1, 3)), ("b", exact(1, 3)), ("c", exact(1, 3))])
         assert len(ordered.classes) == 1
-        assert ordered.classes[0].members == (0, 1, 2)
+        assert ordered.members[0] == (0, 1, 2)
 
     def test_six_element_weak_order(self):
         ordered = order_values(SIX)
-        assert [len(c.members) for c in ordered.classes] == [1, 3, 1, 1]
+        assert [len(m) for m in ordered.members] == [1, 3, 1, 1]
 
     def test_precision_at_four_classes_match_brute_force(self):
         # independent oracle: evaluate the formula directly over all 16
@@ -67,8 +71,8 @@ class TestInducedOrder:
             expected.setdefault(Fraction(sum(combo), 4), []).append(combo)
         ordered = ordered_for("prec@4", "binary:L=4")
         assert len(ordered.classes) == len(expected)
-        for cls in ordered.classes:
-            assert len(cls.members) == len(expected[cls.value.rational])
+        for cls, members in zip(ordered.classes, ordered.members):
+            assert len(members) == len(expected[cls.value.rational])
         assert [c.value.rational for c in ordered.classes] == sorted(expected)
 
     def test_values_strictly_increase_across_classes(self):
@@ -90,16 +94,21 @@ class TestInducedOrder:
         ordered = ordered_for("ap", "binary:L=4")
         rng = random.Random(5)
         indices = [i for i in range(len(ordered.labels)) if i not in ordered.excluded]
+        index = class_index(ordered)
         for _ in range(300):
             a, b, c = (rng.choice(indices) for _ in range(3))
-            ca, cb, cc = ordered.class_of(a), ordered.class_of(b), ordered.class_of(c)
+            ca, cb, cc = index[a], index[b], index[c]
             assert ca <= cb or cb <= ca  # totality
             if ca <= cb and cb <= cc:
                 assert ca <= cc  # transitivity
 
 
 def sort_and_scan(labeled_values):
-    """The former order_values: sort every element, then scan with value_eq."""
+    """The former order_values: sort every element, then scan with value_eq.
+
+    Returns (value, members) per class, each element's class index (-1 when
+    undefined) and the undefined indices.
+    """
     values = tuple(v for _, v in labeled_values)
     defined = [(i, v) for i, v in enumerate(values) if v is not None]
     if not defined:
@@ -113,15 +122,15 @@ def sort_and_scan(labeled_values):
             bucket.append(i)
         else:
             if bucket:
-                classes.append(EquivalenceClass(bucket_value, tuple(sorted(bucket))))
+                classes.append((bucket_value, tuple(sorted(bucket))))
             bucket, bucket_value = [i], v
-    classes.append(EquivalenceClass(bucket_value, tuple(sorted(bucket))))
-    class_index = [-1] * len(values)
-    for ci, cls in enumerate(classes):
-        for member in cls.members:
-            class_index[member] = ci
+    classes.append((bucket_value, tuple(sorted(bucket))))
+    index = [-1] * len(values)
+    for ci, (_, members) in enumerate(classes):
+        for member in members:
+            index[member] = ci
     excluded = tuple(i for i, v in enumerate(values) if v is None)
-    return tuple(classes), tuple(class_index), excluded
+    return tuple(classes), tuple(index), excluded
 
 
 EPSILONS = (1e-9,)
@@ -177,13 +186,15 @@ class TestOrderValuesMatchesSortAndScan:
                 order_values(pairs)
             return
         ordered = order_values(pairs)
-        classes, class_index, excluded = expected
-        assert [c.members for c in ordered.classes] == [c.members for c in classes]
-        assert all(a.value is b.value for a, b in zip(ordered.classes, classes))
+        classes, expected_index, excluded = expected
+        assert list(ordered.members) == [members for _, members in classes]
+        # repr pins the exact-vs-real type and the sign of zero
+        assert all(repr(a.value) == repr(v) for a, (v, _) in zip(ordered.classes, classes))
         assert ordered.excluded == excluded
-        for i, ci in enumerate(class_index):
+        index = class_index(ordered)
+        for i, ci in enumerate(expected_index):
             if ci >= 0:
-                assert ordered.class_of(i) == ci
+                assert index[i] == ci
 
 
 class TestOrderValuesEdges:
@@ -199,7 +210,7 @@ class TestOrderValuesEdges:
         huge = 10 ** 400
         pairs = [("a", exact(huge + 1)), ("b", exact(-huge)), ("c", exact(huge)), ("d", exact(1))]
         ordered = order_values(pairs)
-        assert [c.members for c in ordered.classes] == [(1,), (3,), (2,), (0,)]
+        assert ordered.members == ((1,), (3,), (2,), (0,))
 
 
 class TestDistance:
@@ -243,10 +254,11 @@ class TestHasse:
         ordered = induced_order(measure, spec)
         values = [v for _, v in labeled_values(spec, measure)]
         h = build_hasse(ordered)
+        index = class_index(ordered)
         for i in range(len(ordered.labels)):
             for j in range(len(ordered.labels)):
                 direct = abs(values[i].rational - values[j].rational)
-                path = h.path_distance(ordered.class_of(i), ordered.class_of(j))
+                path = h.path_distance(index[i], index[j])
                 assert path.rational == direct
 
 
@@ -306,32 +318,40 @@ class TestEquispacing:
         assert result.equispaced and result.degenerate
 
 
+def span(ordered, i, j):
+    """Elements z with f(i) <= f(z) <= f(j): the sizes of the classes from i's to j's."""
+    index = class_index(ordered)
+    return sum(cls.size for cls in ordered.classes[index[i]:index[j] + 1])
+
+
 class TestIntervalSpan:
+    """Spans from class sizes and member lists, as demo 02 computes them."""
+
     def test_span_of_a_point_is_its_class_size(self):
         ordered = ordered_for("prec@4", "binary:L=4")
         bottom = ordered.labels.index("<0,0,0,0>")
-        assert interval_span(ordered, bottom, bottom) == 1
+        assert span(ordered, bottom, bottom) == 1
         middle = ordered.labels.index("<0,1,0,1>")
-        assert interval_span(ordered, middle, middle) == 6
+        assert span(ordered, middle, middle) == 6
 
     def test_span_counts_elements_not_classes(self):
         ordered = ordered_for("prec@4", "binary:L=4")
         lo = ordered.labels.index("<0,0,0,0>")
         hi = ordered.labels.index("<0,0,0,1>")
-        assert interval_span(ordered, lo, hi) == 5  # 1 + C(4,1)
+        assert span(ordered, lo, hi) == 5  # 1 + C(4,1)
 
     def test_full_domain_span(self):
         ordered = ordered_for("prec@4", "binary:L=4")
         lo = ordered.labels.index("<0,0,0,0>")
         hi = ordered.labels.index("<1,1,1,1>")
-        assert interval_span(ordered, lo, hi) == 16
+        assert span(ordered, lo, hi) == 16
 
-    def test_reversed_endpoints_rejected(self):
+    def test_reversed_endpoints_span_nothing(self):
         ordered = ordered_for("prec@4", "binary:L=4")
         lo = ordered.labels.index("<0,0,0,0>")
         hi = ordered.labels.index("<1,1,1,1>")
-        with pytest.raises(ConstraintError):
-            interval_span(ordered, hi, lo)
+        assert class_index(ordered)[hi] > class_index(ordered)[lo]
+        assert span(ordered, hi, lo) == 0
 
 
 class TestIntervalScaleOracle:
@@ -365,8 +385,11 @@ NOT_INCREASING = "value differences not strictly increasing with span"
 
 def singleton_chain(values):
     """One singleton class per value, in the given order, sorted or not."""
-    classes = tuple(EquivalenceClass(v, (i,)) for i, v in enumerate(values))
-    return OrderedDomain(tuple(f"e{i}" for i in range(len(values))), classes, ())
+    keys = [v.rational.as_integer_ratio() if isinstance(v, Exact) else v.real for v in values]
+    indices = range(len(values))
+    return OrderedDomain(tuple(f"e{i}" for i in indices),
+                         tuple(ValueClass(key, 1, (i,)) for i, key in zip(indices, keys)),
+                         tuple((i,) for i in indices), ())
 
 
 @st.composite

@@ -108,6 +108,12 @@ class TestRegistryIds:
         m = measure_from_id("utility?alpha=1,beta=1,gamma=1,delta=1")
         assert m.evaluate(ContingencyTable(2, 3, 3, 7)) == exact(15)
 
+    @pytest.mark.parametrize("weights, name", [("alpha=0,beta=1,gamma=1,delta=1", "alpha"),
+                                               ("alpha=1,beta=1,gamma=-1,delta=1", "gamma")])
+    def test_utility_weights_are_checked_when_the_id_is_resolved(self, weights, name):
+        with pytest.raises(ParameterError, match=f"utility weight {name} must be positive"):
+            measure_from_id(f"utility?{weights}")
+
     def test_unknown_id_rejected(self):
         from metriclass.errors import ParseError
 

@@ -231,8 +231,12 @@ def test_induced_order_matches_per_element_order(measure_id):
     assert ordered.labels == reference.labels
     assert ordered.excluded == reference.excluded
     defined = [i for i in range(len(ordered.labels)) if i not in ordered.excluded]
-    assert [ordered.class_of(i) for i in defined] == [reference.class_of(i) for i in defined]
-    assert [c.members for c in ordered.classes] == [c.members for c in reference.classes]
+    class_of, reference_class_of = (
+        {i: ci for ci, members in enumerate(o.members) for i in members}
+        for o in (ordered, reference)
+    )
+    assert [class_of[i] for i in defined] == [reference_class_of[i] for i in defined]
+    assert ordered.members == reference.members
     assert classify(measure, spec) == summary_reference.classify(measure, spec)
 
 

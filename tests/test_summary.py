@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import summary_reference as reference
 from metriclass.enumeration import parse_domain
 from metriclass.errors import MetriclassError
-from metriclass.intrinsic import Verdict, classify
+from metriclass.intrinsic import Verdict, classify, induced_order, summarize
 from metriclass.measures import measure_from_id
 from metriclass.report import emit_verdict_json
 
@@ -85,6 +85,24 @@ class TestSummaryMatchesMaterialisedPath:
             f.name: getattr(expected, f.name) for f in fields(Verdict)
         }
         assert emit_verdict_json(got) == emit_verdict_json(expected)
+
+
+class TestInducedOrderMatchesSummary:
+    """The Hasse export's order has the summary's classes and undefined points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(domain_texts())
+    @example(("precision", "contingency:N=6,R=2,n=0..6,seed=5", 200))
+    @example(("dcg?b=2", "binary:L=1..4,R=4,N=8,seed=3", 200))
+    def test_same_classes_and_excluded(self, drawn):
+        summary = outcome(lambda m, s, _: summarize(m, s), *drawn)
+        ordered = outcome(lambda m, s, _: induced_order(m, s), *drawn)
+        if isinstance(summary, type):
+            assert ordered is summary
+            return
+        assert ordered.classes == summary.classes
+        assert len(ordered.excluded) == summary.excluded
+        assert (ordered.excluded or (None,))[0] == summary.first_excluded
 
 
 @pytest.mark.parametrize("measure_id, domain, elements, classes", [
