@@ -189,7 +189,7 @@ class _CountTuples(Domain):
         yield self.count_tuples(), lambda counts: fn(*counts)
 
 
-def _no_step(state, g):
+def _no_step(state, r, g):
     return state
 
 
@@ -276,12 +276,13 @@ class Rankings(Domain):
     def walk(self, length: int, init, step) -> Iterator:
         """Depth-first walk over the rankings of one length, in lexicographic order.
 
-        Yields, per ranking, ``init`` folded through ``step(state, grade
-        index)`` along the ranking's grades.  Each prefix is stepped once and
-        its state shared by every extension.  Prefixes whose relevant count
-        cannot end within R (or at ``rel=``) are pruned, so every node visited
-        lies on the path to some element and the walk costs at most
-        ``length`` steps per element.
+        Yields, per ranking, ``init`` folded through ``step(state, rank,
+        grade index)`` along the ranking's grades, with ranks counted from 1
+        (the depth the walk is at), so a fold's state need not carry the
+        rank.  Each prefix is stepped once and its state shared by every
+        extension.  Prefixes whose relevant count cannot end within R (or at
+        ``rel=``) are pruned, so every node visited lies on the path to some
+        element and the walk costs at most ``length`` steps per element.
         """
         ascending = range(self.levels)
         descending = ascending[::-1]  # pushed so that the stack pops them ascending
@@ -295,18 +296,18 @@ class Rankings(Domain):
             if depth == last:  # the children are elements
                 for g in ascending:
                     if least <= rel + (g > 0) <= most:
-                        yield step(state, g)
+                        yield step(state, length, g)
                 continue
             room = last - depth  # positions after the next one
             for g in descending:
-                r = rel + (g > 0)
-                if r <= most and r + room >= least:
-                    stack.append((depth + 1, r, step(state, g)))
+                count = rel + (g > 0)
+                if count <= most and count + room >= least:
+                    stack.append((depth + 1, count, step(state, depth + 1, g)))
 
     def _items(self) -> Iterator[tuple[str, ...]]:
         labels = self.scheme.labels
 
-        def push(items, g):
+        def push(items, r, g):
             return items + (labels[g],)
 
         for length in self.lengths:
@@ -321,6 +322,7 @@ class Rankings(Domain):
     def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
         """One pruned walk per length over the measure's fold, into its ``finish``.
 
+        ``measure.fn`` binds the fold to this scheme, universe and length.
         A fold that is undefined for a whole length marks every element of
         that length undefined; any other error propagates.
         """
@@ -328,7 +330,7 @@ class Rankings(Domain):
             if self.exact_relevant is not None and self.exact_relevant > length:
                 continue  # no element of this length, so its fold is never made
             try:
-                init, step, finish = measure.fold(self.scheme, self.universe, length)
+                init, step, finish = measure.fn(self.scheme, self.universe, length)
             except UndefinedValueError:
                 init, step, finish = None, _no_step, _undefined
             yield self.walk(length, init, step), finish

@@ -11,23 +11,28 @@ raw result and builds a value only for what it reports.  Set-based rows
 take the four counts ``(tp, fp, fn, tn)`` and user rows ``(U, R_k, R_u,
 A)``, so a domain walk can stream plain count tuples.
 
-Rank-based measures are folds over ranks.  ``measure.fold(scheme,
-universe, length)`` checks the measure's parameters against the universe
-and the ranking length and returns a :class:`Kernel`: an ``init`` state,
-``step(state, g)`` for the grade index ``g`` at the next rank, and
-``finish(state)``, called after exactly ``length`` steps, which gives the
-result.  States hold integers: the rank, the relevant count, and gain sums
-as integer numerators over the scheme's common gain denominator (per-rank
-rational weights share one growing denominator too), so ``finish`` of an
-exact fold returns ``(num, den)`` from them without any ``Fraction``.
-``dcg`` and ``pnorm`` add their float terms rank by rank in rank order and
-finish with the float.  A value that does not exist for the universe
-raises ``UndefinedValueError`` from ``fold`` or ``finish``; a bad
-parameter raises ``ParameterError`` and a cutoff padded past N raises
-``ConstraintError`` from ``fold``.  ``Measure.evaluate`` runs the fold
-over one ranking (and calls any other measure's function on its element);
-formulas raise ``UndefinedValueError`` with a reason only, and
-``evaluate`` names the measure and the element.  A domain walk
+Rank-based measures are folds over ranks.  A measure's ``fn`` is its
+binder: ``fn(scheme, universe, length)`` checks the measure's parameters
+against the universe and the ranking length and returns a
+:class:`Kernel`: an ``init`` state, ``step(state, r, g)`` for the grade
+index ``g`` at rank ``r`` (the caller passes the rank, so no state holds
+it), and ``finish(state)``, called after exactly ``length`` steps, which
+gives the result.  Most measures are additive: a sum over ranks of a
+per-grade term times a per-rank weight, whose state is the running sum.
+Gains are integer numerators over the scheme's common gain denominator,
+and rational per-rank weights are integers over one denominator per
+length, so ``finish`` of an exact fold returns ``(num, den)`` without any
+``Fraction``.  ``ap``, ``awp``, ``q-measure`` and ``bpref`` keep small
+tuples of counts and sums, and ``rr`` the rank of the first relevant
+document.  ``dcg`` and ``pnorm`` add their float terms rank by rank in
+rank order and finish with the float.  A value that does not exist for
+the universe raises ``UndefinedValueError`` from the binder or
+``finish``; a bad parameter raises ``ParameterError`` and a cutoff padded
+past N raises ``ConstraintError`` from the binder.  ``Measure.evaluate``
+checks that the ranking fits the universe, then runs the fold over it
+(and calls any other measure's function on its element); formulas raise
+``UndefinedValueError`` with a reason only, and ``evaluate`` names the
+measure and the element.  A domain walk
 (``enumeration.Rankings.evaluators``) steps the fold once per prefix, so
 rankings that share a prefix share its state.
 
@@ -45,6 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConstraintError, ParameterError, ParseError, UndefinedValueError
@@ -95,15 +101,17 @@ def _utility(
 class Kernel(NamedTuple):
     """A rank measure's fold, bound to one grade scheme, universe and length.
 
-    ``step(state, g)`` consumes the grade index ``g`` of the next rank and
-    returns a new state; states are immutable tuples of integers (floats for
-    the log-bearing measures), so one prefix state can be extended by every
-    sibling grade.  ``finish`` is called after exactly ``length`` steps.
+    ``step(state, r, g)`` consumes the grade index ``g`` at rank ``r``; the
+    caller counts the ranks, from 1, so no state holds the rank.  States are
+    immutable: the running sum of an additive fold (an int; a float for
+    ``pnorm`` and ``dcg``), a first relevant rank, or a tuple of counts and
+    sums, so one prefix state can be extended by every sibling grade.
+    ``finish`` is called after exactly ``length`` steps.
     """
 
-    init: tuple
-    step: Callable[[tuple, int], tuple]
-    finish: Callable[[tuple], tuple[int, int] | float]  # (num, den), or a float
+    init: object
+    step: Callable[[object, int, int], object]
+    finish: Callable[[object], tuple[int, int] | float]  # (num, den), or a float
 
 
 @lru_cache(maxsize=64)
@@ -113,21 +121,35 @@ def _gain_numerators(scheme: GradeScheme) -> tuple[int, tuple[int, ...]]:
     return den, tuple(int(g * den) for g in scheme.gains)
 
 
-def _weights(coefficients) -> tuple[list[int], list[int], list[int]]:
-    """Tables that keep ``sum_r c_r * x_r`` as one integer numerator.
+def _relevant(scheme: GradeScheme) -> list[int]:
+    """1 for each relevant grade, 0 for the lowest one."""
+    return [0] + [1] * (len(scheme.gains) - 1)
 
-    With ``den[r]`` the lcm of the denominators of ``c_1..c_r``, the sum up
-    to rank r is ``A_r / den[r]`` where
-    ``A_r = A_{r-1} * scale[r] + x_r * weight[r]``.  Index 0 is the empty sum.
+
+def _weights(coefficients) -> tuple[list[int], int]:
+    """Per-rank rational coefficients as integers over one denominator.
+
+    Returns ``weight`` and ``den`` with ``c_r = weight[r] / den`` for ranks
+    r from 1, where ``den`` is the lcm of all the coefficients'
+    denominators; index 0 is unused.
     """
-    scale, weight, den = [1], [0], [1]
-    for c in coefficients:
-        c = Fraction(c)
-        m = math.lcm(den[-1], c.denominator)
-        scale.append(m // den[-1])
-        weight.append(c.numerator * (m // c.denominator))
-        den.append(m)
-    return scale, weight, den
+    cs = [Fraction(c) for c in coefficients]
+    den = math.lcm(*(c.denominator for c in cs))
+    return [0] + [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _upto(cutoff: int, length: int) -> list[int]:
+    """Per-rank weight 1 at ranks up to the cutoff, 0 after it."""
+    return [int(0 < r <= cutoff) for r in range(length + 1)]
+
+
+def _additive(per_grade, per_rank, finish) -> Kernel:
+    """The fold of ``sum_r per_grade[g_r] * per_rank[r]``; its state is the running sum."""
+
+    def step(total, r, g):
+        return total + per_grade[g] * per_rank[r]
+
+    return Kernel(0, step, finish)
 
 
 def _check_cutoff(cutoff: int, length: int) -> None:
@@ -145,21 +167,11 @@ def _check_padded(cutoff: int, universe: Universe, length: int) -> None:
         raise ConstraintError("model: ranking is longer than the collection")
 
 
-def _prefix_gain(gains: tuple[int, ...], cutoff: int):
-    """Step over state (rank, gain numerator) that stops accumulating after ``cutoff``."""
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, s[1] + gains[g]) if r <= cutoff else (r, s[1])
-
-    return step
-
-
 def _prec_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / r at the cutoff rank."""
     _check_cutoff(cutoff, length)
     den, gains = _gain_numerators(scheme)
-    return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: (s[1], den * cutoff))
+    return _additive(gains, _upto(cutoff, length), lambda s: (s, den * cutoff))
 
 
 def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -169,13 +181,26 @@ def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
     total = gains[-1] * universe.total_relevant
     if total == 0:
         raise UndefinedValueError(reason="no relevant in universe")
-    return Kernel((0, 0), _prefix_gain(gains, cutoff), lambda s: (s[1], total))
+    return _additive(gains, _upto(cutoff, length), lambda s: (s, total))
 
 
-def _r_family(finish):
-    """Fold of count(R) and cg(R), padding with the lowest grade when L < R.
+def _gain_over_ideal(cutoff: int, ideal_count: int, scheme: GradeScheme, length: int) -> Kernel:
+    """cg(cutoff) over the gain of ``ideal_count`` top-grade documents.
 
-    ``finish(count, gain numerator, R, D, top gain numerator)`` gives ``(num, den)``.
+    Undefined, when finished, if that ideal gain is 0.  Ranks padded up to
+    the cutoff have the lowest grade and add nothing.
+    """
+    _, gains = _gain_numerators(scheme)
+    ideal = gains[-1] * ideal_count
+    return _additive(gains, _upto(cutoff, length),
+                     lambda s: _ratio(s, ideal, "no relevant in universe"))
+
+
+def _r_family(term):
+    """A per-grade term summed over ranks 1..R, over its value for R top-grade documents.
+
+    ``term(gain numerator, D)`` is 0 for the lowest grade, so padding a
+    ranking shorter than R adds nothing.
     """
 
     def bind(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -183,57 +208,35 @@ def _r_family(finish):
         if r_total == 0:
             raise UndefinedValueError(reason="R = 0")
         den, gains = _gain_numerators(scheme)
-
-        def step(s, g):
-            r = s[0] + 1
-            if r > r_total:  # only ranks 1..R count; padding up to R adds zero gain
-                return (r, s[1], s[2])
-            return (r, s[1] + (g > 0), s[2] + gains[g])
-
-        return Kernel((0, 0, 0), step, lambda s: finish(s[1], s[2], r_total, den, gains[-1]))
+        per_grade = [term(x, den) for x in gains]
+        ideal = per_grade[-1] * r_total
+        return _additive(per_grade, _upto(r_total, length), lambda s: (s, ideal))
 
     return bind
 
 
-_r_precision = _r_family(lambda c, cg, r, den, top: (c, r))
+_r_precision = _r_family(lambda x, den: int(x > 0))
 _r_precision.__doc__ = "count(R) / R; the ranking is padded with the lowest grade if L < R."
-_r_wp = _r_family(lambda c, cg, r, den, top: (cg, top * r))
+_r_wp = _r_family(lambda x, den: x)
 _r_wp.__doc__ = "cg(R) / cig(R)"
-_r_measure = _r_family(lambda c, cg, r, den, top: (cg + den * c, (top + den) * r))
+_r_measure = _r_family(lambda x, den: x + den * (x > 0))
 _r_measure.__doc__ = "(cg(R) + count(R)) / (cig(R) + R)"
 
 
 def _sr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(L) / cig(L)"""
-    _, gains = _gain_numerators(scheme)
-    ideal = gains[-1] * min(length, universe.total_relevant)
-
-    def finish(s):
-        if ideal == 0:
-            raise UndefinedValueError(reason="no relevant in universe")
-        return s[1], ideal
-
-    return Kernel((0, 0), _prefix_gain(gains, length), finish)
+    return _gain_over_ideal(length, min(length, universe.total_relevant), scheme, length)
 
 
 def _msr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Rank-weighted sliding ratio: sum g(r)/r over sum ig(r)/r."""
     _, gains = _gain_numerators(scheme)
-    scale, weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
+    weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
     harmonic = sum((Fraction(1, r) for r in range(1, min(length, universe.total_relevant) + 1)),
                    Fraction(0))
     ideal = gains[-1] * harmonic  # sum ig(r)/r, over the same gain denominator
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, s[1] * scale[r] + gains[g] * weight[r])
-
-    def finish(s):
-        if ideal == 0:
-            raise UndefinedValueError(reason="no relevant in universe")
-        return s[1] * ideal.denominator, den[-1] * ideal.numerator
-
-    return Kernel((0, 0), step, finish)
+    return _additive(gains, weight, lambda s: _ratio(
+        s * ideal.denominator, den * ideal.numerator, "no relevant in universe"))
 
 
 def _check_rocchio(universe: Universe, length: int) -> int:
@@ -248,12 +251,7 @@ def _rnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     r_total = _check_rocchio(universe, length)
     span = r_total * (length - r_total)
     best = r_total * (r_total + 1) // 2
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, s[1] + r) if g else (r, s[1])
-
-    return Kernel((0, 0), step, lambda s: (span - s[1] + best, span))
+    return _additive(_relevant(scheme), range(length + 1), lambda s: (span - s + best, span))
 
 
 def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -262,13 +260,9 @@ def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     logs = [0.0] + [math.log(k) for k in range(1, length + 1)]
     best = sum(math.log(k) for k in range(1, r_total + 1))
     den = math.log(math.comb(length, r_total))
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, s[1] + logs[r]) if g else (r, s[1])
-
-    # the log sum starts at int 0, as sum() does, so the floats match it bit for bit
-    return Kernel((0, 0), step, lambda s: 1 - (s[1] - best) / den)
+    # each relevant rank adds 1 * log r and each other one 0.0, so the sum
+    # has the bits of the relevant ranks' logs added in rank order
+    return _additive(_relevant(scheme), logs, lambda s: 1 - (s - best) / den)
 
 
 def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -276,40 +270,38 @@ def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     r_total = universe.total_relevant
     if r_total == 0:
         raise UndefinedValueError(reason="R = 0")
-    scale, weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
-    total = den[-1] * r_total
+    weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
+    total = den * r_total
 
-    def step(s, g):
-        r = s[0] + 1
-        if g:
-            c = s[1] + 1
-            return (r, c, s[2] * scale[r] + c * weight[r])
-        return (r, s[1], s[2] * scale[r])
+    def step(s, r, g):
+        if not g:
+            return s
+        c = s[0] + 1
+        return c, s[1] + c * weight[r]
 
-    return Kernel((0, 0, 0), step, lambda s: (s[2], total))
+    return Kernel((0, 0), step, lambda s: (s[1], total))
 
 
 def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Sum over relevant ranks of cg(r)/cig(r) (no 1/R factor)."""
     r_total = universe.total_relevant
     _, gains = _gain_numerators(scheme)
-    # cig(r) = top * min(r, R); with R = 0 finish raises before the tables are read
-    scale, weight, den = _weights(
-        Fraction(1, max(1, min(r, r_total))) for r in range(1, length + 1)
-    )
-    total = den[-1] * gains[-1]
+    # cig(r) = top * min(r, R); with R = 0 finish raises before the weights are read
+    weight, den = _weights(Fraction(1, max(1, min(r, r_total))) for r in range(1, length + 1))
+    total = den * gains[-1]
 
-    def step(s, g):
-        r = s[0] + 1
-        cg = s[1] + gains[g]
-        return (r, cg, s[2] * scale[r] + cg * weight[r]) if g else (r, cg, s[2] * scale[r])
+    def step(s, r, g):
+        if not g:
+            return s
+        cg = s[0] + gains[g]
+        return cg, s[1] + cg * weight[r]
 
     def finish(s):
         if r_total == 0:
             raise UndefinedValueError(reason="R = 0")
-        return s[2], total
+        return s[1], total
 
-    return Kernel((0, 0, 0), step, finish)
+    return Kernel((0, 0), step, finish)
 
 
 def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -319,31 +311,25 @@ def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         raise UndefinedValueError(reason="R = 0")
     den, gains = _gain_numerators(scheme)
     top = gains[-1]
-    scale, weight, dens = _weights(
+    weight, wden = _weights(
         Fraction(1, top * min(r, r_total) + den * r) for r in range(1, length + 1)
     )
-    total = dens[-1] * r_total
+    total = wden * r_total
 
-    def step(s, g):
-        r = s[0] + 1
-        cg = s[2] + gains[g]
-        if g:
-            c = s[1] + 1
-            return (r, c, cg, s[3] * scale[r] + (cg + den * c) * weight[r])
-        return (r, s[1], cg, s[3] * scale[r])
+    def step(s, r, g):
+        if not g:
+            return s
+        c, cg = s[0] + 1, s[1] + gains[g]
+        return c, cg, s[2] + (cg + den * c) * weight[r]
 
-    return Kernel((0, 0, 0, 0), step, lambda s: (s[3], total))
+    return Kernel((0, 0, 0), step, lambda s: (s[2], total))
 
 
 def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 over the rank of the first relevant document, 0 if none."""
     values = [(0, 1)] + [(1, r) for r in range(1, length + 1)]
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, r) if g and not s[1] else (r, s[1])
-
-    return Kernel((0, 0), step, lambda s: values[s[1]])
+    # the state is the rank of the first relevant document, 0 until there is one
+    return Kernel(0, lambda first, r, g: first or (r if g else 0), lambda s: values[s])
 
 
 def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -353,26 +339,17 @@ def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> K
         max(1.0, math.log2(r) if base == 2 else math.log(r) / math.log(base))
         for r in range(1, length + 1)
     ]
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, s[1] + gains[g] / discounts[r])
-
-    return Kernel((0, 0.0), step, lambda s: s[1])
+    # divided, not multiplied by 1/discount, which would change the float bits
+    return Kernel(0.0, lambda total, r, g: total + gains[g] / discounts[r], lambda s: s)
 
 
 def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1-p)/g(top) * sum of p^(r-1) * g(r); exact for rational p."""
     _, gains = _gain_numerators(scheme)
-    scale, weight, den = _weights(p ** (r - 1) for r in range(1, length + 1))
+    weight, den = _weights(p ** (r - 1) for r in range(1, length + 1))
     # (1-p)/top * A/(D * den) with top = gains[-1]/D
-    factor = (1 - p) / (gains[-1] * den[-1])
-
-    def step(s, g):
-        r = s[0] + 1
-        return (r, s[1] * scale[r] + gains[g] * weight[r])
-
-    return Kernel((0, 0), step, lambda s: (s[1] * factor.numerator, factor.denominator))
+    factor = (1 - p) / (gains[-1] * den)
+    return _additive(gains, weight, lambda s: (s * factor.numerator, factor.denominator))
 
 
 def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -381,69 +358,51 @@ def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     if r_total == 0:
         raise UndefinedValueError(reason="R = 0")
 
-    def step(s, g):
-        r = s[0] + 1
-        if g:
-            c = s[1] + 1
-            return (r, c, s[2] + r_total - r + c)
-        return (r, s[1], s[2])
+    def step(s, r, g):
+        if not g:
+            return s
+        c = s[0] + 1
+        return c, s[1] + r_total - r + c
 
-    return Kernel((0, 0, 0), step, lambda s: (s[2], r_total * r_total))
+    return Kernel((0, 0), step, lambda s: (s[1], r_total * r_total))
 
 
 def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / cig(r) at the cutoff rank."""
     _check_padded(cutoff, universe, length)
-    _, gains = _gain_numerators(scheme)
-    ideal = gains[-1] * min(cutoff, universe.total_relevant)
-
-    def finish(s):
-        if ideal == 0:
-            raise UndefinedValueError(reason="no relevant in universe")
-        return s[1], ideal
-
-    return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
+    return _gain_over_ideal(cutoff, min(cutoff, universe.total_relevant), scheme, length)
 
 
 def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
-    """Mean of cg(j)/cig(j) for j up to the cutoff."""
+    """Mean of cg(j)/cig(j) for j up to the cutoff.
+
+    The gain at rank r counts in cg(j) for each j from r to the cutoff, so
+    its weight is the suffix sum of 1/cig(j); ranks padded up to the cutoff
+    have the lowest grade and add nothing.
+    """
     _check_padded(cutoff, universe, length)
     r_total = universe.total_relevant
     _, gains = _gain_numerators(scheme)
-    # cig(j) = top * min(j, R); with R = 0 finish raises before the tables are read
-    scale, weight, den = _weights(
-        Fraction(1, max(1, min(j, r_total))) if j <= cutoff else 0
-        for j in range(1, max(length, cutoff) + 1)
-    )
-    total = den[-1] * gains[-1] * cutoff
-
-    def step(s, g):
-        r = s[0] + 1
-        cg = s[1] + gains[g]
-        return (r, cg, s[2] * scale[r] + cg * weight[r])
+    # cig(j) = top * min(j, R), with top in the total; with R = 0 finish
+    # raises before the weights are read
+    inverse, den = _weights(Fraction(1, max(1, min(j, r_total))) for j in range(1, cutoff + 1))
+    suffix = list(accumulate(reversed(inverse[1:])))[::-1]  # suffix[r - 1]: j from r to cutoff
+    weight = [0] + suffix[:length] + [0] * (length - cutoff)
+    total = den * gains[-1] * cutoff
 
     def finish(s):
         if r_total == 0:
             raise UndefinedValueError(reason="no relevant in universe")
-        while s[0] < cutoff:  # pad with the lowest grade
-            s = step(s, 0)
-        return s[2], total
+        return s, total
 
-    return Kernel((0, 0, 0), step, finish)
+    return _additive(gains, weight, finish)
 
 
 def _gr_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / cig(L): prefix gain against the full-length ideal gain."""
     _check_padded(cutoff, universe, length)
-    _, gains = _gain_numerators(scheme)
-    ideal = gains[-1] * min(max(length, cutoff), universe.total_relevant)
-
-    def finish(s):
-        if ideal == 0:
-            raise UndefinedValueError(reason="no relevant in universe")
-        return s[1], ideal
-
-    return Kernel((0, 0), _prefix_gain(gains, cutoff), finish)
+    ideal_count = min(max(length, cutoff), universe.total_relevant)
+    return _gain_over_ideal(cutoff, ideal_count, scheme, length)
 
 
 @lru_cache(maxsize=256)
@@ -574,12 +533,12 @@ class Measure:
             if self.family == "ranking":
                 if universe is None:
                     raise ParameterError(f"measures: {self.id} needs a universe")
-                kernel = _bound(self.fn, element.scheme, universe, element.length)
                 check_consistent(element, universe)
-                state, step, index = kernel.init, kernel.step, element.scheme.labels.index
-                for label in element.items:
-                    state = step(state, index(label))
-                result = kernel.finish(state)
+                state, step, finish = _bound(self.fn, element.scheme, universe, element.length)
+                index = element.scheme.labels.index
+                for r, label in enumerate(element.items, 1):
+                    state = step(state, r, index(label))
+                result = finish(state)
             elif self.family == "leveled":
                 result = self.fn(element)
             else:
@@ -587,10 +546,6 @@ class Measure:
         except UndefinedValueError as exc:
             raise UndefinedValueError(self.id, element.display(), exc.reason) from None
         return as_value(result)
-
-    def fold(self, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
-        """This rank measure's fold for rankings of one length (see module docstring)."""
-        return self.fn(scheme, universe, length)
 
     @property
     def eps(self) -> float | None:

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from metriclass.errors import (
+    ConstraintError,
     ParameterError,
     UndefinedValueError,
     UnsatisfiableNeedError,
@@ -235,6 +236,29 @@ class TestXcgFamily:
     def test_undefined_without_relevant_in_universe(self):
         with pytest.raises(UndefinedValueError):
             ev("nxcg@4", rk(0, 0, 0, 0), uni(8, 0))
+
+
+RANK_IDS = (
+    "r-precision", "r-wp", "r-measure", "sr", "msr", "rnorm", "pnorm", "ap", "awp",
+    "q-measure", "rr", "bpref", "prec@2", "recall@2", "nxcg@2", "manxcg@2", "gr@2",
+    "dcg?b=2", "rbp?p=1/2",
+)
+
+
+class TestInconsistentRanking:
+    """A ranking that does not fit its universe is refused before any formula runs."""
+
+    @pytest.mark.parametrize("measure_id", RANK_IDS)
+    @pytest.mark.parametrize("ranking, universe, message", [
+        (rk(1, 0), uni(2, 0), "model: ranking retrieves more relevant items than the universe holds"),
+        (rk(0, 1), uni(1, 1), "model: ranking is longer than the collection"),
+    ], ids=("more-relevant-than-R", "longer-than-N"))
+    def test_every_rank_measure_reports_the_model_constraint(
+        self, measure_id, ranking, universe, message
+    ):
+        with pytest.raises(ConstraintError) as info:
+            ev(measure_id, ranking, universe)
+        assert str(info.value) == message
 
 
 class TestExpectedSearchLength:

@@ -23,8 +23,9 @@ from metriclass.measures import measure_from_id
 from metriclass.report import emit_verdict_json
 
 MEASURES = {
-    "rankings": ("ap", "rr", "msr", "sr", "rnorm", "bpref", "q-measure", "r-precision",
-                 "prec@2", "nxcg@2", "rbp?p=1/2", "dcg?b=2", "dcg?b=3", "pnorm"),
+    "rankings": ("ap", "awp", "rr", "msr", "sr", "rnorm", "bpref", "q-measure", "r-precision",
+                 "r-wp", "r-measure", "prec@2", "recall@2", "nxcg@2", "manxcg@2", "gr@2",
+                 "rbp?p=1/2", "dcg?b=2", "dcg?b=3", "pnorm"),
     "contingency": ("recall", "precision", "f-measure", "fallout", "generality", "accuracy"),
     "user": ("coverage-ratio", "novelty-ratio", "recall-effort", "retrieval-recall"),
     "leveled": ("esl",),
