@@ -373,31 +373,32 @@ class SpacingResult:
 
 
 def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
-    """Are consecutive quotient gaps all equal?
+    """Does every gap between consecutive classes equal the first gap?
 
-    Returns the common gap, or the first three consecutive class values
-    whose two gaps disagree.  Single-class quotients report equispaced
-    vacuously but carry the degenerate flag.  Gaps are taken between class
-    keys: exact ones are compared by integer cross-multiplication, real
-    ones within ``DEFAULT_EPS``.
+    Returns the common gap, or the three consecutive class values ending
+    at the first gap unequal to the first.  Single-class quotients report
+    equispaced vacuously but carry the degenerate flag.  Gaps are taken
+    between class keys: exact ones are compared by integer
+    cross-multiplication, real ones within ``DEFAULT_EPS`` of the first gap
+    (nearness within a tolerance is not transitive).
     """
     classes = ordered.classes
     if len(classes) < 2:
         return SpacingResult(equispaced=True, degenerate=True)
     real = classes[0].key.__class__ is not tuple
-    previous = None
+    first = None
     for k in range(1, len(classes)):
         lo, hi = classes[k - 1].key, classes[k].key
         if real:
             gap = hi - lo
-            same = previous is None or abs(gap - previous) <= DEFAULT_EPS  # value_eq
+            same = first is None or abs(gap - first) <= DEFAULT_EPS  # value_eq
         else:  # a gap (num, den) over a positive den
             gap = hi[0] * lo[1] - lo[0] * hi[1], lo[1] * hi[1]
-            same = previous is None or gap[0] * previous[1] == previous[0] * gap[1]
+            same = first is None or gap[0] * first[1] == first[0] * gap[1]
         if not same:
             triple = (classes[k - 2].value, classes[k - 1].value, classes[k].value)
             return SpacingResult(equispaced=False, degenerate=False, violating_triple=triple)
-        previous = gap
+        first = first or gap  # gaps between distinct classes are nonzero
     return SpacingResult(equispaced=True, degenerate=False,
                          gap=sub(classes[1].value, classes[0].value))
 

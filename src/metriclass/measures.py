@@ -17,24 +17,26 @@ against the universe and the ranking length and returns a
 :class:`Kernel`: an ``init`` state, ``step(state, r, g)`` for the grade
 index ``g`` at rank ``r`` (the caller passes the rank, so no state holds
 it), and ``finish(state)``, called after exactly ``length`` steps, which
-gives the result.  Most measures are additive: a sum over ranks of a
+gives the result.  Thirteen measures are additive: a sum over ranks of a
 per-grade term times a per-rank weight, whose state is the running sum.
-Gains are integer numerators over the scheme's common gain denominator,
-and rational per-rank weights are integers over one denominator per
-length, so ``finish`` of an exact fold returns ``(num, den)`` without any
-``Fraction``.  ``ap``, ``awp``, ``q-measure`` and ``bpref`` keep small
-tuples of counts and sums, and ``rr`` the rank of the first relevant
-document.  ``dcg`` and ``pnorm`` add their float terms rank by rank in
-rank order and finish with the float.  A value that does not exist for
-the universe raises ``UndefinedValueError`` from the binder or
-``finish``; a bad parameter raises ``ParameterError`` and a cutoff padded
-past N raises ``ConstraintError`` from the binder.  ``Measure.evaluate``
-checks that the ranking fits the universe, then runs the fold over it
-(and calls any other measure's function on its element); formulas raise
-``UndefinedValueError`` with a reason only, and ``evaluate`` names the
-measure and the element.  A domain walk
-(``enumeration.Rankings.evaluators``) steps the fold once per prefix, so
-rankings that share a prefix share its state.
+``ap``, ``awp`` and ``q-measure`` are cumulative: a sum over relevant
+ranks of a per-rank weight times the running sum of a per-grade term,
+whose state is the pair of sums.  Gains are integer numerators over the
+scheme's common gain denominator, and rational per-rank weights are
+integers over one denominator per length, so ``finish`` of an exact fold
+returns ``(num, den)`` without any ``Fraction``.  ``bpref`` keeps a
+count and a sum, and ``rr`` the rank of the first relevant document.
+``dcg`` and ``pnorm`` add their float terms rank by rank in rank order
+and finish with the float.  Only the binder raises, never ``finish``: a
+value that does not exist for the universe and length (a zero
+denominator for every ranking) raises ``UndefinedValueError``, a bad
+parameter ``ParameterError`` and a cutoff padded past N
+``ConstraintError``.  ``Measure.evaluate`` checks that the ranking fits
+the universe, then runs the fold over it (and calls any other measure's
+function on its element); formulas raise ``UndefinedValueError`` with a
+reason only, and ``evaluate`` names the measure and the element.  A
+domain walk (``enumeration.Rankings.evaluators``) steps the fold once
+per prefix, so rankings that share a prefix share its state.
 
 Measure ids are stable strings: plain (``recall``), with a rank cutoff
 (``prec@4``), or with rational parameters (``rbp?p=1/2``, ``dcg?b=2``,
@@ -104,9 +106,10 @@ class Kernel(NamedTuple):
     ``step(state, r, g)`` consumes the grade index ``g`` at rank ``r``; the
     caller counts the ranks, from 1, so no state holds the rank.  States are
     immutable: the running sum of an additive fold (an int; a float for
-    ``pnorm`` and ``dcg``), a first relevant rank, or a tuple of counts and
-    sums, so one prefix state can be extended by every sibling grade.
-    ``finish`` is called after exactly ``length`` steps.
+    ``pnorm`` and ``dcg``), the pair of sums of a cumulative fold or of
+    ``bpref``, or a first relevant rank, so one prefix state can be
+    extended by every sibling grade.  ``finish`` is called after exactly
+    ``length`` steps and does not raise.
     """
 
     init: object
@@ -152,6 +155,28 @@ def _additive(per_grade, per_rank, finish) -> Kernel:
     return Kernel(0, step, finish)
 
 
+def _cumulative(per_grade, per_rank, finish) -> Kernel:
+    """Sum over relevant ranks r of ``per_rank[r]`` times the running ``per_grade`` sum.
+
+    Its state is ``(running, total)``; the lowest grade leaves it unchanged.
+    """
+
+    def step(s, r, g):
+        if not g:
+            return s
+        running = s[0] + per_grade[g]
+        return running, s[1] + running * per_rank[r]
+
+    return Kernel((0, 0), step, finish)
+
+
+def _total_relevant(universe: Universe, reason: str) -> int:
+    """R, for a measure whose denominator is 0 on every ranking when R = 0."""
+    if universe.total_relevant == 0:
+        raise UndefinedValueError(reason=reason)
+    return universe.total_relevant
+
+
 def _check_cutoff(cutoff: int, length: int) -> None:
     if cutoff < 1 or cutoff > length:
         raise ParameterError(
@@ -177,23 +202,18 @@ def _prec_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) 
 def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) over the total ideal gain; cg(r)/R in the binary case."""
     _check_cutoff(cutoff, length)
-    _, gains = _gain_numerators(scheme)
-    total = gains[-1] * universe.total_relevant
-    if total == 0:
-        raise UndefinedValueError(reason="no relevant in universe")
-    return _additive(gains, _upto(cutoff, length), lambda s: (s, total))
+    return _gain_over_ideal(cutoff, universe.total_relevant, scheme, universe, length)
 
 
-def _gain_over_ideal(cutoff: int, ideal_count: int, scheme: GradeScheme, length: int) -> Kernel:
-    """cg(cutoff) over the gain of ``ideal_count`` top-grade documents.
+def _gain_over_ideal(cutoff, most, scheme, universe, length) -> Kernel:
+    """cg(cutoff) over the gain of min(most, R) top-grade documents.
 
-    Undefined, when finished, if that ideal gain is 0.  Ranks padded up to
-    the cutoff have the lowest grade and add nothing.
+    Undefined if R = 0.  Ranks padded up to the cutoff have the lowest
+    grade and add nothing.
     """
     _, gains = _gain_numerators(scheme)
-    ideal = gains[-1] * ideal_count
-    return _additive(gains, _upto(cutoff, length),
-                     lambda s: _ratio(s, ideal, "no relevant in universe"))
+    ideal = gains[-1] * min(most, _total_relevant(universe, "no relevant in universe"))
+    return _additive(gains, _upto(cutoff, length), lambda s: (s, ideal))
 
 
 def _r_family(term):
@@ -204,9 +224,7 @@ def _r_family(term):
     """
 
     def bind(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
-        r_total = universe.total_relevant
-        if r_total == 0:
-            raise UndefinedValueError(reason="R = 0")
+        r_total = _total_relevant(universe, "R = 0")
         den, gains = _gain_numerators(scheme)
         per_grade = [term(x, den) for x in gains]
         ideal = per_grade[-1] * r_total
@@ -225,18 +243,17 @@ _r_measure.__doc__ = "(cg(R) + count(R)) / (cig(R) + R)"
 
 def _sr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(L) / cig(L)"""
-    return _gain_over_ideal(length, min(length, universe.total_relevant), scheme, length)
+    return _gain_over_ideal(length, length, scheme, universe, length)
 
 
 def _msr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Rank-weighted sliding ratio: sum g(r)/r over sum ig(r)/r."""
+    r_total = _total_relevant(universe, "no relevant in universe")
     _, gains = _gain_numerators(scheme)
     weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
-    harmonic = sum((Fraction(1, r) for r in range(1, min(length, universe.total_relevant) + 1)),
-                   Fraction(0))
+    harmonic = sum((Fraction(1, r) for r in range(1, min(length, r_total) + 1)), Fraction(0))
     ideal = gains[-1] * harmonic  # sum ig(r)/r, over the same gain denominator
-    return _additive(gains, weight, lambda s: _ratio(
-        s * ideal.denominator, den * ideal.numerator, "no relevant in universe"))
+    return _additive(gains, weight, lambda s: (s * ideal.denominator, den * ideal.numerator))
 
 
 def _check_rocchio(universe: Universe, length: int) -> int:
@@ -267,62 +284,33 @@ def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 
 def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of count(r)/r."""
-    r_total = universe.total_relevant
-    if r_total == 0:
-        raise UndefinedValueError(reason="R = 0")
+    r_total = _total_relevant(universe, "R = 0")
     weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
     total = den * r_total
-
-    def step(s, r, g):
-        if not g:
-            return s
-        c = s[0] + 1
-        return c, s[1] + c * weight[r]
-
-    return Kernel((0, 0), step, lambda s: (s[1], total))
+    return _cumulative(_relevant(scheme), weight, lambda s: (s[1], total))
 
 
 def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Sum over relevant ranks of cg(r)/cig(r) (no 1/R factor)."""
-    r_total = universe.total_relevant
+    r_total = _total_relevant(universe, "R = 0")
     _, gains = _gain_numerators(scheme)
-    # cig(r) = top * min(r, R); with R = 0 finish raises before the weights are read
-    weight, den = _weights(Fraction(1, max(1, min(r, r_total))) for r in range(1, length + 1))
+    # cig(r) = top * min(r, R), with top in the total
+    weight, den = _weights(Fraction(1, min(r, r_total)) for r in range(1, length + 1))
     total = den * gains[-1]
-
-    def step(s, r, g):
-        if not g:
-            return s
-        cg = s[0] + gains[g]
-        return cg, s[1] + cg * weight[r]
-
-    def finish(s):
-        if r_total == 0:
-            raise UndefinedValueError(reason="R = 0")
-        return s[1], total
-
-    return Kernel((0, 0), step, finish)
+    return _cumulative(gains, weight, lambda s: (s[1], total))
 
 
 def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of (cg(r)+count(r)) / (cig(r)+r)."""
-    r_total = universe.total_relevant
-    if r_total == 0:
-        raise UndefinedValueError(reason="R = 0")
+    r_total = _total_relevant(universe, "R = 0")
     den, gains = _gain_numerators(scheme)
-    top = gains[-1]
+    # cg(r) + count(r) over the gain denominator: each relevant rank adds gain + D
+    per_grade = [x + den * (x > 0) for x in gains]
     weight, wden = _weights(
-        Fraction(1, top * min(r, r_total) + den * r) for r in range(1, length + 1)
+        Fraction(1, gains[-1] * min(r, r_total) + den * r) for r in range(1, length + 1)
     )
     total = wden * r_total
-
-    def step(s, r, g):
-        if not g:
-            return s
-        c, cg = s[0] + 1, s[1] + gains[g]
-        return c, cg, s[2] + (cg + den * c) * weight[r]
-
-    return Kernel((0, 0, 0), step, lambda s: (s[2], total))
+    return _cumulative(per_grade, weight, lambda s: (s[1], total))
 
 
 def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -354,9 +342,7 @@ def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> K
 
 def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of 1 - (r - count(r))/R."""
-    r_total = universe.total_relevant
-    if r_total == 0:
-        raise UndefinedValueError(reason="R = 0")
+    r_total = _total_relevant(universe, "R = 0")
 
     def step(s, r, g):
         if not g:
@@ -370,7 +356,7 @@ def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
 def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / cig(r) at the cutoff rank."""
     _check_padded(cutoff, universe, length)
-    return _gain_over_ideal(cutoff, min(cutoff, universe.total_relevant), scheme, length)
+    return _gain_over_ideal(cutoff, cutoff, scheme, universe, length)
 
 
 def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -381,28 +367,20 @@ def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
     have the lowest grade and add nothing.
     """
     _check_padded(cutoff, universe, length)
-    r_total = universe.total_relevant
+    r_total = _total_relevant(universe, "no relevant in universe")
     _, gains = _gain_numerators(scheme)
-    # cig(j) = top * min(j, R), with top in the total; with R = 0 finish
-    # raises before the weights are read
-    inverse, den = _weights(Fraction(1, max(1, min(j, r_total))) for j in range(1, cutoff + 1))
+    # cig(j) = top * min(j, R), with top in the total
+    inverse, den = _weights(Fraction(1, min(j, r_total)) for j in range(1, cutoff + 1))
     suffix = list(accumulate(reversed(inverse[1:])))[::-1]  # suffix[r - 1]: j from r to cutoff
     weight = [0] + suffix[:length] + [0] * (length - cutoff)
     total = den * gains[-1] * cutoff
-
-    def finish(s):
-        if r_total == 0:
-            raise UndefinedValueError(reason="no relevant in universe")
-        return s, total
-
-    return _additive(gains, weight, finish)
+    return _additive(gains, weight, lambda s: (s, total))
 
 
 def _gr_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """cg(r) / cig(L): prefix gain against the full-length ideal gain."""
     _check_padded(cutoff, universe, length)
-    ideal_count = min(max(length, cutoff), universe.total_relevant)
-    return _gain_over_ideal(cutoff, ideal_count, scheme, length)
+    return _gain_over_ideal(cutoff, max(length, cutoff), scheme, universe, length)
 
 
 @lru_cache(maxsize=256)

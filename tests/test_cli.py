@@ -117,6 +117,12 @@ CLASSIFY_GOLDENS = [
     ("ap", "binary:L=12"),
     ("rbp?p=1/2", "binary:L=8", "--oracle-cap", "1024"),
     ("precision", "contingency:N=15,R=5,seed=3"),
+    # recorded from these measures' earlier hand-written folds, before their rewrite
+    ("q-measure", "graded:levels=3,L=6,R=3,N=9"),
+    ("awp", "graded:levels=4,L=5,R=2,N=7"),
+    ("manxcg@3", "binary:L=2..5,R=2,N=7"),
+    ("msr", "binary:L=7,R=3,N=10"),
+    ("bpref", "binary:L=6,R=3,N=9"),
 ]
 
 
@@ -412,6 +418,14 @@ class TestDemos:
         runpy.run_path(str(script), run_name="__main__")
         golden = DATA / "demos" / f"{script.stem}.txt"
         assert capsys.readouterr().out == golden.read_bytes().decode("utf-8")
+
+    def test_readme_library_quickstart(self, capsys):
+        readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.partition("## Library quickstart")[2]
+        code = section.partition("```python\n")[2].partition("```")[0]
+        exec(code, {})
+        assert capsys.readouterr().out.splitlines() == [
+            "Exact(5/9)", "Exact(2/5)", "interval/metric", "Exact(1/64)"]
 
 
 class TestUsageErrors:

@@ -317,6 +317,46 @@ class TestEquispacing:
         result = check_equispaced(order_values([("a", exact(1)), ("b", exact(1))]))
         assert result.equispaced and result.degenerate
 
+    def test_real_gaps_are_compared_with_the_first_gap(self):
+        # each gap is within eps of the one before it, but the last is 1.8 eps
+        # past the first, which the oracle compares every gap with
+        values = (0.0, 1.0, 2 + 0.9e-9, 3 + 2.7e-9)
+        ordered = order_values([(f"e{i}", Approx(x)) for i, x in enumerate(values)])
+        result = check_equispaced(ordered)
+        assert not result.equispaced
+        assert [v.real for v in result.violating_triple] == list(values[1:])
+        assert interval_scale_oracle(ordered).note == UNEQUAL
+
+
+@st.composite
+def perturbed_chains(draw):
+    """Real chains at k * gap with each gap moved by a few eps, in steps of 0.3 eps.
+
+    No gap then lies within 0.1 eps of the tolerance from the first gap,
+    far above the floats' rounding.
+    """
+    gap = draw(st.sampled_from((1e-8, 0.1, 1 / 3, 1.0, 7.0)))
+    steps = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=10))
+    offsets = accumulate([0] + steps)
+    values = [i * gap + n * 0.3 * DEFAULT_EPS for i, n in enumerate(offsets)]
+    return order_values([(f"e{i}", Approx(x)) for i, x in enumerate(values)])
+
+
+class TestSpacingAgreesWithOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_chains())
+    @example(order_values([(f"e{i}", Approx(x)) for i, x in
+                           enumerate((0.0, 1.0, 2 + 0.9e-9, 3 + 2.7e-9))]))
+    def test_same_verdict(self, ordered):
+        spacing, oracle = check_equispaced(ordered), interval_scale_oracle(ordered)
+        # the oracle's offset-1 pairs are the spacing check's comparisons
+        assert spacing.equispaced or oracle.note == UNEQUAL
+        if len(ordered.classes) <= 4:
+            # with at most three gaps every offset compares gaps with the first
+            # gap; longer chains also compare sums of gaps, where a tolerance
+            # does not add up, so there only the implication above holds
+            assert spacing.equispaced == oracle.verdict
+
 
 def span(ordered, i, j):
     """Elements z with f(i) <= f(z) <= f(j): the sizes of the classes from i's to j's."""

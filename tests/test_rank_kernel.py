@@ -176,6 +176,46 @@ def test_fold_equals_the_formula(measure_id):
                     assert got.real.hex() == expected.hex(), (measure_id, items, big_r)
 
 
+# the reason each rank measure gives, when it is bound, for a universe with R = 0;
+# prec@, rr, dcg and rbp are defined there
+R_ZERO_REASONS = {
+    **dict.fromkeys(("r-precision", "r-wp", "r-measure", "ap", "awp", "q-measure", "bpref"),
+                    "R = 0"),
+    **dict.fromkeys(("sr", "msr", "recall@2", "nxcg@3", "manxcg@3", "gr@3"),
+                    "no relevant in universe"),
+    **dict.fromkeys(("rnorm", "pnorm"), "requires 0 < R < L"),
+}
+
+
+@pytest.mark.parametrize("measure_id", RANK_IDS)
+def test_binding_finds_r_zero_undefined(measure_id):
+    bind, reason = measure_from_id(measure_id).fn, R_ZERO_REASONS.get(measure_id)
+    for scheme in SCHEMES:
+        for length in (3, 4):
+            universe = Universe(length + 2, 0)
+            if reason is None:
+                bind(scheme, universe, length)
+                continue
+            with pytest.raises(UndefinedValueError) as info:
+                bind(scheme, universe, length)
+            assert info.value.reason == reason
+
+
+@pytest.mark.parametrize("measure_id", RANK_IDS)
+def test_finish_never_raises(measure_id):
+    bind = measure_from_id(measure_id).fn
+    for text in ("binary:L=1..4", "graded:levels=3,L=1..3"):
+        spec = parse_domain(text)
+        for ranking in enumerate_domain(spec):
+            try:
+                state, step, finish = bind(ranking.scheme, spec.universe, ranking.length)
+            except (ParameterError, UndefinedValueError):
+                continue  # a cutoff past L, or R >= L for rnorm and pnorm
+            for r, label in enumerate(ranking.items, 1):
+                state = step(state, r, ranking.scheme.labels.index(label))
+            finish(state)
+
+
 def per_element(measure, spec):
     pairs = []
     for element in enumerate_domain(spec):
