@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, starmap
-from typing import Callable, ClassVar, Iterator, Optional
+from typing import Callable, ClassVar, Iterable, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
 from .model import (
@@ -42,7 +42,6 @@ from .model import (
     UserContext,
     ranking_label,
 )
-from .values import as_value
 
 #: Refuse to enumerate domains larger than this (overridable per call).
 DEFAULT_CAP = 10_000_000
@@ -582,71 +581,35 @@ def format_domain(spec: Domain) -> str:
     return spec.format()
 
 
-def _check_cap(spec: Domain, cap: int) -> int:
-    size = cardinality(spec, cap)
-    if size > cap:
-        raise DomainTooLargeError(size, cap)
-    return size
-
-
-def _shuffled(spec: Domain, items):
-    if spec.order_seed is not None:
-        random.Random(spec.order_seed).shuffle(items)
-    return items
-
-
 def enumerate_domain(spec: Domain, cap: int = DEFAULT_CAP) -> Iterator:
     """Deterministic, duplicate-free stream of the domain's elements.
 
     Refuses up front when the counted cardinality exceeds ``cap``.  With
     an order seed the stream is materialized and shuffled reproducibly.
     """
-    _check_cap(spec, cap)
-    if spec.order_seed is None:
-        return spec.elements()
-    return iter(_shuffled(spec, list(spec.elements())))
-
-
-def labeled_values(spec: Domain, measure, cap: int = DEFAULT_CAP) -> list[tuple]:
-    """``(label, value or None)`` for every element, in ``enumerate_domain`` order.
-
-    The values come from ``spec.evaluators(measure)``, the walks that the
-    value summary streams, each raw result wrapped as ``Measure.evaluate``
-    wraps it; undefined points (``UndefinedValueError``) get None and any
-    other error propagates.  Under a seed the pairs are shuffled exactly as
-    the elements are.
-    """
-    _check_cap(spec, cap)
-    labels = spec.labels()
-    pairs = []
-    for stream, evaluate in spec.evaluators(measure):
-        # stream first: zip stops on an exhausted stream without taking a label
-        for item, label in zip(stream, labels):
-            try:
-                value = as_value(evaluate(item))
-            except UndefinedValueError:
-                value = None
-            pairs.append((label, value))
-    return _shuffled(spec, pairs)
+    return ElementOrder(spec, cap).arrange(spec.elements())
 
 
 class ElementOrder:
     """Where each element of a domain stands in ``enumerate_domain``'s order.
 
-    Refuses an over-cap domain up front, as ``enumerate_domain`` does.
-    Without a seed an element's position is its index in lexicographic
-    order.  With one, a compact array of the indices is shuffled as
-    ``enumerate_domain`` shuffles the elements (a shuffle depends only on
-    the length), and its inverse maps each index to its position.
+    Refuses an over-cap domain up front.  Without a seed an element's
+    position is its index in lexicographic order.  With one, a compact
+    array of the indices is shuffled by ``random.Random(seed)`` (a shuffle
+    depends only on the length), and its inverse maps each index to its
+    position.
     """
 
     def __init__(self, spec: Domain, cap: int = DEFAULT_CAP):
-        size = _check_cap(spec, cap)
+        size = cardinality(spec, cap)
+        if size > cap:
+            raise DomainTooLargeError(size, cap)
         self.spec = spec
         self._positions: Optional[array] = None
         if spec.order_seed is not None:
             typecode = "i" if size < 2**31 else "q"  # 4 bytes per element below the default cap
-            shuffled = _shuffled(spec, array(typecode, range(size)))
+            shuffled = array(typecode, range(size))
+            random.Random(spec.order_seed).shuffle(shuffled)
             self._positions = positions = array(typecode, shuffled)
             for position, index in enumerate(shuffled):
                 positions[index] = position
@@ -654,6 +617,15 @@ class ElementOrder:
     def positions(self) -> Iterator[int]:
         """The position of each element, in lexicographic order."""
         return count() if self._positions is None else iter(self._positions)
+
+    def arrange(self, items: Iterable) -> Iterator:
+        """``items``, one per element in lexicographic order, in position order."""
+        if self._positions is None:
+            return iter(items)
+        arranged = [None] * len(self._positions)
+        for position, item in zip(self._positions, items):
+            arranged[position] = item
+        return iter(arranged)
 
     def labels_at(self, *positions: int) -> list[str]:
         """Display forms of the elements at ``positions``.

@@ -35,7 +35,7 @@ from itertools import count, islice, repeat
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain, labeled_values
+from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain
 from .errors import ConstraintError, UndefinedValueError
 from .measures import Measure
 from .values import DEFAULT_EPS, Exact, Value, absdiff, add, as_value, exact, fmt, sub
@@ -88,11 +88,6 @@ class ValueSummary:
 
     def labels_at(self, *positions: int) -> list[str]:
         return self.order.labels_at(*positions)
-
-
-def _key_of(value: Value) -> Key:
-    """The key of a value: the reduced (num, den) of an exact one, a real's float."""
-    return value.rational.as_integer_ratio() if value.__class__ is Exact else value.real
 
 
 @dataclass(frozen=True)
@@ -242,47 +237,59 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     return ValueSummary(classes, elements, excluded, first_excluded, order)
 
 
-def _pair_key(pair: tuple[str, Optional[Value]]) -> Key:
-    if pair[1] is None:
-        raise UndefinedValueError
-    return _key_of(pair[1])
+def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]],
+             labels: Iterable[str]) -> OrderedDomain:
+    """``summarize``'s classes of a walk, with one more walk to list their members.
 
-
-def order_values(labeled_values: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
-    """Build the induced order from (label, value) pairs; None values are excluded.
-
-    The classes are those of the one-pass summary (``summarize``), and one
-    more pass lists each defined element in its class.
+    ``walk()`` and ``positions()`` are fresh arguments to ``_gather``, and
+    ``labels`` are in position order.  Each element is keyed as ``_gather``
+    keys it; positions arrive out of order under a seed, so lists are sorted.
     """
-    groups, _, _ = _gather([(labeled_values, _pair_key)], count())
+    groups, _, _ = _gather(walk(), positions())
     classes = _quotient(groups)
     members: list[list[int]] = [[] for _ in classes]
     excluded = []
-    for i, (_, v) in enumerate(labeled_values):
-        if v is None:
-            excluded.append(i)
-        else:
-            members[groups[_key_of(v)]].append(i)
-    return OrderedDomain(
-        tuple(label for label, _ in labeled_values),
-        tuple(classes),
-        tuple(map(tuple, members)),
-        tuple(excluded),
-    )
+    place = positions()
+    for stream, evaluate in walk():
+        for item, position in zip(stream, place):
+            try:
+                v = evaluate(item)
+            except UndefinedValueError:
+                excluded.append(position)
+                continue
+            if v.__class__ is not float:
+                num, den = v
+                d = gcd(num, den)
+                v = (num // d, den // d)
+            members[groups[v]].append(position)
+    return OrderedDomain(tuple(labels), tuple(classes), tuple(tuple(sorted(m)) for m in members),
+                         tuple(sorted(excluded)))
 
 
-def induced_order(
-    measure: Measure, spec: Domain, cap: int | None = None
-) -> OrderedDomain:
+def _raw(value: Optional[Value]) -> Key:
+    """The raw result a value wraps, or ``UndefinedValueError`` for None."""
+    if value is None:
+        raise UndefinedValueError
+    return value.rational.as_integer_ratio() if value.__class__ is Exact else value.real
+
+
+def order_values(pairs: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
+    """The induced order of (label, value) pairs, grouped as a walk is; None is excluded."""
+    values = [v for _, v in pairs]
+    return _ordered(lambda: [(values, _raw)], count, (label for label, _ in pairs))
+
+
+def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> OrderedDomain:
     """Evaluate the measure over the domain and sort it into the weak order.
 
-    The values come from the walks ``summarize`` streams, and the classes
-    are the summary's; unlike the summary this keeps every element's label
-    and the member list of each class, as the Hasse export lists them.
-    Undefined points are excluded.
+    The walks and classes are ``summarize``'s; this also keeps every
+    element's label and each class's members, which the Hasse export
+    lists.  Undefined points are excluded.
     """
     _check_family(measure, spec)
-    return order_values(labeled_values(spec, measure, DEFAULT_CAP if cap is None else cap))
+    order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
+    return _ordered(lambda: spec.evaluators(measure), order.positions,
+                    order.arrange(spec.labels()))
 
 
 def distance(measure: Measure, a, b, universe=None) -> Value:

@@ -548,12 +548,13 @@ class _Row(NamedTuple):
 
 
 def _dcg_of(b: Fraction) -> Callable:
-    if b <= 1:
-        raise ParameterError("measures: dcg base must be greater than 1")
     try:
-        return partial(_dcg, float(b))
+        base = float(b)
     except OverflowError:
         raise ParameterError("measures: dcg base is beyond the float range") from None
+    if base <= 1:  # also a base just above 1 that rounds to 1.0, whose log is 0
+        raise ParameterError("measures: dcg base must be greater than 1")
+    return partial(_dcg, base)
 
 
 def _utility_of(**weights: Fraction) -> Callable:

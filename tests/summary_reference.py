@@ -7,10 +7,10 @@ every element: ``labeled_values`` lists a ``(label, value)`` pair per
 element, ``order_values`` sorts them into classes that carry a value and
 a member list, and the three checks and ``classify`` read those.  The
 records (``Class``, ``Ordered``) are this module's own, so the reference
-shares no class type with ``intrinsic``.  Unlike
-``enumeration.labeled_values``, which ``hasse`` uses, this
-``labeled_values`` evaluates each element of ``enumerate_domain`` on its
-own, so it does not share the prefix-sharing walk it checks.
+shares no class type with ``intrinsic``.  ``labeled_values`` evaluates
+each element of ``enumerate_domain`` on its own, so it does not share
+the prefix-sharing walk (``Domain.evaluators``) that ``classify`` and
+``hasse`` group.
 ``test_summary.py`` compares every ``Verdict`` field of the two paths.
 """
 

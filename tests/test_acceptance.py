@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 from metriclass.cli import run
-from metriclass.enumeration import enumerate_domain, labeled_values, parse_domain
+from metriclass.enumeration import enumerate_domain, parse_domain
 from metriclass.errors import UndefinedValueError
 from metriclass.intrinsic import INTERVAL_METRIC, build_hasse, classify, induced_order
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.report import RANK_BASED_SUITE, SET_BASED_SUITE, build_published_suite
 from metriclass.values import Approx, Exact, add, exact, value_eq
+from summary_reference import labeled_values
 from pseudometric import pseudometric_check
 
 BINARY = GradeScheme.binary()

@@ -177,6 +177,10 @@ HASSE_GOLDENS = [
     ("recall", "contingency:N=15,R=5"),
     ("novelty-ratio", "user:U=1,A=1..4"),
     ("esl", "leveled:docs=4,s=1"),
+    # seeded: positions reach the member lists out of order
+    ("precision", "contingency:N=12,R=4,seed=5"),  # with an undefined point
+    ("pnorm", "binary:L=6,R=3,N=9,rel=3,seed=2"),  # reals
+    ("novelty-ratio", "user:U=2,A=1..5,seed=1"),  # with five undefined points
 ]
 
 
@@ -404,6 +408,17 @@ class TestMalformedInput:
         assert code == 0
         assert json.loads(out)["verdict"]["oracle_note"] == (
             "skipped: 16 classes exceed the oracle cap 0")
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--domain", "binary:L=3"),
+        ("evaluate", "--ranking", "1,0", "--universe", "N=2,R=1"),
+    ], ids=lambda argv: argv[0])
+    def test_dcg_base_that_rounds_to_one_is_refused(self, argv):
+        verb, *rest = argv
+        code, out, err = invoke(verb, "--measure", "dcg?b=1.0000000000000000001", *rest)
+        assert (code, out) == (2, "")
+        assert err == "error: measures: dcg base must be greater than 1\n"
+        assert "Traceback" not in err
 
     def test_nonpositive_need_reports_the_model_rule(self):
         code, _, err = invoke("evaluate", "--measure", "esl", "--leveled", "(1,2)", "--need", "0")

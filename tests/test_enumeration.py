@@ -1,11 +1,13 @@
 """Domain enumeration: counts, order, determinism, spec round-trips."""
 
+import random
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
 from metriclass.enumeration import (
+    ElementOrder,
     cardinality,
     element_to_str,
     enumerate_domain,
@@ -195,6 +197,19 @@ class TestEnumerate:
         assert shuffled == again  # deterministic
         assert shuffled != plain
         assert sorted(r.items for r in shuffled) == sorted(r.items for r in plain)
+
+    @pytest.mark.parametrize("text", [
+        "binary:L=1..4,R=2,N=6,seed=9", "graded:levels=3,L=3,seed=2",
+        "contingency:N=12,R=4,seed=5", "user:U=2,A=1..5,seed=1", "leveled:docs=4,s=1,seed=3",
+    ])
+    def test_seeded_order_is_the_shuffled_lexicographic_order(self, text):
+        spec = parse_domain(text)
+        elements = list(spec.elements())
+        random.Random(spec.order_seed).shuffle(elements)
+        assert list(enumerate_domain(spec)) == elements
+        order = ElementOrder(spec)
+        positions = range(len(elements))
+        assert order.labels_at(*positions) == [element_to_str(e) for e in elements]
 
     @pytest.mark.parametrize("text", [
         "binary:L=1..4", "binary:L=5,R=2", "binary:L=5,R=3,rel=2", "binary:L=3,R=0",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metriclass.enumeration import enumerate_domain, labeled_values, parse_domain
+from metriclass.enumeration import enumerate_domain, parse_domain
 from metriclass.errors import ConstraintError
 from metriclass.intrinsic import (
     INTERVAL_METRIC,
@@ -28,6 +28,7 @@ from metriclass.intrinsic import (
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.values import DEFAULT_EPS, Approx, Exact, exact, value_eq
+from summary_reference import labeled_values
 from oracle_reference import reference_oracle
 from pseudometric import pseudometric_check
 

@@ -172,9 +172,15 @@ class TestRankBiased:
         assert abs(a.real - 1.0) <= 1e-9
         assert abs(b.real - 1.0) <= 1e-9
 
-    def test_discounted_gain_base_must_exceed_one(self):
-        with pytest.raises(ParameterError):
-            ev("dcg?b=1", rk(1, 0), uni(8, 2))
+    @pytest.mark.parametrize("measure_id", ["dcg?b=1", "dcg?b=1/2", "dcg?b=1.0000000000000000001"])
+    def test_discounted_gain_base_must_exceed_one(self, measure_id):
+        # the last base exceeds 1 but rounds to the float 1.0, whose log is 0
+        with pytest.raises(ParameterError, match="dcg base must be greater than 1"):
+            ev(measure_id, rk(1, 0), uni(8, 2))
+
+    def test_discounted_gain_base_beyond_the_float_range(self):
+        with pytest.raises(ParameterError, match="dcg base is beyond the float range"):
+            ev("dcg?b=1e400", rk(1, 0), uni(8, 2))
 
     def test_rbp_score_difference_changes_sign_around_golden_ratio(self):
         # (1-p) * (1 - p - p^2) is positive below the positive root and

@@ -18,17 +18,12 @@ from itertools import accumulate
 import pytest
 
 import summary_reference
-from metriclass.enumeration import (
-    element_to_str,
-    enumerate_domain,
-    labeled_values,
-    parse_domain,
-)
+from metriclass.enumeration import ElementOrder, element_to_str, enumerate_domain, parse_domain
 from metriclass.errors import ConstraintError, ParameterError, UndefinedValueError
 from metriclass.intrinsic import classify, induced_order, order_values
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
-from metriclass.values import Exact
+from metriclass.values import Exact, as_value
 
 RANK_IDS = (
     "r-precision", "r-wp", "r-measure", "sr", "msr", "rnorm", "pnorm", "ap", "awp",
@@ -228,7 +223,19 @@ def per_element(measure, spec):
 
 
 def walked(measure, spec):
-    return labeled_values(spec, measure)
+    """``(label, value or None)`` per element from the domain walk, in position order."""
+    order = ElementOrder(spec)
+    pairs = []
+    labels = spec.labels()
+    for stream, evaluate in spec.evaluators(measure):
+        # stream first: zip stops on an exhausted stream without taking a label
+        for item, label in zip(stream, labels):
+            try:
+                value = as_value(evaluate(item))
+            except UndefinedValueError:
+                value = None
+            pairs.append((label, value))
+    return list(order.arrange(pairs))
 
 
 def outcome(fn, *args):
