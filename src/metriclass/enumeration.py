@@ -162,16 +162,20 @@ class Domain:
     def labels(self) -> Iterator[str]:
         return (element.display() for element in self.elements())
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
-        """``(stream, evaluate)`` pairs covering the elements in order.
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
+        """``(stream, evaluate, runs)`` triples covering the elements in order.
 
         ``evaluate(item)`` over the items of each stream in turn gives the
         measure's raw result (``(num, den)`` or a float, see
         :mod:`metriclass.measures`) on every element, in lexicographic
         order, or raises ``UndefinedValueError`` where the value is
-        undefined.  Here the one stream is the elements themselves.
+        undefined.  In an element stream (``runs`` false) each item stands
+        for one element.  In a run stream each item is ``(item, k)``: a
+        settled prefix and the k elements that complete it, which are
+        consecutive and all share the result ``evaluate(item)``.  Here the
+        one stream is the elements themselves.
         """
-        yield self.elements(), measure.fn
+        yield self.elements(), measure.fn, False
 
 
 class _CountTuples(Domain):
@@ -183,17 +187,17 @@ class _CountTuples(Domain):
     def elements(self) -> Iterator:
         return starmap(self.element_type, self.count_tuples())
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
         fn = measure.fn
-        yield self.count_tuples(), lambda counts: fn(*counts)
-
-
-def _no_step(state, r, g):
-    return state
+        yield self.count_tuples(), lambda counts: fn(*counts), False
 
 
 def _undefined(state):
     raise UndefinedValueError
+
+
+def _result(result):
+    return result
 
 
 @dataclass(frozen=True)
@@ -272,16 +276,23 @@ class Rankings(Domain):
     def scheme(self) -> GradeScheme:
         return GradeScheme.equispaced(self.levels)
 
-    def walk(self, length: int, init, step) -> Iterator:
+    def walk(self, length: int, init, step, horizon: Optional[int] = None) -> Iterator:
         """Depth-first walk over the rankings of one length, in lexicographic order.
 
-        Yields, per ranking, ``init`` folded through ``step(state, rank,
-        grade index)`` along the ranking's grades, with ranks counted from 1
-        (the depth the walk is at), so a fold's state need not carry the
-        rank.  Each prefix is stepped once and its state shared by every
-        extension.  Prefixes whose relevant count cannot end within R (or at
-        ``rel=``) are pruned, so every node visited lies on the path to some
-        element and the walk costs at most ``length`` steps per element.
+        Steps ``init`` through ``step(state, rank, grade index)`` along each
+        ranking's grades, with ranks counted from 1 (the depth the walk is
+        at), so a fold's state need not carry the rank.  Each prefix is
+        stepped once and its state shared by every extension.  Prefixes
+        whose relevant count cannot end within R (or at ``rel=``) are
+        pruned, so every node visited lies on the path to some element and
+        the walk costs at most ``length`` steps per element.
+
+        Without a ``horizon`` below ``length`` it yields, per ranking, the
+        final state.  With one it stops at that depth and yields, per
+        prefix of that length, ``(state, k)``: the prefix's state and the
+        number of rankings that complete it, which are consecutive.  The
+        stop depth is chosen once per walk, so a walk without a horizon
+        makes no extra comparison per node.
         """
         ascending = range(self.levels)
         descending = ascending[::-1]  # pushed so that the stack pops them ascending
@@ -290,6 +301,19 @@ class Rankings(Domain):
         least = exact_rel or 0
         last = length - 1
         stack = [(0, 0, init)]  # (depth, relevant count, state) of a prefix
+        if horizon is not None and horizon < length:
+            completions = self._completions(horizon, length - horizon, least, most)
+            while stack:
+                depth, rel, state = stack.pop()
+                if depth == horizon:
+                    yield state, completions[rel]
+                    continue
+                room = last - depth
+                for g in descending:
+                    count = rel + (g > 0)
+                    if count <= most and count + room >= least:
+                        stack.append((depth + 1, count, step(state, depth + 1, g)))
+            return
         while stack:
             depth, rel, state = stack.pop()
             if depth == last:  # the children are elements
@@ -302,6 +326,20 @@ class Rankings(Domain):
                 count = rel + (g > 0)
                 if count <= most and count + room >= least:
                     stack.append((depth + 1, count, step(state, depth + 1, g)))
+
+    def _completions(self, head: int, tail: int, least: int, most: int) -> list[int]:
+        """Per relevant count c of a ``head``-long prefix, the rankings completing it.
+
+        Those are ``tail`` more grades holding j relevant ones, for every j
+        that keeps c + j within [least, most]: the sum of C(tail, j) (g-1)^j
+        over those j, with g the number of levels.
+        """
+        other = self.levels - 1
+        return [
+            sum(math.comb(tail, j) * other**j
+                for j in range(max(0, least - c), min(tail, most - c) + 1))
+            for c in range(min(head, most) + 1)
+        ]
 
     def _items(self) -> Iterator[tuple[str, ...]]:
         labels = self.scheme.labels
@@ -318,21 +356,24 @@ class Rankings(Domain):
     def labels(self) -> Iterator[str]:
         return map(ranking_label, self._items())
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
         """One pruned walk per length over the measure's fold, into its ``finish``.
 
         ``measure.fn`` binds the fold to this scheme, universe and length.
-        A fold that is undefined for a whole length marks every element of
-        that length undefined; any other error propagates.
+        A fold whose horizon is below the length is walked to its horizon
+        only, as a run stream; any other fold yields every ranking.  A fold
+        that is undefined for a whole length marks every element of that
+        length undefined, as one run from the empty prefix; any other error
+        propagates.
         """
         for length in self.lengths:
             if self.exact_relevant is not None and self.exact_relevant > length:
                 continue  # no element of this length, so its fold is never made
             try:
-                init, step, finish = measure.fn(self.scheme, self.universe, length)
+                init, step, finish, horizon = measure.fn(self.scheme, self.universe, length)
             except UndefinedValueError:
-                init, step, finish = None, _no_step, _undefined
-            yield self.walk(length, init, step), finish
+                init, step, finish, horizon = None, None, _undefined, 0  # the root is the run
+            yield self.walk(length, init, step, horizon), finish, horizon < length
 
     def element(self, text: str) -> Ranking:
         if not (text.startswith("<") and text.endswith(">")):
@@ -464,7 +505,12 @@ class User(_CountTuples):
 
 @dataclass(frozen=True)
 class Leveled(Domain):
-    """Leveled outputs of 1..docs documents holding at least s relevant ones."""
+    """Leveled outputs of 1..docs documents holding at least s relevant ones.
+
+    ``elements()`` lists every output.  ``evaluators`` walks ``esl``'s
+    level fold instead and stops at the first level that meets the need,
+    so it pays per settled prefix, not per output.
+    """
 
     kind: ClassVar[str] = "leveled"
     family: ClassVar[str] = "leveled"
@@ -531,6 +577,42 @@ class Leveled(Domain):
         # smaller outputs first, lexicographic level structure within one total
         for total in range(1, self.max_docs + 1):
             yield from rec(total, 0, [])
+
+    def walk(self, init, step) -> Iterator[tuple[object, int]]:
+        """Level prefixes in ``elements()`` order, up to the level that settles the fold.
+
+        ``step`` is a :class:`~metriclass.measures.LevelFold`'s.  Yields
+        ``(result, k)`` per prefix whose last level settles the fold, with
+        k the outputs that complete it, which are consecutive.  A prefix
+        holding m fewer documents than its output's total is completed in
+        c(m) ways, whatever their relevance: c(0) = 1 and c(m) is the sum
+        over the size s of the next level of (s+1) c(m-s), as that level
+        can hold 0..s relevant documents.  Prunes as ``elements()`` does.
+        """
+        need = self.need
+        completions = [1]
+        for m in range(1, self.max_docs + 1):
+            completions.append(sum((s + 1) * completions[m - s] for s in range(1, m + 1)))
+
+        def rec(remaining: int, have: int, state):
+            for size in range(1, remaining + 1):
+                rest = remaining - size
+                for rel in range(0, size + 1):
+                    if have + rel + rest < need:
+                        continue  # the need is out of reach even if the rest is relevant
+                    settled, after = step(state, rel, size - rel)
+                    if settled:
+                        yield after, completions[rest]
+                    else:
+                        yield from rec(rest, have + rel, after)
+
+        for total in range(1, self.max_docs + 1):
+            yield from rec(total, 0, init)
+
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
+        """One run stream: the level fold's settled prefixes, each with its result."""
+        init, step = measure.fn(self.need)
+        yield self.walk(init, step), _result, True
 
     @staticmethod
     def element(text: str) -> LeveledOutput:

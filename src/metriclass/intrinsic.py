@@ -19,7 +19,8 @@ Classification needs only the attained values in order, how often each is
 attained and the two earliest elements attaining it (``summarize``).  The
 induced order (``induced_order``) has the same classes, one ``ValueClass``
 each, and beside them lists every class's members, which only the Hasse
-export reads.  Values are grouped, ordered and compared by their keys,
+export reads.  A walk may hand over a settled prefix as one run: k
+consecutive elements that share one value, which join its class at once.  Values are grouped, ordered and compared by their keys,
 the reduced integers ``(num, den)`` of an exact value or the float of a
 real, and a value object is built only where one is reported: a witness,
 a gap, a violating triple or a node of the Hasse chain.
@@ -31,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, islice, repeat, starmap
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -109,13 +110,17 @@ class OrderedDomain:
         return [self.labels[i] for i in indices]
 
 
-def _gather(evaluators: Iterable[tuple[Iterable, Callable]], positions):
+def _gather(evaluators: Iterable[tuple[Iterable, Callable, bool]], positions):
     """Bucket attained values by key in one pass over the elements.
 
-    ``evaluate(item)`` over each stream in turn gives the elements' raw
-    results, ``(num, den)`` with a positive ``den`` or a float, or raises
-    ``UndefinedValueError``; ``positions`` yields each element's position.
-    An exact result is keyed by the pair reduced by one ``gcd``, which is
+    ``evaluators`` yields ``(stream, evaluate, runs)`` as
+    ``Domain.evaluators`` does: ``evaluate(item)`` gives a raw result,
+    ``(num, den)`` with a positive ``den`` or a float, or raises
+    ``UndefinedValueError``, for one element of an element stream, or for
+    each of the k consecutive elements of a run ``(item, k)``.
+    ``positions`` yields each element's position: a ``count`` from 0 in
+    lexicographic order, or the positions a seed gives them.  An exact
+    result is keyed by the pair reduced by one ``gcd``, which is
     ``Fraction(num, den).as_integer_ratio()`` without a ``Fraction``; a
     real by its float.  A key maps to its element's position while it is
     attained once, then to ``[count, earliest, second earliest]``.
@@ -125,7 +130,20 @@ def _gather(evaluators: Iterable[tuple[Iterable, Callable]], positions):
     groups: dict[tuple | float, int | list[int]] = {}
     excluded = 0
     first_excluded: Optional[int] = None
-    for stream, evaluate in evaluators:
+    for stream, evaluate, runs in evaluators:
+        if runs:
+            for item, k in stream:
+                run, positions = _take(positions, k)
+                earliest = run[:2] if run.__class__ is range else sorted(run)[:2]
+                try:
+                    v = evaluate(item)
+                except UndefinedValueError:
+                    excluded += k
+                    if first_excluded is None or earliest[0] < first_excluded:
+                        first_excluded = earliest[0]
+                    continue
+                _enter(groups, _key(v), k, tuple(earliest))
+            continue
         # stream first: zip stops on an exhausted stream without taking a position
         for item, position in zip(stream, positions):
             try:
@@ -153,27 +171,57 @@ def _gather(evaluators: Iterable[tuple[Iterable, Callable]], positions):
     return groups, excluded, first_excluded
 
 
-def _float_order(key: tuple) -> float:
-    return _ratio_to_float(*key)
+def _take(positions, k: int):
+    """The positions of a run of k elements, and the positions that follow them.
+
+    A ``count`` is lexicographic order, so the run holds p..p+k-1 and the
+    count moves on by k without iterating; a seed's positions are taken.
+    """
+    if positions.__class__ is count:
+        p = next(positions)
+        return range(p, p + k), count(p + k)
+    return list(islice(positions, k)), positions
 
 
-def _exact_order(key: tuple) -> tuple:
-    return _ratio_to_float(*key), Fraction(*key)
+def _key(v) -> Key:
+    """The key ``_gather`` gives a raw result."""
+    if v.__class__ is float:
+        return v
+    num, den = v
+    d = gcd(num, den)
+    return num // d, den // d
 
 
-def _quotient(groups: dict) -> list[ValueClass]:
+def _enter(groups: dict, key: Key, size: int, earliest: tuple[int, ...]) -> None:
+    """Add ``size`` elements attaining ``key`` to its bucket.
+
+    ``earliest`` holds their one or two smallest positions, ascending.
+    """
+    g = groups.get(key)
+    if g.__class__ is int:
+        size += 1
+        earliest = tuple(sorted((g, *earliest))[:2])
+    elif g is not None:
+        size += g[0]
+        earliest = tuple(sorted((g[1], g[2], *earliest))[:2])
+    groups[key] = earliest[0] if size == 1 else [size, *earliest]
+
+
+def _quotient(groups: dict, excluded: int) -> list[ValueClass]:
     """Sort the distinct keys and merge them into classes, in increasing value order.
 
-    The defined values must be all exact or all real.  Two distinct exact
-    values are never equal, so each is a class.  A class of reals is a
-    run of sorted values within ``DEFAULT_EPS`` of the run's first value,
-    whose key the class keeps; the anchor matters because nearness within
-    a tolerance is not transitive.  Classes keep keys only, no value
-    objects.  Each record in ``groups`` is replaced by the index of its
-    class.
+    The defined values must be all exact or all real, and there must be
+    one: a domain with no element, or whose ``excluded`` elements are all
+    undefined, is refused.  Two distinct exact values are never equal, so
+    each is a class.  A class of reals is a run of sorted values within
+    ``DEFAULT_EPS`` of the run's first value, whose key the class keeps;
+    the anchor matters because nearness within a tolerance is not
+    transitive.  Classes keep keys only, no value objects.  Each record in
+    ``groups`` is replaced by the index of its class.
     """
     if not groups:
-        raise ConstraintError("intrinsic: every element of the domain is undefined")
+        raise ConstraintError("intrinsic: the domain has no element" if not excluded
+                              else "intrinsic: every element of the domain is undefined")
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
@@ -181,12 +229,16 @@ def _quotient(groups: dict) -> list[ValueClass]:
     if real:
         keys = sorted(groups)
     else:
-        # float() of a rational is correctly rounded, hence monotone: only
-        # distinct rationals that round to one float need exact comparisons
-        floats = list(map(_float_order, groups))
+        # float() of a rational is correctly rounded, hence monotone: each key
+        # is converted once, and only distinct rationals that round to one
+        # float need exact comparisons
+        keys = list(groups)
+        floats = list(starmap(_ratio_to_float, keys))
         tied = len(set(floats)) < len(floats)
-        del floats  # freed before the sort and the classes, to keep the peak memory down
-        keys = sorted(groups, key=_exact_order if tied else _float_order)
+        order = sorted(range(len(keys)), key=(lambda i: (floats[i], Fraction(*keys[i])))
+                       if tied else floats.__getitem__)
+        keys = [keys[i] for i in order]
+        del floats, order  # freed before the classes, to keep the peak memory down
     classes: list[ValueClass] = []
     for key in keys:
         g = groups[key]
@@ -223,16 +275,18 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     One pass keeps, per distinct value, its count and two earliest
     positions, so memory grows with the distinct values, not with the
     elements.  Rankings domains are evaluated by one prefix-sharing walk
-    per length over the measure's fold.  Undefined points (zero
-    denominators) are excluded and counted rather than mapped to a
-    sentinel, so they cannot manufacture collisions.  Under a seed the
+    per length over the measure's fold, which stops at the fold's
+    horizon, and leveled domains by one walk over ``esl``'s level fold,
+    which stops where it settles; each settled prefix is one run.
+    Undefined points (zero denominators) are excluded and counted rather
+    than mapped to a sentinel, so they cannot manufacture collisions.  Under a seed the
     elements are still walked in lexicographic order, and each is given
     its shuffled position.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     groups, excluded, first_excluded = _gather(spec.evaluators(measure), order.positions())
-    classes = tuple(_quotient(groups))
+    classes = tuple(_quotient(groups, excluded))
     elements = excluded + sum(cls.size for cls in classes)
     return ValueSummary(classes, elements, excluded, first_excluded, order)
 
@@ -243,25 +297,32 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
 
     ``walk()`` and ``positions()`` are fresh arguments to ``_gather``, and
     ``labels`` are in position order.  Each element is keyed as ``_gather``
-    keys it; positions arrive out of order under a seed, so lists are sorted.
+    keys it, and a run puts all its positions in its class; positions
+    arrive out of order under a seed, so lists are sorted.
     """
-    groups, _, _ = _gather(walk(), positions())
-    classes = _quotient(groups)
+    groups, excluded_count, _ = _gather(walk(), positions())
+    classes = _quotient(groups, excluded_count)
     members: list[list[int]] = [[] for _ in classes]
     excluded = []
     place = positions()
-    for stream, evaluate in walk():
+    for stream, evaluate, runs in walk():
+        if runs:
+            for item, k in stream:
+                run, place = _take(place, k)
+                try:
+                    v = evaluate(item)
+                except UndefinedValueError:
+                    excluded.extend(run)
+                    continue
+                members[groups[_key(v)]].extend(run)
+            continue
         for item, position in zip(stream, place):
             try:
                 v = evaluate(item)
             except UndefinedValueError:
                 excluded.append(position)
                 continue
-            if v.__class__ is not float:
-                num, den = v
-                d = gcd(num, den)
-                v = (num // d, den // d)
-            members[groups[v]].append(position)
+            members[groups[_key(v)]].append(position)
     return OrderedDomain(tuple(labels), tuple(classes), tuple(tuple(sorted(m)) for m in members),
                          tuple(sorted(excluded)))
 
@@ -276,7 +337,7 @@ def _raw(value: Optional[Value]) -> Key:
 def order_values(pairs: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
     """The induced order of (label, value) pairs, grouped as a walk is; None is excluded."""
     values = [v for _, v in pairs]
-    return _ordered(lambda: [(values, _raw)], count, (label for label, _ in pairs))
+    return _ordered(lambda: [(values, _raw, False)], count, (label for label, _ in pairs))
 
 
 def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> OrderedDomain:

@@ -17,8 +17,13 @@ against the universe and the ranking length and returns a
 :class:`Kernel`: an ``init`` state, ``step(state, r, g)`` for the grade
 index ``g`` at rank ``r`` (the caller passes the rank, so no state holds
 it), and ``finish(state)``, called after exactly ``length`` steps, which
-gives the result.  Thirteen measures are additive: a sum over ranks of a
-per-grade term times a per-rank weight, whose state is the running sum.
+gives the result, and a ``horizon``: the last rank whose step can change
+the state.  A fold's state at its horizon is its final state, so every
+ranking that shares a prefix that long shares the result.  Thirteen
+measures are additive: a sum over ranks of a per-grade term times a
+per-rank weight, whose state is the running sum, and whose horizon is
+the last rank of nonzero weight (below the length for the cutoff
+measures and for the R-family when R < L).
 ``ap``, ``awp`` and ``q-measure`` are cumulative: a sum over relevant
 ranks of a per-rank weight times the running sum of a per-grade term,
 whose state is the pair of sums.  Gains are integer numerators over the
@@ -27,16 +32,23 @@ integers over one denominator per length, so ``finish`` of an exact fold
 returns ``(num, den)`` without any ``Fraction``.  ``bpref`` keeps a
 count and a sum, and ``rr`` the rank of the first relevant document.
 ``dcg`` and ``pnorm`` add their float terms rank by rank in rank order
-and finish with the float.  Only the binder raises, never ``finish``: a
+and finish with the float.  Every fold that is not additive has its
+length as its horizon.  Only the binder raises, never ``finish``: a
 value that does not exist for the universe and length (a zero
 denominator for every ranking) raises ``UndefinedValueError``, a bad
 parameter ``ParameterError`` and a cutoff padded past N
 ``ConstraintError``.  ``Measure.evaluate`` checks that the ranking fits
-the universe, then runs the fold over it (and calls any other measure's
-function on its element); formulas raise ``UndefinedValueError`` with a
-reason only, and ``evaluate`` names the measure and the element.  A
-domain walk (``enumeration.Rankings.evaluators``) steps the fold once
-per prefix, so rankings that share a prefix share its state.
+the universe, then runs the fold over it (and calls a set or user
+measure's function on its element's counts); formulas raise
+``UndefinedValueError`` with a reason only, and ``evaluate`` names the
+measure and the element.  A domain walk (``enumeration.Rankings.evaluators``) steps the fold once
+per prefix, so rankings that share a prefix share its state, and stops
+at the horizon.
+
+``esl`` is a fold over the levels of a leveled output, bound to the
+need (:class:`LevelFold`).  It settles at the first level that meets the
+need: no later level changes its result, so the leveled walk
+(``enumeration.Leveled.evaluators``) stops there too.
 
 Measure ids are stable strings: plain (``recall``), with a rank cutoff
 (``prec@4``), or with rational parameters (``rbp?p=1/2``, ``dcg?b=2``,
@@ -56,7 +68,7 @@ from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConstraintError, ParameterError, ParseError, UndefinedValueError
-from .model import GradeScheme, LeveledOutput, Universe, check_consistent
+from .model import GradeScheme, Universe, check_consistent
 from .values import DEFAULT_EPS, Approx, Exact, Value, add, as_value, exact
 
 # ---------------------------------------------------------------------------
@@ -109,12 +121,16 @@ class Kernel(NamedTuple):
     ``pnorm`` and ``dcg``), the pair of sums of a cumulative fold or of
     ``bpref``, or a first relevant rank, so one prefix state can be
     extended by every sibling grade.  ``finish`` is called after exactly
-    ``length`` steps and does not raise.
+    ``length`` steps and does not raise.  ``horizon`` is the last rank at
+    which ``step`` can change a state; every later step returns its state
+    unchanged, so ``finish`` of the state at the horizon is the result of
+    every ranking with that prefix.
     """
 
     init: object
     step: Callable[[object, int, int], object]
     finish: Callable[[object], tuple[int, int] | float]  # (num, den), or a float
+    horizon: int
 
 
 @lru_cache(maxsize=64)
@@ -147,12 +163,18 @@ def _upto(cutoff: int, length: int) -> list[int]:
 
 
 def _additive(per_grade, per_rank, finish) -> Kernel:
-    """The fold of ``sum_r per_grade[g_r] * per_rank[r]``; its state is the running sum."""
+    """The fold of ``sum_r per_grade[g_r] * per_rank[r]``; its state is the running sum.
+
+    Its horizon is the last rank whose weight is not 0.
+    """
 
     def step(total, r, g):
         return total + per_grade[g] * per_rank[r]
 
-    return Kernel(0, step, finish)
+    horizon = len(per_rank) - 1
+    while horizon and not per_rank[horizon]:
+        horizon -= 1
+    return Kernel(0, step, finish, horizon)
 
 
 def _cumulative(per_grade, per_rank, finish) -> Kernel:
@@ -167,7 +189,7 @@ def _cumulative(per_grade, per_rank, finish) -> Kernel:
         running = s[0] + per_grade[g]
         return running, s[1] + running * per_rank[r]
 
-    return Kernel((0, 0), step, finish)
+    return Kernel((0, 0), step, finish, len(per_rank) - 1)
 
 
 def _total_relevant(universe: Universe, reason: str) -> int:
@@ -317,7 +339,7 @@ def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 over the rank of the first relevant document, 0 if none."""
     values = [(0, 1)] + [(1, r) for r in range(1, length + 1)]
     # the state is the rank of the first relevant document, 0 until there is one
-    return Kernel(0, lambda first, r, g: first or (r if g else 0), lambda s: values[s])
+    return Kernel(0, lambda first, r, g: first or (r if g else 0), lambda s: values[s], length)
 
 
 def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -328,7 +350,7 @@ def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> K
         for r in range(1, length + 1)
     ]
     # divided, not multiplied by 1/discount, which would change the float bits
-    return Kernel(0.0, lambda total, r, g: total + gains[g] / discounts[r], lambda s: s)
+    return Kernel(0.0, lambda total, r, g: total + gains[g] / discounts[r], lambda s: s, length)
 
 
 def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -350,7 +372,7 @@ def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         c = s[0] + 1
         return c, s[1] + r_total - r + c
 
-    return Kernel((0, 0), step, lambda s: (s[1], r_total * r_total))
+    return Kernel((0, 0), step, lambda s: (s[1], r_total * r_total), length)
 
 
 def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -393,23 +415,36 @@ def _bound(bind, scheme: GradeScheme, universe: Universe, length: int) -> Kernel
 # ---------------------------------------------------------------------------
 
 
-def _expected_search_length(out: LeveledOutput) -> tuple[int, int]:
+class LevelFold(NamedTuple):
+    """``esl`` bound to one need: a fold over the levels of a leveled output.
+
+    ``step(state, rel, non)`` consumes a level of ``rel`` relevant and
+    ``non`` nonrelevant documents.  At the first level that meets the need
+    it returns ``(True, (num, den))``: the fold is settled, and no later
+    level changes that result.  Before then it returns ``(False, state)``.
+    """
+
+    init: object
+    step: Callable[[object, int, int], tuple[bool, object]]
+
+
+def _esl(need: int) -> LevelFold:
     """Nonrelevant documents passed before the need is met.
 
-    The final level is the first level at which the cumulative relevant
-    count reaches the need; within it, document order is uniformly random,
-    so it contributes i*s/(t+1) on top of the j nonrelevant documents in
-    the preceding levels.
+    The state is (relevant so far, nonrelevant passed).  The final level
+    is the first level at which the cumulative relevant count reaches the
+    need; within it, document order is uniformly random, so it contributes
+    i*s/(t+1) on top of the j nonrelevant documents in the preceding
+    levels, where s is the need still open.
     """
-    out.require_satisfiable()
-    passed = 0
-    remaining = out.need
-    for rel, non in out.levels:
-        if rel >= remaining:
-            return passed * (rel + 1) + non * remaining, rel + 1
-        remaining -= rel
-        passed += non
-    raise AssertionError("unreachable: satisfiability was checked")
+
+    def step(state, rel, non):
+        have, passed = state
+        if have + rel >= need:
+            return True, (passed * (rel + 1) + non * (need - have), rel + 1)
+        return False, (have + rel, passed + non)
+
+    return LevelFold((0, 0), step)
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +531,16 @@ class Measure:
     display: str
     family: str  # contingency | user | ranking | leveled
     backend: str  # exact | approx
-    # the raw result (num, den) or float: of a leveled output, of a set or user
-    # element's four counts, or for rank measures the fold's binder
+    # the raw result (num, den) or float of a set or user element's four
+    # counts; for rank measures the fold's binder, for esl the level fold's
     fn: Callable
 
     def evaluate(self, element, universe: Optional[Universe] = None) -> Value:
         """The value on one element; a ranking is evaluated against a universe.
 
-        A rank measure runs its fold over the ranking, rank by rank.  This
-        is where a raw result becomes a value.  An ``UndefinedValueError``
+        A rank measure runs its fold over the ranking, rank by rank, and
+        ``esl`` its level fold over a satisfiable output until it settles.
+        This is where a raw result becomes a value.  An ``UndefinedValueError``
         is raised with this measure's id and the element's display form.
         """
         try:
@@ -512,13 +548,20 @@ class Measure:
                 if universe is None:
                     raise ParameterError(f"measures: {self.id} needs a universe")
                 check_consistent(element, universe)
-                state, step, finish = _bound(self.fn, element.scheme, universe, element.length)
+                state, step, finish, _ = _bound(self.fn, element.scheme, universe,
+                                                element.length)
                 index = element.scheme.labels.index
                 for r, label in enumerate(element.items, 1):
                     state = step(state, r, index(label))
                 result = finish(state)
             elif self.family == "leveled":
-                result = self.fn(element)
+                element.require_satisfiable()  # so the fold settles at some level
+                state, step = self.fn(element.need)
+                for rel, non in element.levels:
+                    settled, state = step(state, rel, non)
+                    if settled:
+                        break
+                result = state
             else:
                 result = self.fn(*element.counts)
         except UndefinedValueError as exc:
@@ -618,7 +661,7 @@ _MEASURES: dict[str, _Row] = {
     "sr": _Row("sliding ratio", _RANK, _sr),
     "dcg?": _Row("DCG (base {b})", _RANK, _dcg_of, "approx", ("b",)),
     "rbp?": _Row("RBP (p={p})", _RANK, _rbp_of, params=("p",)),
-    "esl": _Row("expected search length", "leveled", _expected_search_length),
+    "esl": _Row("expected search length", "leveled", _esl),
 }
 
 

@@ -167,6 +167,16 @@ class TestWitness:
         assert code == 2
         assert "enumerates rankings" in err
 
+    @pytest.mark.parametrize("measure, domain, message", [
+        ("esl", "leveled:docs=3,s=5", "the domain has no element"),
+        ("ap", "binary:L=2,R=3,N=5,rel=3", "the domain has no element"),
+        ("sr", "binary:L=2,R=0", "every element of the domain is undefined"),
+    ])
+    def test_empty_domain_is_told_apart_from_an_undefined_one(self, measure, domain, message):
+        code, out, err = invoke("classify", "--measure", measure, "--domain", domain)
+        assert (code, out) == (2, "")
+        assert err == f"error: intrinsic: {message}\n"
+
 
 # hasse jobs whose DOT bytes are pinned: a seed, reals, and a domain of each
 # other kind; each golden was written while the Hasse export still kept a
@@ -181,6 +191,9 @@ HASSE_GOLDENS = [
     ("precision", "contingency:N=12,R=4,seed=5"),  # with an undefined point
     ("pnorm", "binary:L=6,R=3,N=9,rel=3,seed=2"),  # reals
     ("novelty-ratio", "user:U=2,A=1..5,seed=1"),  # with five undefined points
+    # settled prefixes: each run's positions go into its class's member list
+    ("esl", "leveled:docs=5,s=2,seed=4"),  # seeded: a run's positions are scattered
+    ("nxcg@2", "binary:L=5"),  # every class is a union of runs of 8
 ]
 
 

@@ -5,15 +5,15 @@
   values and bit-equal floats on rankings up to length 12.
 * The prefix-sharing domain walk against per-element evaluation:
   ``classify`` and ``induced_order`` evaluate a rankings domain with one
-  pruned walk per length (``Domain.evaluators``), which must give the same
-  labels, values, undefined elements, errors and verdicts as
-  ``Measure.evaluate`` over ``enumerate_domain``.
+  pruned walk per length (``Domain.evaluators``), stopped at the fold's
+  horizon, which must give the same labels, values, undefined elements,
+  errors and verdicts as ``Measure.evaluate`` over ``enumerate_domain``.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 
 import pytest
 
@@ -197,18 +197,31 @@ def test_binding_finds_r_zero_undefined(measure_id):
 
 
 @pytest.mark.parametrize("measure_id", RANK_IDS)
-def test_finish_never_raises(measure_id):
+def test_finish_never_raises_and_no_step_past_the_horizon_changes_the_state(measure_id):
     bind = measure_from_id(measure_id).fn
-    for text in ("binary:L=1..4", "graded:levels=3,L=1..3"):
+    for text in ("binary:L=1..4", "graded:levels=3,L=1..3", "binary:L=4,R=2"):
         spec = parse_domain(text)
         for ranking in enumerate_domain(spec):
             try:
-                state, step, finish = bind(ranking.scheme, spec.universe, ranking.length)
+                state, step, finish, horizon = bind(ranking.scheme, spec.universe,
+                                                    ranking.length)
             except (ParameterError, UndefinedValueError):
                 continue  # a cutoff past L, or R >= L for rnorm and pnorm
             for r, label in enumerate(ranking.items, 1):
-                state = step(state, r, ranking.scheme.labels.index(label))
+                after = step(state, r, ranking.scheme.labels.index(label))
+                assert r <= horizon or after == state, (measure_id, ranking.items, r)
+                state = after
             finish(state)
+
+
+@pytest.mark.parametrize("measure_id, horizon", [
+    ("prec@2", 2), ("recall@2", 2), ("nxcg@3", 3), ("manxcg@3", 3), ("gr@3", 3),
+    ("r-precision", 2), ("r-wp", 2), ("r-measure", 2),
+    ("ap", 5), ("msr", 5), ("rr", 5), ("dcg?b=2", 5), ("rbp?p=1/2", 5), ("q-measure", 5),
+])
+def test_horizon_is_the_last_rank_of_nonzero_weight(measure_id, horizon):
+    kernel = measure_from_id(measure_id).fn(GradeScheme.binary(), Universe(9, 2), 5)
+    assert kernel.horizon == horizon
 
 
 def per_element(measure, spec):
@@ -223,18 +236,20 @@ def per_element(measure, spec):
 
 
 def walked(measure, spec):
-    """``(label, value or None)`` per element from the domain walk, in position order."""
+    """``(label, value or None)`` per element from the domain walk, in position order.
+
+    A run gives its value to each of the k elements it stands for.
+    """
     order = ElementOrder(spec)
     pairs = []
     labels = spec.labels()
-    for stream, evaluate in spec.evaluators(measure):
-        # stream first: zip stops on an exhausted stream without taking a label
-        for item, label in zip(stream, labels):
+    for stream, evaluate, runs in spec.evaluators(measure):
+        for item, k in stream if runs else zip(stream, repeat(1)):
             try:
                 value = as_value(evaluate(item))
             except UndefinedValueError:
                 value = None
-            pairs.append((label, value))
+            pairs.extend(zip(islice(labels, k), repeat(value)))
     return list(order.arrange(pairs))
 
 

@@ -74,19 +74,23 @@ def formula_or_none(formula, *args):
         return None
 
 
-def check_row(measure, element, args, expected):
-    """The row's pair, evaluate and the summary key against the formula's value."""
+def check_row(measure, element, args, expected, raw=None):
+    """The row's pair, evaluate and the summary key against the formula's value.
+
+    ``raw(*args)`` is the row's pair; by default the row's own function.
+    """
+    raw = raw or measure.fn
     if expected is None:
         with pytest.raises(UndefinedValueError):
-            measure.fn(*args)
+            raw(*args)
         with pytest.raises(UndefinedValueError):
             measure.evaluate(element)
     else:
-        num, den = measure.fn(*args)
+        num, den = raw(*args)
         assert den > 0
         assert F(num, den) == expected
         assert measure.evaluate(element) == Exact(expected)
-    groups, excluded, _ = _gather([([args], lambda a: measure.fn(*a))], count())
+    groups, excluded, _ = _gather([([args], lambda a: raw(*a), False)], count())
     if expected is None:
         assert (groups, excluded) == ({}, 1)
     else:
@@ -163,6 +167,16 @@ def leveled_outputs(draw):
     return LeveledOutput(tuple(levels), need)
 
 
+def settled_esl(output):
+    """``esl``'s level fold, bound to the output's need, run until it settles."""
+    state, step = measure_from_id("esl").fn(output.need)
+    for rel, non in output.levels:
+        settled, state = step(state, rel, non)
+        if settled:
+            return state
+    raise AssertionError("the fold did not settle on a satisfiable output")
+
+
 class TestLeveledRow:
     @settings(max_examples=300, deadline=None)
     @given(leveled_outputs())
@@ -172,4 +186,4 @@ class TestLeveledRow:
         if not output.satisfiable:  # leveled domains hold only satisfiable outputs
             return
         expected = expected_search_length(output.levels, output.need)
-        check_row(measure_from_id("esl"), output, (output,), expected)
+        check_row(measure_from_id("esl"), output, (output,), expected, raw=settled_esl)

@@ -5,26 +5,29 @@ earliest positions, and names witnesses by re-walking the domain.
 ``summary_reference`` keeps every element.  Both must give the same
 verdict, field for field and byte for byte, on every domain kind, with
 and without a seed, for exact and for real measures.  The summary's
-memory must not grow with the elements.
+memory must not grow with the elements.  Walks that yield settled
+prefixes as runs must bucket exactly as evaluating every element does.
 """
 
 import tracemalloc
 from dataclasses import fields
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import summary_reference as reference
-from metriclass.enumeration import parse_domain
+from metriclass.enumeration import ElementOrder, cardinality, parse_domain
 from metriclass.errors import MetriclassError
-from metriclass.intrinsic import Verdict, classify, induced_order, summarize
+from metriclass.intrinsic import Verdict, _gather, _raw, classify, induced_order, summarize
 from metriclass.measures import measure_from_id
 from metriclass.report import emit_verdict_json
 
 MEASURES = {
     "rankings": ("ap", "awp", "rr", "msr", "sr", "rnorm", "bpref", "q-measure", "r-precision",
                  "r-wp", "r-measure", "prec@2", "recall@2", "nxcg@2", "manxcg@2", "gr@2",
+                 "prec@3", "recall@3", "nxcg@3", "manxcg@3", "gr@3",
                  "rbp?p=1/2", "dcg?b=2", "dcg?b=3", "pnorm"),
     "contingency": ("recall", "precision", "f-measure", "fallout", "generality", "accuracy"),
     "user": ("coverage-ratio", "novelty-ratio", "recall-effort", "retrieval-recall"),
@@ -33,11 +36,11 @@ MEASURES = {
 
 
 @st.composite
-def domain_texts(draw):
-    kind = draw(st.sampled_from(sorted(MEASURES)))
+def domain_texts(draw, kinds=tuple(sorted(MEASURES))):
+    kind = draw(st.sampled_from(kinds))
     if kind == "rankings":
         levels = draw(st.integers(2, 3))
-        top = 4 if levels == 2 else 3
+        top = 6 if levels == 2 else 3
         lo = draw(st.integers(1, top))
         hi = draw(st.integers(lo, top))
         r = draw(st.integers(0, 5))
@@ -53,7 +56,7 @@ def domain_texts(draw):
     elif kind == "user":
         text = f"user:U={draw(st.integers(1, 3))},A=1..{draw(st.integers(1, 5))}"
     else:
-        text = f"leveled:docs={draw(st.integers(1, 4))},s={draw(st.integers(1, 3))}"
+        text = f"leveled:docs={draw(st.integers(1, 6))},s={draw(st.integers(1, 3))}"
     seed = draw(st.one_of(st.none(), st.integers(0, 999)))
     text += "" if seed is None else f",seed={seed}"
     return draw(st.sampled_from(MEASURES[kind])), text, draw(st.sampled_from((200, 0, 3)))
@@ -86,6 +89,49 @@ class TestSummaryMatchesMaterialisedPath:
             f.name: getattr(expected, f.name) for f in fields(Verdict)
         }
         assert emit_verdict_json(got) == emit_verdict_json(expected)
+
+
+def element_by_element(measure, spec):
+    """One element stream: ``Measure.evaluate`` on each element on its own."""
+    universe = getattr(spec, "universe", None)
+    yield spec.elements(), lambda element: _raw(measure.evaluate(element, universe)), False
+
+
+def run_lengths(measure, spec):
+    """How many elements each item of the domain's walk stands for."""
+    for stream, _, runs in spec.evaluators(measure):
+        for _, k in stream if runs else zip(stream, repeat(1)):
+            yield k
+
+
+class TestRunsMatchElementWalk:
+    """Settled prefixes, as runs, against evaluating every element."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_texts(("rankings", "leveled")))
+    @example(("esl", "leveled:docs=6,s=2,seed=4", 200))
+    @example(("nxcg@2", "binary:L=5,seed=1", 200))
+    @example(("r-precision", "binary:L=2..6,R=2,N=8,rel=1,seed=9", 200))
+    @example(("prec@3", "binary:L=2..6,R=2,N=8", 200))  # a ParameterError at length 2
+    @example(("sr", "binary:L=3..5,R=0,seed=2", 200))  # each length is one undefined run
+    def test_buckets_run_lengths_and_verdict(self, drawn):
+        def gather(walk):
+            return lambda m, s, _: _gather(walk(m, s), ElementOrder(s).positions())
+
+        got = outcome(gather(lambda m, s: s.evaluators(m)), *drawn)
+        assert got == outcome(gather(element_by_element), *drawn)
+        if isinstance(got, tuple):
+            measure_id, text, _ = drawn
+            measure, spec = measure_from_id(measure_id), parse_domain(text)
+            assert sum(run_lengths(measure, spec)) == cardinality(spec)
+        expected = outcome(reference.classify, *drawn)
+        verdict = outcome(classify, *drawn)
+        if not isinstance(expected, Verdict):
+            assert verdict is expected
+            return
+        assert {f.name: getattr(verdict, f.name) for f in fields(Verdict)} == {
+            f.name: getattr(expected, f.name) for f in fields(Verdict)
+        }
 
 
 class TestInducedOrderMatchesSummary:
