@@ -16,23 +16,24 @@ vs value-difference ordering over all interval pairs), independently of
 the quotient-gap route, so the two must always agree.
 
 Classification needs only the attained values in order, how often each is
-attained and the two earliest elements attaining it (``summarize``).  The
-induced order (``induced_order``) has the same classes, one ``ValueClass``
-each, and beside them lists every class's members, which only the Hasse
-export reads.  A walk may hand over a settled prefix as one run: k
-consecutive elements that share one value, which join its class at once.  Values are grouped, ordered and compared by their keys,
-the reduced integers ``(num, den)`` of an exact value or the float of a
-real, and a value object is built only where one is reported: a witness,
-a gap, a violating triple or a node of the Hasse chain.
+attained and the two earliest elements attaining it (``summarize``): the
+sorted keys of the distinct values over the buckets grouping filled, and
+no record per class.  The induced order (``induced_order``) also lists the
+members, for the Hasse export, which reads ``ValueClass`` records.  A walk
+may hand over a settled prefix as one run of elements sharing one value.
+Values are grouped, ordered and compared by their keys, the reduced
+``(num, den)`` of an exact value or the float of a real; a value object is
+built only where one is reported: a witness, gap, triple or Hasse node.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, repeat, starmap
+from itertools import compress, count, islice, repeat, starmap
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -54,11 +55,7 @@ Key = tuple[int, int] | float
 
 
 class ValueClass(NamedTuple):
-    """One attained value's key, how many elements attain it, and the earliest one or two.
-
-    The value itself is built from the key each time it is read, which only
-    a reported witness, gap or triple does, and the Hasse chain once per class.
-    """
+    """One attained value's key, how many elements attain it, and the earliest one or two."""
 
     key: Key
     size: int
@@ -73,15 +70,16 @@ class ValueClass(NamedTuple):
 class ValueSummary:
     """What classification needs of a domain's attained values, from one pass.
 
-    ``classes`` is the quotient in strictly increasing value order; each
-    class keeps its key, its size and its two earliest positions in
-    ``enumerate_domain`` order, and no value object or member list.  ``elements`` and
-    ``excluded`` count the domain and its undefined points, and
+    ``keys`` is the quotient, one key per class in increasing value order,
+    and ``buckets`` maps each key to its class's position, or to ``[size,
+    earliest, second earliest]`` in ``enumerate_domain`` order.  ``elements``
+    and ``excluded`` count the domain and its undefined points, and
     ``first_excluded`` is the earliest undefined position.  ``labels_at``
     re-walks the domain to name the elements at some positions.
     """
 
-    classes: tuple[ValueClass, ...]
+    keys: list[Key]
+    buckets: dict[Key, int | list[int]]
     elements: int
     excluded: int
     first_excluded: Optional[int]
@@ -95,19 +93,34 @@ class ValueSummary:
 class OrderedDomain:
     """A domain sorted and grouped by attained value, every member listed.
 
-    ``labels`` holds display strings in enumeration order; ``classes`` is
-    the quotient, in strictly increasing value order, as ``summarize``
-    gives it; ``members[ci]`` lists the indices in ``classes[ci]``,
+    ``labels`` holds display strings in enumeration order; ``keys`` and
+    ``buckets`` are ``summarize``'s, and ``classes`` reads them as records;
+    ``members[ci]`` lists the indices in the class of ``keys[ci]``,
     ascending; ``excluded`` lists the undefined points.
     """
 
     labels: tuple[str, ...]
-    classes: tuple[ValueClass, ...]
+    keys: list[Key]
+    buckets: dict[Key, int | list[int]]
     members: tuple[tuple[int, ...], ...]
     excluded: tuple[int, ...]
 
+    @property
+    def classes(self) -> tuple[ValueClass, ...]:
+        return tuple(ValueClass(key, *_unpack(self.buckets[key])) for key in self.keys)
+
     def labels_at(self, *indices: int) -> list[str]:
         return [self.labels[i] for i in indices]
+
+
+def _unpack(g: int | list[int]) -> tuple[int, tuple[int, ...]]:
+    """A bucket's size and its one or two earliest positions."""
+    return (1, (g,)) if g.__class__ is int else (g[0], (g[1], g[2]))
+
+
+def _collisions(buckets: dict) -> Iterable[tuple[Key, list[int]]]:
+    """The key and bucket of every class attained more than once, found without a Python loop."""
+    return compress(buckets.items(), map(isinstance, buckets.values(), repeat(list)))
 
 
 def _gather(evaluators: Iterable[tuple[Iterable, Callable, bool]], positions):
@@ -207,17 +220,16 @@ def _enter(groups: dict, key: Key, size: int, earliest: tuple[int, ...]) -> None
     groups[key] = earliest[0] if size == 1 else [size, *earliest]
 
 
-def _quotient(groups: dict, excluded: int) -> list[ValueClass]:
-    """Sort the distinct keys and merge them into classes, in increasing value order.
+def _quotient(groups: dict, excluded: int) -> list[Key]:
+    """The classes' keys in increasing value order, over ``_gather``'s buckets.
 
     The defined values must be all exact or all real, and there must be
     one: a domain with no element, or whose ``excluded`` elements are all
-    undefined, is refused.  Two distinct exact values are never equal, so
-    each is a class.  A class of reals is a run of sorted values within
-    ``DEFAULT_EPS`` of the run's first value, whose key the class keeps;
-    the anchor matters because nearness within a tolerance is not
-    transitive.  Classes keep keys only, no value objects.  Each record in
-    ``groups`` is replaced by the index of its class.
+    undefined, is refused.  Each distinct exact value is a class.  A class
+    of reals is a run of sorted values within ``DEFAULT_EPS`` of its first,
+    the anchor, since nearness within a tolerance is not transitive; each
+    other key of the run leaves ``groups``, its bucket folded into the
+    anchor's, so that ``groups`` holds the returned keys only.
     """
     if not groups:
         raise ConstraintError("intrinsic: the domain has no element" if not excluded
@@ -225,40 +237,26 @@ def _quotient(groups: dict, excluded: int) -> list[ValueClass]:
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
-    real = float in kinds
-    if real:
-        keys = sorted(groups)
-    else:
-        # float() of a rational is correctly rounded, hence monotone: each key
-        # is converted once, and only distinct rationals that round to one
-        # float need exact comparisons
-        keys = list(groups)
-        floats = list(starmap(_ratio_to_float, keys))
-        tied = len(set(floats)) < len(floats)
-        order = sorted(range(len(keys)), key=(lambda i: (floats[i], Fraction(*keys[i])))
-                       if tied else floats.__getitem__)
-        keys = [keys[i] for i in order]
-        del floats, order  # freed before the classes, to keep the peak memory down
-    classes: list[ValueClass] = []
-    for key in keys:
-        g = groups[key]
-        size, earliest = (1, (g,)) if g.__class__ is int else (g[0], (g[1], g[2]))
-        # value_eq of two reals; the keys ascend
-        if real and classes and key - classes[-1].key <= DEFAULT_EPS:
-            last = classes[-1]
-            earliest = tuple(sorted(last.earliest + earliest)[:2])
-            classes[-1] = ValueClass(last.key, last.size + size, earliest)
-        else:
-            classes.append(ValueClass(key, size, earliest))
-        groups[key] = len(classes) - 1
-    return classes
-
-
-def _ratio_to_float(num: int, den: int) -> float:
+    if float in kinds:
+        anchors: list[Key] = []
+        for key in sorted(groups):  # value_eq of two reals; the keys ascend
+            if anchors and key - anchors[-1] <= DEFAULT_EPS:
+                _enter(groups, anchors[-1], *_unpack(groups.pop(key)))
+            else:
+                anchors.append(key)
+        return anchors
+    # float() of a rational is correctly rounded, hence monotone: the sort by
+    # floats is exact unless two distinct rationals round to one float, or
+    # one lies beyond the float range
     try:
-        return num / den
-    except OverflowError:  # a rational beyond the float range
-        return math.inf if num > 0 else -math.inf
+        keys = sorted(groups, key=lambda key: key[0] / key[1])
+        floats = starmap(operator.truediv, keys)
+        later = starmap(operator.truediv, islice(keys, 1, None))
+        if all(map(operator.lt, floats, later)):
+            return keys
+    except OverflowError:
+        pass
+    return sorted(groups, key=lambda key: Fraction(*key))
 
 
 def _check_family(measure: Measure, spec: Domain) -> None:
@@ -286,23 +284,27 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     groups, excluded, first_excluded = _gather(spec.evaluators(measure), order.positions())
-    classes = tuple(_quotient(groups, excluded))
-    elements = excluded + sum(cls.size for cls in classes)
-    return ValueSummary(classes, elements, excluded, first_excluded, order)
+    keys = _quotient(groups, excluded)
+    elements = excluded + len(keys) + sum(g[0] - 1 for _, g in _collisions(groups))
+    return ValueSummary(keys, groups, elements, excluded, first_excluded, order)
 
 
 def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]],
              labels: Iterable[str]) -> OrderedDomain:
-    """``summarize``'s classes of a walk, with one more walk to list their members.
+    """``summarize``'s quotient of a walk, with one more walk to list its members.
 
     ``walk()`` and ``positions()`` are fresh arguments to ``_gather``, and
     ``labels`` are in position order.  Each element is keyed as ``_gather``
-    keys it, and a run puts all its positions in its class; positions
-    arrive out of order under a seed, so lists are sorted.
+    keys it; a real folded into an anchor goes to the greatest anchor below
+    it, and a run puts all its positions in one class.  Positions arrive
+    out of order under a seed, so lists are sorted.
     """
     groups, excluded_count, _ = _gather(walk(), positions())
-    classes = _quotient(groups, excluded_count)
-    members: list[list[int]] = [[] for _ in classes]
+    raw = list(groups)  # before _quotient folds near reals into their anchors
+    keys = _quotient(groups, excluded_count)
+    index = (dict(zip(keys, count())) if keys[0].__class__ is tuple
+             else {key: bisect_right(keys, key) - 1 for key in raw})
+    members: list[list[int]] = [[] for _ in keys]
     excluded = []
     place = positions()
     for stream, evaluate, runs in walk():
@@ -314,7 +316,7 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
                 except UndefinedValueError:
                     excluded.extend(run)
                     continue
-                members[groups[_key(v)]].extend(run)
+                members[index[_key(v)]].extend(run)
             continue
         for item, position in zip(stream, place):
             try:
@@ -322,8 +324,8 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
             except UndefinedValueError:
                 excluded.append(position)
                 continue
-            members[groups[_key(v)]].append(position)
-    return OrderedDomain(tuple(labels), tuple(classes), tuple(tuple(sorted(m)) for m in members),
+            members[index[_key(v)]].append(position)
+    return OrderedDomain(tuple(labels), keys, groups, tuple(tuple(sorted(m)) for m in members),
                          tuple(sorted(excluded)))
 
 
@@ -423,13 +425,11 @@ def check_injective(
     element whose value was already attained, paired with the earliest
     element attaining it.
     """
-    best: Optional[ValueClass] = None
-    for cls in ordered.classes:
-        if cls.size > 1 and (best is None or cls.earliest[1] < best.earliest[1]):
-            best = cls
+    best = min(_collisions(ordered.buckets), key=lambda item: item[1][2], default=None)
     if best is None:
         return True, None
-    return False, CollisionWitness(*ordered.labels_at(*best.earliest), best.value)
+    key, (_, first, second) = best
+    return False, CollisionWitness(*ordered.labels_at(first, second), as_value(key))
 
 
 @dataclass(frozen=True)
@@ -450,13 +450,13 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
     cross-multiplication, real ones within ``DEFAULT_EPS`` of the first gap
     (nearness within a tolerance is not transitive).
     """
-    classes = ordered.classes
-    if len(classes) < 2:
+    keys = ordered.keys
+    if len(keys) < 2:
         return SpacingResult(equispaced=True, degenerate=True)
-    real = classes[0].key.__class__ is not tuple
+    real = keys[0].__class__ is not tuple
     first = None
-    for k in range(1, len(classes)):
-        lo, hi = classes[k - 1].key, classes[k].key
+    for k in range(1, len(keys)):
+        lo, hi = keys[k - 1], keys[k]
         if real:
             gap = hi - lo
             same = first is None or abs(gap - first) <= DEFAULT_EPS  # value_eq
@@ -464,11 +464,11 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
             gap = hi[0] * lo[1] - lo[0] * hi[1], lo[1] * hi[1]
             same = first is None or gap[0] * first[1] == first[0] * gap[1]
         if not same:
-            triple = (classes[k - 2].value, classes[k - 1].value, classes[k].value)
+            triple = tuple(map(as_value, keys[k - 2:k + 1]))
             return SpacingResult(equispaced=False, degenerate=False, violating_triple=triple)
         first = first or gap  # gaps between distinct classes are nonzero
     return SpacingResult(equispaced=True, degenerate=False,
-                         gap=sub(classes[1].value, classes[0].value))
+                         gap=sub(as_value(keys[1]), as_value(keys[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +486,8 @@ class OracleResult:
         return self.verdict is None
 
 
-def interval_scale_oracle(
-    ordered: ValueSummary | OrderedDomain, cap: int = DEFAULT_ORACLE_CAP
-) -> OracleResult:
+def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
+                          cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     """Decide interval scale straight from the definition.
 
     An order-preserving assignment is an interval scale when the ordering
@@ -508,13 +507,12 @@ def interval_scale_oracle(
     tolerance is not transitive.  Quotients above ``cap`` classes are
     skipped with a marker.
     """
-    classes = ordered.classes
-    if len(classes) > cap:
-        return OracleResult(None, f"skipped: {len(classes)} classes exceed the oracle cap {cap}")
-    if any(cls.size > 1 for cls in classes):
+    keys = ordered.keys
+    if len(keys) > cap:
+        return OracleResult(None, f"skipped: {len(keys)} classes exceed the oracle cap {cap}")
+    if any(_collisions(ordered.buckets)):
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
-    k = len(classes)
-    keys = [cls.key for cls in classes]
+    k = len(keys)
     exact_values = all(key.__class__ is tuple for key in keys)
     if exact_values:
         den = math.lcm(*(d for _, d in keys))
@@ -627,7 +625,7 @@ def classify(
         degenerate=spacing.degenerate,
         gap=spacing.gap,
         violating_triple=spacing.violating_triple,
-        classes=len(summary.classes),
+        classes=len(summary.keys),
         elements=summary.elements,
         excluded=summary.excluded,
         excluded_example=(

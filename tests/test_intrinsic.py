@@ -15,7 +15,6 @@ from metriclass.intrinsic import (
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
     OrderedDomain,
-    ValueClass,
     build_hasse,
     check_equispaced,
     check_injective,
@@ -85,6 +84,17 @@ class TestInducedOrder:
             ordered = ordered_for(measure_id, domain)
             for lo, hi in zip(ordered.classes, ordered.classes[1:]):
                 assert lo.value.numeric() < hi.value.numeric()
+
+    @pytest.mark.parametrize("rationals", [
+        # distinct rationals that round to one float
+        [Fraction(1), Fraction(10**20, 10**20 + 1), Fraction(10**20 - 1, 10**20)],
+        # rationals beyond the float range
+        [Fraction(10**400), Fraction(-(10**400)), Fraction(0), Fraction(10**400 + 1)],
+    ])
+    def test_classes_ascend_where_floats_cannot_order_them(self, rationals):
+        ordered = order_values([(f"e{i}", Exact(r)) for i, r in enumerate(rationals)])
+        assert [c.value.rational for c in ordered.classes] == sorted(rationals)
+        assert check_equispaced(ordered).equispaced is False
 
     def test_undefined_points_are_excluded_and_recorded(self):
         ordered = ordered_for("precision", "contingency:N=15,R=5,n=0..15")
@@ -428,8 +438,7 @@ def singleton_chain(values):
     """One singleton class per value, in the given order, sorted or not."""
     keys = [v.rational.as_integer_ratio() if isinstance(v, Exact) else v.real for v in values]
     indices = range(len(values))
-    return OrderedDomain(tuple(f"e{i}" for i in indices),
-                         tuple(ValueClass(key, 1, (i,)) for i, key in zip(indices, keys)),
+    return OrderedDomain(tuple(f"e{i}" for i in indices), keys, dict(zip(keys, indices)),
                          tuple((i,) for i in indices), ())
 
 

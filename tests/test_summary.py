@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import summary_reference as reference
+from metriclass import intrinsic
 from metriclass.enumeration import ElementOrder, cardinality, parse_domain
 from metriclass.errors import MetriclassError
 from metriclass.intrinsic import Verdict, _gather, _raw, classify, induced_order, summarize
@@ -141,15 +142,37 @@ class TestInducedOrderMatchesSummary:
     @given(domain_texts())
     @example(("precision", "contingency:N=6,R=2,n=0..6,seed=5", 200))
     @example(("dcg?b=2", "binary:L=1..4,R=4,N=8,seed=3", 200))
+    @example(("f-measure", "contingency:N=10,R=4,n=0..10,seed=2", 200))
     def test_same_classes_and_excluded(self, drawn):
         summary = outcome(lambda m, s, _: summarize(m, s), *drawn)
         ordered = outcome(lambda m, s, _: induced_order(m, s), *drawn)
         if isinstance(summary, type):
             assert ordered is summary
             return
-        assert ordered.classes == summary.classes
+        assert ordered.keys == summary.keys
+        # each class's member list, from the second walk, against the summary's bucket
+        buckets = [summary.buckets[key] for key in summary.keys]
+        assert [(len(m), m[:2]) for m in ordered.members] == [
+            (1, (g,)) if isinstance(g, int) else (g[0], tuple(g[1:])) for g in buckets
+        ]
         assert len(ordered.excluded) == summary.excluded
         assert (ordered.excluded or (None,))[0] == summary.first_excluded
+
+
+def test_classify_builds_no_record_per_class(monkeypatch):
+    built = 0
+
+    class CountingClass(intrinsic.ValueClass):
+        def __new__(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(intrinsic, "ValueClass", CountingClass)
+    verdict = classify(measure_from_id("precision"),
+                       parse_domain("contingency:N=200,R=100,n=0..200"))
+    assert verdict.classes == 6_089
+    assert built == 0, f"classify built {built} ValueClass records"
 
 
 @pytest.mark.parametrize("measure_id, domain, elements, classes", [
