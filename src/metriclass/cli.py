@@ -9,6 +9,7 @@ can be raised with the METRICLASS_MAX_DOMAIN environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,6 +52,7 @@ def _non_negative(text: str) -> int:
     raise argparse.ArgumentTypeError(f"wants a non-negative integer, got {text!r}")
 
 
+@functools.cache  # built once per process: parsing keeps its per-call state in the namespace
 def _build_parser() -> _Parser:
     parser = _Parser(prog="metriclass", description=__doc__)
     parser.add_argument("--version", action="version", version=f"metriclass {VERSION}")

@@ -150,9 +150,10 @@ class Domain:
     writes it back; ``counts(cap)`` yields the sizes of consecutive parts
     of the enumeration (a part that passes ``cap`` alone may be a lower
     bound above it); ``elements()`` iterates in lexicographic order,
-    ``labels()`` gives their display forms, ``evaluators(measure)`` how to
-    get the measure's raw results on them, and ``element(text)`` parses a
-    display form.
+    ``labels()`` gives their display forms and ``labels_at(indices)`` those
+    at some lexicographic indices, ``evaluators(measure)`` how to get the
+    measure's raw results on them, and ``element(text)`` parses a display
+    form.
     """
 
     kind: ClassVar[str]
@@ -161,6 +162,14 @@ class Domain:
 
     def labels(self) -> Iterator[str]:
         return (element.display() for element in self.elements())
+
+    def labels_at(self, indices: list[int]) -> list[str]:
+        """Display forms at lexicographic ``indices``, by one walk up to the last of them."""
+        found = {}
+        for index, label in zip(range(max(indices) + 1), self.labels()):
+            if index in indices:
+                found[index] = label
+        return [found[index] for index in indices]
 
     def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
         """``(stream, evaluate, runs)`` triples covering the elements in order.
@@ -190,6 +199,19 @@ class _CountTuples(Domain):
     def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
         fn = measure.fn
         yield self.count_tuples(), lambda counts: fn(*counts), False
+
+
+def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
+    """Rankings completing a prefix with c relevant grades by ``tail`` more grades.
+
+    Those hold j relevant ones for every j that keeps c + j within [least,
+    most]: the sum of C(tail, j) other^j over those j, with ``other`` the
+    number of nonzero grades.
+    """
+    if least <= c and c + tail <= most:  # every j fits, so the sum is (other + 1)^tail
+        return (other + 1) ** tail
+    return sum(math.comb(tail, j) * other**j
+               for j in range(max(0, least - c), min(tail, most - c) + 1))
 
 
 def _undefined(state):
@@ -302,7 +324,9 @@ class Rankings(Domain):
         last = length - 1
         stack = [(0, 0, init)]  # (depth, relevant count, state) of a prefix
         if horizon is not None and horizon < length:
-            completions = self._completions(horizon, length - horizon, least, most)
+            tail, other = length - horizon, self.levels - 1
+            completions = [_completing(other, tail, c, least, most)  # per relevant count
+                           for c in range(min(horizon, most) + 1)]
             while stack:
                 depth, rel, state = stack.pop()
                 if depth == horizon:
@@ -327,19 +351,36 @@ class Rankings(Domain):
                 if count <= most and count + room >= least:
                     stack.append((depth + 1, count, step(state, depth + 1, g)))
 
-    def _completions(self, head: int, tail: int, least: int, most: int) -> list[int]:
-        """Per relevant count c of a ``head``-long prefix, the rankings completing it.
+    def labels_at(self, indices: list[int]) -> list[str]:
+        """Display forms at lexicographic ``indices``, each unranked, not walked to.
 
-        Those are ``tail`` more grades holding j relevant ones, for every j
-        that keeps c + j within [least, most]: the sum of C(tail, j) (g-1)^j
-        over those j, with g the number of levels.
+        Skips whole lengths by their sizes, then at each depth takes the
+        grade whose completions, counted as ``walk`` prunes, hold the
+        index: two sums of at most ``length`` terms per depth, no evaluation.
         """
-        other = self.levels - 1
-        return [
-            sum(math.comb(tail, j) * other**j
-                for j in range(max(0, least - c), min(tail, most - c) + 1))
-            for c in range(min(head, most) + 1)
-        ]
+        labels, other = self.scheme.labels, self.levels - 1
+        most = self.universe.total_relevant if self.exact_relevant is None else self.exact_relevant
+        least = self.exact_relevant or 0
+        found = []
+        for index in indices:
+            for length in self.lengths:
+                size = _completing(other, length, 0, least, most)
+                if index < size:
+                    break
+                index -= size
+            else:
+                raise IndexError(f"enumeration: no element at index {index}")
+            items, rel = [], 0
+            for tail in reversed(range(length)):  # grades still to place after this one
+                zero = _completing(other, tail, rel, least, most)
+                if index < zero:
+                    items.append(labels[0])
+                    continue
+                grade, index = divmod(index - zero, _completing(other, tail, rel + 1, least, most))
+                items.append(labels[1 + grade])
+                rel += 1
+            found.append(ranking_label(items))
+        return found
 
     def _items(self) -> Iterator[tuple[str, ...]]:
         labels = self.scheme.labels
@@ -712,18 +753,15 @@ class ElementOrder:
     def labels_at(self, *positions: int) -> list[str]:
         """Display forms of the elements at ``positions``.
 
-        Found by one walk of the domain up to the last of them, evaluating
-        nothing.
+        Maps each position to its lexicographic index and asks the domain's
+        ``labels_at``, which evaluates nothing: rankings unrank each index,
+        and every other kind walks its labels up to the last one.
         """
         if self._positions is None:
-            indices = positions
+            indices = list(positions)
         else:
             indices = [self._positions.index(position) for position in positions]
-        found = {}
-        for index, label in zip(range(max(indices) + 1), self.spec.labels()):
-            if index in indices:
-                found[index] = label
-        return [found[index] for index in indices]
+        return self.spec.labels_at(indices)
 
 
 def element_to_str(element) -> str:

@@ -75,7 +75,7 @@ class ValueSummary:
     earliest, second earliest]`` in ``enumerate_domain`` order.  ``elements``
     and ``excluded`` count the domain and its undefined points, and
     ``first_excluded`` is the earliest undefined position.  ``labels_at``
-    re-walks the domain to name the elements at some positions.
+    names the elements at some positions through ``ElementOrder.labels_at``.
     """
 
     keys: list[Key]

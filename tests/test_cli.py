@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from metriclass import cli
 from metriclass.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -123,7 +124,52 @@ CLASSIFY_GOLDENS = [
     ("manxcg@3", "binary:L=2..5,R=2,N=7"),
     ("msr", "binary:L=7,R=3,N=10"),
     ("bpref", "binary:L=6,R=3,N=9"),
+    # recorded before witnesses on rankings were unranked instead of walked to
+    ("dcg?b=2", "binary:L=12"),
+    ("msr", "binary:L=11,seed=4"),
+    ("ap", "graded:levels=3,L=1..6,R=3,N=9,seed=2"),
 ]
+
+
+class TestParserReuse:
+    JOB = ("classify", "--measure", "msr", "--domain", "binary:L=11,seed=4", "--json")
+
+    def test_parser_is_built_during_the_first_call_only(self, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli._build_parser.cache_clear()
+        try:
+            assert invoke("list-measures")[0] == 0
+            first = len(built)
+            assert first == 8  # the parser and one per verb
+            for argv in (self.JOB, ("evaluate", "--measure", "recall"), ("table", "--suite", "x")):
+                invoke(*argv)
+            assert len(built) == first
+            assert cli._build_parser() is cli._build_parser()
+        finally:
+            cli._build_parser.cache_clear()
+
+    def test_calls_between_leave_no_state(self, capsys):
+        import os
+        import subprocess
+        import sys
+
+        before = invoke(*self.JOB)
+        assert invoke("classify", "--measure", "msr")[0] == 1
+        assert invoke("--version")[0] == 0
+        after = invoke(*self.JOB)
+        capsys.readouterr()  # argparse prints the version to sys.stdout
+        assert before == after and before[0] == 0
+        fresh = subprocess.run([sys.executable, "-m", "metriclass", *self.JOB],
+                               capture_output=True, env=dict(os.environ), check=True)
+        assert fresh.stdout == after[1].encode("utf-8")
+        assert fresh.stdout == (DATA / "classify" / "msr-binary-L-11-seed-4.json").read_bytes()
 
 
 class TestClassifyGoldens:

@@ -5,9 +5,12 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metriclass.enumeration import (
     ElementOrder,
+    Rankings,
     cardinality,
     element_to_str,
     enumerate_domain,
@@ -264,6 +267,54 @@ class TestEnumerate:
             list(enumerate_domain(parse_domain("binary:L=10"), cap=1000))
         assert err.value.cardinality == 1024
         assert err.value.cap == 1000
+
+
+@st.composite
+def rankings_specs(draw):
+    """Small rankings spec strings: R below, at or above L, R=0, rel= and seeds."""
+    levels = draw(st.integers(2, 4))
+    lo = draw(st.integers(1, 6))
+    hi = draw(st.integers(lo, 6))
+    r = draw(st.integers(0, hi + 1))
+    text = ("binary:" if levels == 2 else f"graded:levels={levels},") + f"L={lo}..{hi},R={r}"
+    rel = draw(st.none() | st.integers(0, min(r, hi)))  # rel > lo leaves lengths empty
+    if rel is not None:
+        text += f",rel={rel}"
+    seed = draw(st.none() | st.integers(0, 99))
+    return text if seed is None else f"{text},seed={seed}"
+
+
+class TestLabelsAt:
+    @settings(max_examples=150, deadline=None)
+    @given(rankings_specs())
+    @example("binary:L=1..6,R=5,rel=4")
+    @example("graded:levels=4,L=2..5,R=3,rel=3,seed=7")
+    @example("graded:levels=3,L=1..4,R=0")
+    @example("binary:L=3..6,R=2,rel=0,seed=1")
+    def test_unranked_labels_are_the_arranged_labels(self, text):
+        spec = parse_domain(text)
+        order = ElementOrder(spec)
+        arranged = list(order.arrange(spec.labels()))
+        assert order.labels_at(*range(len(arranged))) == arranged
+        for position in (0, len(arranged) // 2, len(arranged) - 1)[:len(arranged)]:
+            assert order.labels_at(position) == [arranged[position]]
+
+    def test_rankings_unrank_without_walking(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("labels_at walked the domain")
+
+        monkeypatch.setattr(Rankings, "walk", refuse)
+        spec = parse_domain("binary:L=20")
+        first, millionth = ElementOrder(spec).labels_at(0, 10**6)
+        assert first == "<" + ",".join("0" * 20) + ">"
+        assert millionth == "<" + ",".join(format(10**6, "020b")) + ">"
+        with pytest.raises(IndexError):
+            spec.labels_at([2**20])
+
+    def test_other_kinds_walk_to_the_last_index(self):
+        spec = parse_domain("contingency:N=12,R=4")
+        labels = list(spec.labels())
+        assert spec.labels_at([7, 2, 7]) == [labels[7], labels[2], labels[7]]
 
 
 class TestSpecText:

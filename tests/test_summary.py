@@ -1,7 +1,7 @@
 """The one-pass value summary against the materialised path it replaced.
 
 ``classify`` keeps, per distinct attained value, a count and the two
-earliest positions, and names witnesses by re-walking the domain.
+earliest positions, and names witnesses from their positions alone.
 ``summary_reference`` keeps every element.  Both must give the same
 verdict, field for field and byte for byte, on every domain kind, with
 and without a seed, for exact and for real measures.  The summary's
