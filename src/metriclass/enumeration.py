@@ -28,9 +28,10 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import count, starmap
-from typing import Callable, ClassVar, Iterable, Iterator, Optional
+from functools import cached_property, partial
+from itertools import chain, count, repeat, starmap
+from operator import mul
+from typing import ClassVar, Iterable, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
 from .model import (
@@ -42,6 +43,7 @@ from .model import (
     UserContext,
     ranking_label,
 )
+from .measures import form_value
 
 #: Refuse to enumerate domains larger than this (overridable per call).
 DEFAULT_CAP = 10_000_000
@@ -171,34 +173,84 @@ class Domain:
                 found[index] = label
         return [found[index] for index in indices]
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
-        """``(stream, evaluate, runs)`` triples covering the elements in order.
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+        """``(stream, runs)`` pairs covering the elements in order.
 
-        ``evaluate(item)`` over the items of each stream in turn gives the
-        measure's raw result (``(num, den)`` or a float, see
-        :mod:`metriclass.measures`) on every element, in lexicographic
-        order, or raises ``UndefinedValueError`` where the value is
-        undefined.  In an element stream (``runs`` false) each item stands
-        for one element.  In a run stream each item is ``(item, k)``: a
-        settled prefix and the k elements that complete it, which are
-        consecutive and all share the result ``evaluate(item)``.  Here the
-        one stream is the elements themselves.
+        The streams in turn give the measure's raw result (``(num, den)`` or
+        a float, see :mod:`metriclass.measures`) on every element, in
+        lexicographic order, with ``None`` where the value is undefined.  In
+        an element stream (``runs`` false) each item is one element's
+        result.  In a run stream each item is ``(result, k)``: the result
+        of a settled prefix, shared by the k elements that complete it,
+        which are consecutive.
         """
-        yield self.elements(), measure.fn, False
+        raise NotImplementedError
+
+
+def _progression(start: int, step: int, lo: int, hi: int) -> Iterable[int]:
+    """``start + i * step`` for i from ``lo`` up to ``hi``, produced in C."""
+    if step:
+        return range(start + lo * step, start + hi * step, step)
+    return repeat(start, hi - lo)
 
 
 class _CountTuples(Domain):
-    """A domain of four-count elements; its measures take the counts, so it
-    is walked as the plain tuples from ``count_tuples()``."""
+    """A domain of four-count elements, ordered as rows of counts.
+
+    ``rows()`` yields ``(first, m)``: the row's first counts and its
+    length; its i-th element is ``first + i * delta``.  ``count_tuples()``
+    lists the same elements one by one.
+    """
 
     element_type: ClassVar[type]
+    delta: ClassVar[tuple[int, int, int, int]]
 
     def elements(self) -> Iterator:
         return starmap(self.element_type, self.count_tuples())
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
-        fn = measure.fn
-        yield self.count_tuples(), lambda counts: fn(*counts), False
+    def labels_at(self, indices: list[int]) -> list[str]:
+        """Display forms at lexicographic ``indices``, unranked: whole rows
+        are skipped by their lengths, then the index is a step along its row."""
+        found = []
+        for index in indices:
+            for first, m in self.rows():
+                if index < m:
+                    counts = (c + index * d for c, d in zip(first, self.delta))
+                    found.append(self.element_type(*counts).display())
+                    break
+                index -= m
+            else:
+                raise IndexError(f"enumeration: no element at index {index}")
+        return found
+
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+        """One element stream, row by row, of the ratio of two affine forms.
+
+        ``measure.fn`` is a :class:`~metriclass.measures.Ratio`.  Along a
+        row each form is an arithmetic progression, whose step (the form's
+        dot product with ``delta``) is the same for every row, so a row's
+        results are two ``range``s zipped.  ``defined`` is a progression
+        too: one ``divmod`` finds its only zero on the row, if any, which is
+        the row's one ``None``; a row on which it is constantly 0 is all
+        ``None``.
+        """
+        num, den, defined, _ = measure.fn
+        steps = [sum(map(mul, form[1:], self.delta)) for form in (num, den, defined)]
+        yield chain.from_iterable(self._results(measure.fn, *steps)), False
+
+    def _results(self, ratio, num_step: int, den_step: int, defined_step: int) -> Iterator:
+        """Per row: the results before its undefined ones, those, and the rest."""
+        num, den, defined, _ = ratio
+        for first, m in self.rows():
+            n, d, f = form_value(num, first), form_value(den, first), form_value(defined, first)
+            if defined_step:
+                zero, rest = divmod(-f, defined_step)
+                lo, hi = (zero, zero + 1) if not rest and 0 <= zero < m else (m, m)
+            else:
+                lo, hi = (m, m) if f else (0, m)
+            yield zip(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
+            yield repeat(None, hi - lo)
+            yield zip(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
 
 
 def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
@@ -214,12 +266,8 @@ def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
                for j in range(max(0, least - c), min(tail, most - c) + 1))
 
 
-def _undefined(state):
-    raise UndefinedValueError
-
-
-def _result(result):
-    return result
+def _undefined(state) -> None:
+    return None
 
 
 @dataclass(frozen=True)
@@ -298,7 +346,7 @@ class Rankings(Domain):
     def scheme(self) -> GradeScheme:
         return GradeScheme.equispaced(self.levels)
 
-    def walk(self, length: int, init, step, horizon: Optional[int] = None) -> Iterator:
+    def walk(self, length: int, init, step, finish, horizon: Optional[int] = None) -> Iterator:
         """Depth-first walk over the rankings of one length, in lexicographic order.
 
         Steps ``init`` through ``step(state, rank, grade index)`` along each
@@ -309,12 +357,12 @@ class Rankings(Domain):
         pruned, so every node visited lies on the path to some element and
         the walk costs at most ``length`` steps per element.
 
-        Without a ``horizon`` below ``length`` it yields, per ranking, the
-        final state.  With one it stops at that depth and yields, per
-        prefix of that length, ``(state, k)``: the prefix's state and the
-        number of rankings that complete it, which are consecutive.  The
-        stop depth is chosen once per walk, so a walk without a horizon
-        makes no extra comparison per node.
+        Without a ``horizon`` below ``length`` it yields, per ranking,
+        ``finish`` of the final state.  With one it stops at that depth and
+        yields, per prefix of that length, ``(finish(state), k)``: of the
+        prefix's state, and the number of rankings that complete it, which
+        are consecutive.  The stop depth is chosen once per walk, so a walk
+        without a horizon makes no extra comparison per node.
         """
         ascending = range(self.levels)
         descending = ascending[::-1]  # pushed so that the stack pops them ascending
@@ -330,7 +378,7 @@ class Rankings(Domain):
             while stack:
                 depth, rel, state = stack.pop()
                 if depth == horizon:
-                    yield state, completions[rel]
+                    yield finish(state), completions[rel]
                     continue
                 room = last - depth
                 for g in descending:
@@ -343,7 +391,7 @@ class Rankings(Domain):
             if depth == last:  # the children are elements
                 for g in ascending:
                     if least <= rel + (g > 0) <= most:
-                        yield step(state, length, g)
+                        yield finish(step(state, length, g))
                 continue
             room = last - depth  # positions after the next one
             for g in descending:
@@ -382,30 +430,31 @@ class Rankings(Domain):
             found.append(ranking_label(items))
         return found
 
-    def _items(self) -> Iterator[tuple[str, ...]]:
+    def _items(self, finish) -> Iterator:
+        """``finish`` of each ranking's grade labels, in lexicographic order."""
         labels = self.scheme.labels
 
         def push(items, r, g):
             return items + (labels[g],)
 
         for length in self.lengths:
-            yield from self.walk(length, (), push)
+            yield from self.walk(length, (), push, finish)
 
     def elements(self) -> Iterator[Ranking]:
-        return (Ranking(self.scheme, items) for items in self._items())
+        return self._items(partial(Ranking, self.scheme))
 
     def labels(self) -> Iterator[str]:
-        return map(ranking_label, self._items())
+        return self._items(ranking_label)
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """One pruned walk per length over the measure's fold, into its ``finish``.
 
         ``measure.fn`` binds the fold to this scheme, universe and length.
         A fold whose horizon is below the length is walked to its horizon
-        only, as a run stream; any other fold yields every ranking.  A fold
-        that is undefined for a whole length marks every element of that
-        length undefined, as one run from the empty prefix; any other error
-        propagates.
+        only, as a run stream; any other fold yields every ranking's
+        result.  A fold that is undefined for a whole length marks every
+        element of that length undefined, as one run from the empty prefix;
+        any other error propagates.
         """
         for length in self.lengths:
             if self.exact_relevant is not None and self.exact_relevant > length:
@@ -414,7 +463,7 @@ class Rankings(Domain):
                 init, step, finish, horizon = measure.fn(self.scheme, self.universe, length)
             except UndefinedValueError:
                 init, step, finish, horizon = None, None, _undefined, 0  # the root is the run
-            yield self.walk(length, init, step, horizon), finish, horizon < length
+            yield self.walk(length, init, step, finish, horizon), horizon < length
 
     def element(self, text: str) -> Ranking:
         if not (text.startswith("<") and text.endswith(">")):
@@ -429,6 +478,7 @@ class Contingency(_CountTuples):
     kind: ClassVar[str] = "contingency"
     family: ClassVar[str] = "contingency"
     element_type: ClassVar[type] = ContingencyTable
+    delta: ClassVar[tuple[int, int, int, int]] = (1, -1, -1, 1)  # tp up by one within a size
     collection: int
     relevant: int
     retrieved: tuple[int, int]  # inclusive range
@@ -482,6 +532,16 @@ class Contingency(_CountTuples):
                 fp = n - tp
                 yield tp, fp, relevant - tp, nonrel - fp
 
+    def rows(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
+        """One row per retrieved size n: its table of least tp, and how many tp it takes."""
+        lo, hi = self.retrieved
+        relevant = self.relevant
+        nonrel = self.collection - relevant
+        for n in range(lo, hi + 1):
+            tp = max(0, n - nonrel)
+            fp = n - tp
+            yield (tp, fp, relevant - tp, nonrel - fp), min(relevant, n) - tp + 1
+
     @staticmethod
     def element(text: str) -> ContingencyTable:
         f = parse_fields(text, "enumeration: contingency table", ("tp", "fp", "fn", "tn"))
@@ -495,6 +555,7 @@ class User(_CountTuples):
     kind: ClassVar[str] = "user"
     family: ClassVar[str] = "user"
     element_type: ClassVar[type] = UserContext
+    delta: ClassVar[tuple[int, int, int, int]] = (0, 0, 1, 0)  # R_u up by one
     known: int
     max_retrieved: int
     order_seed: Optional[int] = None
@@ -537,6 +598,13 @@ class User(_CountTuples):
             for rk in range(0, min(known, a) + 1):
                 for ru in range(0, a - rk + 1):
                     yield known, rk, ru, a
+
+    def rows(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
+        """One row per A and R_k: the context with R_u = 0, and A - R_k + 1 of them."""
+        known = self.known
+        for a in range(1, self.max_retrieved + 1):
+            for rk in range(0, min(known, a) + 1):
+                yield (known, rk, 0, a), a - rk + 1
 
     @staticmethod
     def element(text: str) -> UserContext:
@@ -650,10 +718,10 @@ class Leveled(Domain):
         for total in range(1, self.max_docs + 1):
             yield from rec(total, 0, init)
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, Callable, bool]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """One run stream: the level fold's settled prefixes, each with its result."""
         init, step = measure.fn(self.need)
-        yield self.walk(init, step), _result, True
+        yield self.walk(init, step), True
 
     @staticmethod
     def element(text: str) -> LeveledOutput:
@@ -754,8 +822,9 @@ class ElementOrder:
         """Display forms of the elements at ``positions``.
 
         Maps each position to its lexicographic index and asks the domain's
-        ``labels_at``, which evaluates nothing: rankings unrank each index,
-        and every other kind walks its labels up to the last one.
+        ``labels_at``, which evaluates nothing: rankings, contingency and
+        user domains unrank each index, and leveled domains walk their
+        labels up to the last one.
         """
         if self._positions is None:
             indices = list(positions)

@@ -38,7 +38,7 @@ from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain
-from .errors import ConstraintError, UndefinedValueError
+from .errors import ConstraintError
 from .measures import Measure
 from .values import DEFAULT_EPS, Exact, Value, absdiff, add, as_value, exact, fmt, sub
 
@@ -123,17 +123,16 @@ def _collisions(buckets: dict) -> Iterable[tuple[Key, list[int]]]:
     return compress(buckets.items(), map(isinstance, buckets.values(), repeat(list)))
 
 
-def _gather(evaluators: Iterable[tuple[Iterable, Callable, bool]], positions):
+def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions):
     """Bucket attained values by key in one pass over the elements.
 
-    ``evaluators`` yields ``(stream, evaluate, runs)`` as
-    ``Domain.evaluators`` does: ``evaluate(item)`` gives a raw result,
-    ``(num, den)`` with a positive ``den`` or a float, or raises
-    ``UndefinedValueError``, for one element of an element stream, or for
-    each of the k consecutive elements of a run ``(item, k)``.
-    ``positions`` yields each element's position: a ``count`` from 0 in
-    lexicographic order, or the positions a seed gives them.  An exact
-    result is keyed by the pair reduced by one ``gcd``, which is
+    ``evaluators`` yields ``(stream, runs)`` as ``Domain.evaluators``
+    does: an element stream gives each element's raw result, ``(num,
+    den)`` with a positive ``den`` or a float, or ``None`` where it is
+    undefined, and a run stream gives ``(result, k)`` for k consecutive
+    elements.  ``positions`` yields each element's position: a ``count``
+    from 0 in lexicographic order, or the positions a seed gives them.  An
+    exact result is keyed by the pair reduced by one ``gcd``, which is
     ``Fraction(num, den).as_integer_ratio()`` without a ``Fraction``; a
     real by its float.  A key maps to its element's position while it is
     attained once, then to ``[count, earliest, second earliest]``.
@@ -143,14 +142,12 @@ def _gather(evaluators: Iterable[tuple[Iterable, Callable, bool]], positions):
     groups: dict[tuple | float, int | list[int]] = {}
     excluded = 0
     first_excluded: Optional[int] = None
-    for stream, evaluate, runs in evaluators:
+    for stream, runs in evaluators:
         if runs:
-            for item, k in stream:
+            for v, k in stream:
                 run, positions = _take(positions, k)
                 earliest = run[:2] if run.__class__ is range else sorted(run)[:2]
-                try:
-                    v = evaluate(item)
-                except UndefinedValueError:
+                if v is None:
                     excluded += k
                     if first_excluded is None or earliest[0] < first_excluded:
                         first_excluded = earliest[0]
@@ -158,10 +155,8 @@ def _gather(evaluators: Iterable[tuple[Iterable, Callable, bool]], positions):
                 _enter(groups, _key(v), k, tuple(earliest))
             continue
         # stream first: zip stops on an exhausted stream without taking a position
-        for item, position in zip(stream, positions):
-            try:
-                v = evaluate(item)
-            except UndefinedValueError:
+        for v, position in zip(stream, positions):
+            if v is None:
                 excluded += 1
                 if first_excluded is None or position < first_excluded:
                     first_excluded = position
@@ -276,6 +271,8 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     per length over the measure's fold, which stops at the fold's
     horizon, and leveled domains by one walk over ``esl``'s level fold,
     which stops where it settles; each settled prefix is one run.
+    Contingency and user domains are evaluated a row at a time from the
+    measure's two affine forms, with no call per element.
     Undefined points (zero denominators) are excluded and counted rather
     than mapped to a sentinel, so they cannot manufacture collisions.  Under a seed the
     elements are still walked in lexicographic order, and each is given
@@ -296,8 +293,9 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
     ``walk()`` and ``positions()`` are fresh arguments to ``_gather``, and
     ``labels`` are in position order.  Each element is keyed as ``_gather``
     keys it; a real folded into an anchor goes to the greatest anchor below
-    it, and a run puts all its positions in one class.  Positions arrive
-    out of order under a seed, so lists are sorted.
+    it, a run puts all its positions in one class, and a ``None`` result
+    is an undefined point.  Positions arrive out of order under a seed, so
+    lists are sorted.
     """
     groups, excluded_count, _ = _gather(walk(), positions())
     raw = list(groups)  # before _quotient folds near reals into their anchors
@@ -307,39 +305,35 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
     members: list[list[int]] = [[] for _ in keys]
     excluded = []
     place = positions()
-    for stream, evaluate, runs in walk():
+    for stream, runs in walk():
         if runs:
-            for item, k in stream:
+            for v, k in stream:
                 run, place = _take(place, k)
-                try:
-                    v = evaluate(item)
-                except UndefinedValueError:
+                if v is None:
                     excluded.extend(run)
-                    continue
-                members[index[_key(v)]].extend(run)
+                else:
+                    members[index[_key(v)]].extend(run)
             continue
-        for item, position in zip(stream, place):
-            try:
-                v = evaluate(item)
-            except UndefinedValueError:
+        for v, position in zip(stream, place):
+            if v is None:
                 excluded.append(position)
-                continue
-            members[index[_key(v)]].append(position)
+            else:
+                members[index[_key(v)]].append(position)
     return OrderedDomain(tuple(labels), keys, groups, tuple(tuple(sorted(m)) for m in members),
                          tuple(sorted(excluded)))
 
 
-def _raw(value: Optional[Value]) -> Key:
-    """The raw result a value wraps, or ``UndefinedValueError`` for None."""
+def _raw(value: Optional[Value]) -> Optional[Key]:
+    """The raw result a value wraps, or None for None."""
     if value is None:
-        raise UndefinedValueError
+        return None
     return value.rational.as_integer_ratio() if value.__class__ is Exact else value.real
 
 
 def order_values(pairs: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
     """The induced order of (label, value) pairs, grouped as a walk is; None is excluded."""
     values = [v for _, v in pairs]
-    return _ordered(lambda: [(values, _raw, False)], count, (label for label, _ in pairs))
+    return _ordered(lambda: [(map(_raw, values), False)], count, (label for label, _ in pairs))
 
 
 def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> OrderedDomain:

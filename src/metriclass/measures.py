@@ -7,9 +7,17 @@ in lowest terms, and only the log-bearing ones (discounted gain,
 normalized log precision) give a float, compared with the default
 tolerance from :mod:`metriclass.values`.  ``Measure.evaluate`` wraps the
 result into an ``Exact`` or ``Approx`` value; classification keys on the
-raw result and builds a value only for what it reports.  Set-based rows
-take the four counts ``(tp, fp, fn, tn)`` and user rows ``(U, R_k, R_u,
-A)``, so a domain walk can stream plain count tuples.
+raw result and builds a value only for what it reports.
+
+Set-based and user measures are ratios of two affine integer forms in
+four counts, ``(tp, fp, fn, tn)`` for set rows and ``(U, R_k, R_u, A)``
+for user rows: a :class:`Ratio` holds the numerator and denominator forms
+and a third, ``defined``, that is 0 exactly where the value does not exist
+(the denominator, or ``tp`` for the F-measure), with the reason it does
+not.  Calling a ``Ratio`` on four counts gives ``(num, den)``.  A
+contingency or user walk (``enumeration.Contingency.evaluators``) reads
+the forms instead: along a row of its elements every form is an
+arithmetic progression, so a row is evaluated as ``range``s.
 
 Rank-based measures are folds over ranks.  A measure's ``fn`` is its
 binder: ``fn(scheme, universe, length)`` checks the measure's parameters
@@ -39,7 +47,7 @@ denominator for every ranking) raises ``UndefinedValueError``, a bad
 parameter ``ParameterError`` and a cutoff padded past N
 ``ConstraintError``.  ``Measure.evaluate`` checks that the ranking fits
 the universe, then runs the fold over it (and calls a set or user
-measure's function on its element's counts); formulas raise
+measure's ``Ratio`` on its element's counts); formulas raise
 ``UndefinedValueError`` with a reason only, and ``evaluate`` names the
 measure and the element.  A domain walk (``enumeration.Rankings.evaluators``) steps the fold once
 per prefix, so rankings that share a prefix share its state, and stops
@@ -76,35 +84,49 @@ from .values import DEFAULT_EPS, Approx, Exact, Value, add, as_value, exact
 # ---------------------------------------------------------------------------
 
 
-def _ratio(num: int, den: int, reason: str = "zero denominator") -> tuple[int, int]:
-    if den == 0:
-        raise UndefinedValueError(reason=reason)
-    return num, den
+def form_value(form: tuple[int, ...], counts) -> int:
+    """An affine form, its constant then one coefficient per count, at four counts."""
+    c, a, b, d, e = form
+    w, x, y, z = counts
+    return c + a * w + b * x + d * y + e * z
 
 
-def _f_measure(tp: int, fp: int, fn: int, tn: int) -> tuple[int, int]:
-    """2 * prec * recall / (prec + recall)
+class Ratio(NamedTuple):
+    """A set or user measure: the ratio of two affine integer forms in the four counts.
 
-    Undefined whenever precision or recall is undefined or both are zero,
-    that is whenever tp = 0; otherwise it equals 2*tp / (2*tp + fp + fn).
+    A form is a constant and one coefficient per count.  The value exists
+    where ``defined`` is not 0, and there ``den`` is positive; elsewhere
+    it is undefined for ``reason``.  ``defined`` is ``den`` unless the
+    value needs more than a nonzero denominator.
     """
-    if tp == 0:
-        raise UndefinedValueError()
-    return 2 * tp, 2 * tp + fp + fn
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+    defined: tuple[int, ...]
+    reason: str
+
+    def __call__(self, *counts: int) -> tuple[int, int]:
+        if not form_value(self.defined, counts):
+            raise UndefinedValueError(reason=self.reason)
+        return form_value(self.num, counts), form_value(self.den, counts)
 
 
-def _utility(
-    tp: int,
-    fp: int,
-    fn: int,
-    tn: int,
-    alpha: Fraction,
-    beta: Fraction,
-    gamma: Fraction,
-    delta: Fraction,
-) -> tuple[int, int]:
-    """alpha*tp + beta*fn + gamma*fp + delta*tn with positive user weights."""
-    return (alpha * tp + beta * fn + gamma * fp + delta * tn).as_integer_ratio()
+def _form(text: str, names: tuple[str, ...]) -> tuple[int, ...]:
+    """The form of ``text``, a sum of count names with integer factors (``"2tp + fp"``)."""
+    coefficients = dict.fromkeys(names, 0)
+    for term in map(str.strip, text.split("+")):
+        name = term.lstrip("0123456789")
+        coefficients[name] += int(term[:len(term) - len(name)] or 1)
+    return (0, *coefficients.values())
+
+
+def _ratio(names, num: str, den: str, defined: Optional[str] = None,
+           reason: str = "zero denominator") -> Ratio:
+    return Ratio(_form(num, names), _form(den, names), _form(defined or den, names), reason)
+
+
+_set = partial(_ratio, ("tp", "fp", "fn", "tn"))
+_user = partial(_ratio, ("u", "rk", "ru", "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +553,8 @@ class Measure:
     display: str
     family: str  # contingency | user | ranking | leveled
     backend: str  # exact | approx
-    # the raw result (num, den) or float of a set or user element's four
-    # counts; for rank measures the fold's binder, for esl the level fold's
+    # a set or user measure's Ratio of the four counts; for rank measures
+    # the fold's binder, for esl the level fold's
     fn: Callable
 
     def evaluate(self, element, universe: Optional[Universe] = None) -> Value:
@@ -576,7 +598,7 @@ class Measure:
 class _Row(NamedTuple):
     """One entry of the measure table.
 
-    A plain measure's ``make`` is its raw function or fold binder.  A
+    A plain measure's ``make`` is its ``Ratio``, fold binder or level fold.  A
     ``base@`` row's ``make`` takes the cutoff first; a ``base?`` row's
     ``make`` is called with the rational parameters named in ``params``
     and returns the function.  ``display`` may refer to ``{r}`` or to the
@@ -600,11 +622,15 @@ def _dcg_of(b: Fraction) -> Callable:
     return partial(_dcg, base)
 
 
-def _utility_of(**weights: Fraction) -> Callable:
+def _utility_of(**weights: Fraction) -> Ratio:
+    """alpha*tp + beta*fn + gamma*fp + delta*tn, over the lcm of the weights' denominators."""
     for name, w in weights.items():
         if w <= 0:
             raise ParameterError(f"measures: utility weight {name} must be positive")
-    return partial(_utility, **weights)
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    num = tuple(int(weights[name] * den) for name in ("alpha", "gamma", "beta", "delta"))
+    constant = (den, 0, 0, 0, 0)
+    return Ratio((0, *num), constant, constant, "zero denominator")  # num in (tp, fp, fn, tn) order
 
 
 def _rbp_of(p: Fraction) -> Callable:
@@ -617,31 +643,28 @@ _SET, _USER, _RANK = "contingency", "user", "ranking"
 
 # Keyed by id grammar, in the order list-measures prints.
 _MEASURES: dict[str, _Row] = {
-    "accuracy": _Row("classification accuracy", _SET,
-                     lambda tp, fp, fn, tn: _ratio(tp + tn, tp + fp + fn + tn)),
-    "error-rate": _Row("error rate", _SET,
-                       lambda tp, fp, fn, tn: _ratio(fp + fn, tp + fp + fn + tn)),
-    "f-measure": _Row("F-measure", _SET, _f_measure),
-    "fallout": _Row("fallout", _SET, lambda tp, fp, fn, tn: _ratio(fp, fp + tn)),
-    "fdr": _Row("false discovery rate", _SET, lambda tp, fp, fn, tn: _ratio(fp, fp + tp)),
-    "for": _Row("false omission rate", _SET, lambda tp, fp, fn, tn: _ratio(fn, fn + tn)),
-    "generality": _Row("generality", _SET,
-                       lambda tp, fp, fn, tn: _ratio(tp + fn, tp + fp + fn + tn)),
-    "inverse-precision": _Row("inverse precision", _SET,
-                              lambda tp, fp, fn, tn: _ratio(tn, fn + tn)),
-    "inverse-recall": _Row("inverse recall", _SET, lambda tp, fp, fn, tn: _ratio(tn, fp + tn)),
-    "miss-rate": _Row("miss rate", _SET, lambda tp, fp, fn, tn: _ratio(fn, tp + fn)),
-    "precision": _Row("precision", _SET, lambda tp, fp, fn, tn: _ratio(tp, tp + fp)),
-    "recall": _Row("recall", _SET, lambda tp, fp, fn, tn: _ratio(tp, tp + fn)),
-    "specificity": _Row("specificity", _SET, lambda tp, fp, fn, tn: _ratio(tn, tn + fp)),
+    "accuracy": _Row("classification accuracy", _SET, _set("tp + tn", "tp + fp + fn + tn")),
+    "error-rate": _Row("error rate", _SET, _set("fp + fn", "tp + fp + fn + tn")),
+    # 2 prec recall / (prec + recall): undefined where either is, or both are 0, i.e. tp = 0
+    "f-measure": _Row("F-measure", _SET, _set("2tp", "2tp + fp + fn", "tp",
+                                               "precision and recall are both 0 or undefined")),
+    "fallout": _Row("fallout", _SET, _set("fp", "fp + tn")),
+    "fdr": _Row("false discovery rate", _SET, _set("fp", "fp + tp")),
+    "for": _Row("false omission rate", _SET, _set("fn", "fn + tn")),
+    "generality": _Row("generality", _SET, _set("tp + fn", "tp + fp + fn + tn")),
+    "inverse-precision": _Row("inverse precision", _SET, _set("tn", "fn + tn")),
+    "inverse-recall": _Row("inverse recall", _SET, _set("tn", "fp + tn")),
+    "miss-rate": _Row("miss rate", _SET, _set("fn", "tp + fn")),
+    "precision": _Row("precision", _SET, _set("tp", "tp + fp")),
+    "recall": _Row("recall", _SET, _set("tp", "tp + fn")),
+    "specificity": _Row("specificity", _SET, _set("tn", "tn + fp")),
     "utility?": _Row("utility", _SET, _utility_of, params=("alpha", "beta", "gamma", "delta")),
     # user rows take (U, R_k, R_u, A)
-    "coverage-ratio": _Row("coverage ratio", _USER, lambda u, rk, ru, a: _ratio(rk, u)),
-    "novelty-ratio": _Row("novelty ratio", _USER,  # R_u / (R_u + R_k)
-                          lambda u, rk, ru, a: _ratio(ru, ru + rk, "no relevant retrieved")),
-    "recall-effort": _Row("recall effort", _USER, lambda u, rk, ru, a: _ratio(u, a)),
-    "retrieval-recall": _Row("retrieval recall", _USER,  # can exceed 1
-                             lambda u, rk, ru, a: _ratio(rk + ru, u)),
+    "coverage-ratio": _Row("coverage ratio", _USER, _user("rk", "u")),
+    "novelty-ratio": _Row("novelty ratio", _USER,
+                          _user("ru", "ru + rk", reason="no relevant retrieved")),
+    "recall-effort": _Row("recall effort", _USER, _user("u", "a")),
+    "retrieval-recall": _Row("retrieval recall", _USER, _user("rk + ru", "u")),  # can exceed 1
     "gr@": _Row("gain recall@{r}", _RANK, _gr_at),
     "manxcg@": _Row("MAnxCG@{r}", _RANK, _manxcg_at),
     "nxcg@": _Row("nxCG@{r}", _RANK, _nxcg_at),

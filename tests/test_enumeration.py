@@ -284,6 +284,33 @@ def rankings_specs(draw):
     return text if seed is None else f"{text},seed={seed}"
 
 
+@st.composite
+def count_tuple_specs(draw):
+    """Small contingency and user spec strings, empty rows and seeds included."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 9))
+        r = draw(st.integers(0, n))
+        lo = draw(st.integers(0, n))
+        text = f"contingency:N={n},R={r},n={lo}..{draw(st.integers(lo, n))}"
+    else:
+        text = f"user:U={draw(st.integers(1, 4))},A=1..{draw(st.integers(1, 6))}"
+    seed = draw(st.none() | st.integers(0, 99))
+    return text if seed is None else f"{text},seed={seed}"
+
+
+class TestRows:
+    @settings(max_examples=100, deadline=None)
+    @given(count_tuple_specs())
+    @example("contingency:N=0,R=0")
+    @example("contingency:N=6,R=6,n=2..4")
+    def test_rows_expand_to_the_count_tuples(self, text):
+        spec = parse_domain(text)
+        expanded = [tuple(c + i * d for c, d in zip(first, spec.delta))
+                    for first, m in spec.rows() for i in range(m)]
+        assert all(m > 0 for _, m in spec.rows())
+        assert expanded == list(spec.count_tuples())
+
+
 class TestLabelsAt:
     @settings(max_examples=150, deadline=None)
     @given(rankings_specs())
@@ -311,8 +338,32 @@ class TestLabelsAt:
         with pytest.raises(IndexError):
             spec.labels_at([2**20])
 
+    @settings(max_examples=150, deadline=None)
+    @given(count_tuple_specs())
+    @example("contingency:N=8,R=3,n=2..6,seed=4")
+    @example("user:U=2,A=1..5")
+    def test_count_tuple_labels_are_unranked_from_rows(self, text):
+        spec = parse_domain(text)
+        order = ElementOrder(spec)
+        arranged = list(order.arrange(spec.labels()))
+        assert order.labels_at(*range(len(arranged))) == arranged
+        labels = list(spec.labels())
+        assert spec.labels_at([len(labels) - 1, 0, 0]) == [labels[-1], labels[0], labels[0]]
+        with pytest.raises(IndexError):
+            spec.labels_at([len(labels)])
+
+    def test_count_tuples_unrank_without_walking(self, monkeypatch):
+        spec = parse_domain("contingency:N=3000,R=1000")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("labels_at walked the domain")
+
+        monkeypatch.setattr(type(spec), "count_tuples", refuse)
+        assert spec.labels_at([0, 2_003_000]) == ["tp=0,fp=0,fn=1000,tn=2000",
+                                                 "tp=1000,fp=2000,fn=0,tn=0"]
+
     def test_other_kinds_walk_to_the_last_index(self):
-        spec = parse_domain("contingency:N=12,R=4")
+        spec = parse_domain("leveled:docs=4,s=2")
         labels = list(spec.labels())
         assert spec.labels_at([7, 2, 7]) == [labels[7], labels[2], labels[7]]
 

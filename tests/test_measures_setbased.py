@@ -1,9 +1,11 @@
 """Set-based and user-oriented measure formulas, identities, and errors."""
 
+import io
 from fractions import Fraction
 
 import pytest
 
+from metriclass.cli import run
 from metriclass.enumeration import enumerate_domain, parse_domain
 from metriclass.errors import ParameterError, UndefinedValueError
 from metriclass.measures import measure_from_id
@@ -45,6 +47,16 @@ class TestContingencyFormulas:
     def test_f_measure_undefined_when_both_components_zero(self):
         with pytest.raises(UndefinedValueError):
             ev("f-measure", ContingencyTable(0, 3, 5, 7))
+
+    def test_f_measure_names_its_own_reason_where_its_denominator_is_not_zero(self):
+        # 2tp + fp + fn = 2 here: precision is 0 and recall is 0, so F does not exist
+        err = io.StringIO()
+        code = run(["evaluate", "--measure", "f-measure", "--table", "tp=0,fp=1,fn=1,tn=3"],
+                   out=io.StringIO(), err=err)
+        assert code == 2
+        assert err.getvalue() == (
+            "error: measures: f-measure undefined on tp=0,fp=1,fn=1,tn=3"
+            " (precision and recall are both 0 or undefined)\n")
 
     def test_recall_plus_miss_rate_is_one(self):
         for t in ALL_TABLES:

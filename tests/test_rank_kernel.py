@@ -243,12 +243,9 @@ def walked(measure, spec):
     order = ElementOrder(spec)
     pairs = []
     labels = spec.labels()
-    for stream, evaluate, runs in spec.evaluators(measure):
-        for item, k in stream if runs else zip(stream, repeat(1)):
-            try:
-                value = as_value(evaluate(item))
-            except UndefinedValueError:
-                value = None
+    for stream, runs in spec.evaluators(measure):
+        for result, k in stream if runs else zip(stream, repeat(1)):
+            value = None if result is None else as_value(result)
             pairs.extend(zip(islice(labels, k), repeat(value)))
     return list(order.arrange(pairs))
 

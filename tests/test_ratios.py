@@ -90,7 +90,11 @@ def check_row(measure, element, args, expected, raw=None):
         assert den > 0
         assert F(num, den) == expected
         assert measure.evaluate(element) == Exact(expected)
-    groups, excluded, _ = _gather([([args], lambda a: raw(*a), False)], count())
+    try:
+        result = raw(*args)
+    except UndefinedValueError:
+        result = None
+    groups, excluded, _ = _gather([([result], False)], count())
     if expected is None:
         assert (groups, excluded) == ({}, 1)
     else:

@@ -6,11 +6,13 @@ earliest positions, and names witnesses from their positions alone.
 verdict, field for field and byte for byte, on every domain kind, with
 and without a seed, for exact and for real measures.  The summary's
 memory must not grow with the elements.  Walks that yield settled
-prefixes as runs must bucket exactly as evaluating every element does.
+prefixes as runs, and the row streams of contingency and user domains,
+must bucket exactly as evaluating every element does.
 """
 
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 from itertools import repeat
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import summary_reference as reference
 from metriclass import intrinsic
 from metriclass.enumeration import ElementOrder, cardinality, parse_domain
-from metriclass.errors import MetriclassError
+from metriclass.errors import MetriclassError, UndefinedValueError
 from metriclass.intrinsic import Verdict, _gather, _raw, classify, induced_order, summarize
 from metriclass.measures import measure_from_id
 from metriclass.report import emit_verdict_json
@@ -30,10 +32,12 @@ MEASURES = {
                  "r-wp", "r-measure", "prec@2", "recall@2", "nxcg@2", "manxcg@2", "gr@2",
                  "prec@3", "recall@3", "nxcg@3", "manxcg@3", "gr@3",
                  "rbp?p=1/2", "dcg?b=2", "dcg?b=3", "pnorm"),
-    "contingency": ("recall", "precision", "f-measure", "fallout", "generality", "accuracy"),
+    "contingency": ("recall", "precision", "f-measure", "fallout", "generality", "accuracy",
+                    "utility?"),
     "user": ("coverage-ratio", "novelty-ratio", "recall-effort", "retrieval-recall"),
     "leveled": ("esl",),
 }
+UTILITY_WEIGHTS = ("alpha", "beta", "gamma", "delta")
 
 
 @st.composite
@@ -60,7 +64,12 @@ def domain_texts(draw, kinds=tuple(sorted(MEASURES))):
         text = f"leveled:docs={draw(st.integers(1, 6))},s={draw(st.integers(1, 3))}"
     seed = draw(st.one_of(st.none(), st.integers(0, 999)))
     text += "" if seed is None else f",seed={seed}"
-    return draw(st.sampled_from(MEASURES[kind])), text, draw(st.sampled_from((200, 0, 3)))
+    measure = draw(st.sampled_from(MEASURES[kind]))
+    if measure == "utility?":  # rational weights, so the forms are scaled by their lcm
+        weights = draw(st.lists(st.fractions(Fraction(1, 10), 10, max_denominator=12),
+                                min_size=4, max_size=4))
+        measure += ",".join(f"{name}={w}" for name, w in zip(UTILITY_WEIGHTS, weights))
+    return measure, text, draw(st.sampled_from((200, 0, 3)))
 
 
 def outcome(classify_fn, measure_id, domain, oracle_cap):
@@ -95,12 +104,19 @@ class TestSummaryMatchesMaterialisedPath:
 def element_by_element(measure, spec):
     """One element stream: ``Measure.evaluate`` on each element on its own."""
     universe = getattr(spec, "universe", None)
-    yield spec.elements(), lambda element: _raw(measure.evaluate(element, universe)), False
+
+    def raw(element):
+        try:
+            return _raw(measure.evaluate(element, universe))
+        except UndefinedValueError:
+            return None
+
+    yield map(raw, spec.elements()), False
 
 
 def run_lengths(measure, spec):
     """How many elements each item of the domain's walk stands for."""
-    for stream, _, runs in spec.evaluators(measure):
+    for stream, runs in spec.evaluators(measure):
         for _, k in stream if runs else zip(stream, repeat(1)):
             yield k
 
@@ -108,13 +124,19 @@ def run_lengths(measure, spec):
 class TestRunsMatchElementWalk:
     """Settled prefixes, as runs, against evaluating every element."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(domain_texts(("rankings", "leveled")))
+    @settings(max_examples=400, deadline=None)
+    @given(domain_texts())
     @example(("esl", "leveled:docs=6,s=2,seed=4", 200))
     @example(("nxcg@2", "binary:L=5,seed=1", 200))
     @example(("r-precision", "binary:L=2..6,R=2,N=8,rel=1,seed=9", 200))
     @example(("prec@3", "binary:L=2..6,R=2,N=8", 200))  # a ParameterError at length 2
     @example(("sr", "binary:L=3..5,R=0,seed=2", 200))  # each length is one undefined run
+    @example(("f-measure", "contingency:N=7,R=3,n=0..7,seed=6", 200))  # a None per row
+    @example(("novelty-ratio", "user:U=2,A=1..4,seed=1", 200))  # a None in the rows at R_k = 0
+    @example(("precision", "contingency:N=5,R=0,n=0..5", 200))  # n = 0 is a whole None row
+    @example(("utility?alpha=1/3,beta=5/2,gamma=7/12,delta=2", "contingency:N=6,R=2,seed=8", 200))
+    @example(("coverage-ratio", "user:U=1,A=1..1", 200))  # a one-element domain
+    @example(("recall", "contingency:N=3,R=0", 200))  # every row is undefined
     def test_buckets_run_lengths_and_verdict(self, drawn):
         def gather(walk):
             return lambda m, s, _: _gather(walk(m, s), ElementOrder(s).positions())
