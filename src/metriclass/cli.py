@@ -16,7 +16,7 @@ import sys
 
 from .enumeration import DEFAULT_CAP, Contingency, Leveled, User, parse_domain, parse_fields
 from .errors import MetriclassError, ParseError, UndefinedValueError
-from .ingest import parse_qrels, parse_run, to_rankings
+from .ingest import parse_qrels, parse_run, read_text, to_rankings
 from .intrinsic import DEFAULT_ORACLE_CAP, INTERVAL_METRIC, build_hasse, classify, induced_order
 from .measures import aggregate, list_measure_ids, measure_from_id
 from .model import GradeScheme, Ranking, Universe
@@ -205,10 +205,8 @@ def _ingest_eval(args, out) -> int:
     measure = measure_from_id(args.measure)
     if measure.family != "ranking":
         raise UsageError("ingest-eval works with rank-based measures")
-    with open(args.qrels, encoding="utf-8") as handle:
-        qrels = parse_qrels(handle.read())
-    with open(args.run, encoding="utf-8") as handle:
-        run = parse_run(handle.read())
+    qrels = parse_qrels(read_text(args.qrels))
+    run = parse_run(read_text(args.run))
     scheme = _parse_scheme(args.scheme)
     rankings, skipped = to_rankings(run, qrels, scheme, args.depth)
     values = []

@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, count, repeat, starmap
-from operator import mul
+from operator import mul, truediv
 from typing import ClassVar, Iterable, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
@@ -154,8 +154,9 @@ class Domain:
     bound above it); ``elements()`` iterates in lexicographic order,
     ``labels()`` gives their display forms and ``labels_at(indices)`` those
     at some lexicographic indices, ``evaluators(measure)`` how to get the
-    measure's raw results on them, and ``element(text)`` parses a display
-    form.
+    measure's raw results on them, ``certificate(measure)`` whether those
+    stand for exact values as floats, and ``element(text)`` parses a
+    display form.
     """
 
     kind: ClassVar[str]
@@ -178,13 +179,21 @@ class Domain:
 
         The streams in turn give the measure's raw result (``(num, den)`` or
         a float, see :mod:`metriclass.measures`) on every element, in
-        lexicographic order, with ``None`` where the value is undefined.  In
+        lexicographic order, with ``None`` where the value is undefined.
+        Where ``certificate(measure)`` is not None an exact result comes as
+        the float ``num / den``, certified one-to-one on the values.  In
         an element stream (``runs`` false) each item is one element's
         result.  In a run stream each item is ``(result, k)``: the result
         of a settled prefix, shared by the k elements that complete it,
         which are consecutive.
         """
         raise NotImplementedError
+
+    def certificate(self, measure) -> Optional[int]:
+        """A bound D on the denominators of the measure's values if its
+        evaluators yield them as certified floats, else None (they yield
+        ``(num, den)`` pairs or reals); see ``_CountTuples.certificate``."""
+        return None
 
 
 def _progression(start: int, step: int, lo: int, hi: int) -> Iterable[int]:
@@ -199,7 +208,7 @@ class _CountTuples(Domain):
 
     ``rows()`` yields ``(first, m)``: the row's first counts and its
     length; its i-th element is ``first + i * delta``.  ``count_tuples()``
-    lists the same elements one by one.
+    lists the same elements one by one, and ``largest()`` bounds each count.
     """
 
     element_type: ClassVar[type]
@@ -223,23 +232,46 @@ class _CountTuples(Domain):
                 raise IndexError(f"enumeration: no element at index {index}")
         return found
 
+    def certificate(self, measure) -> Optional[int]:
+        """D if a row may yield each result as the float ``num / den``, else None.
+
+        From the largest value of each count, V bounds |num| and D bounds
+        den over the domain, in O(1).  Distinct values p/q and r/s with q, s
+        <= D differ by at least 1/D^2, and the correctly rounded ``num /
+        den`` of a value at most V in magnitude is within V 2^-53 of it, so
+        when V D^2 < 2^52 distinct values get distinct floats, equal values
+        the same float, and the floats sort as the values do.  The same
+        bound makes a value the last convergent of its float whose
+        denominator is at most D (Legendre's theorem), which is how
+        ``intrinsic`` recovers it.
+        """
+        weights = (1, *self.largest())
+        num, den = (sum(map(mul, map(abs, form), weights)) for form in measure.fn[:2])
+        den = max(den, 1)
+        return den if num * den * den < 1 << 52 else None
+
     def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """One element stream, row by row, of the ratio of two affine forms.
 
         ``measure.fn`` is a :class:`~metriclass.measures.Ratio`.  Along a
         row each form is an arithmetic progression, whose step (the form's
         dot product with ``delta``) is the same for every row, so a row's
-        results are two ``range``s zipped.  ``defined`` is a progression
-        too: one ``divmod`` finds its only zero on the row, if any, which is
-        the row's one ``None``; a row on which it is constantly 0 is all
-        ``None``.
+        results are two ``range``s, zipped into pairs, or divided in C into
+        floats where ``certificate`` vouches that the floats are one-to-one
+        on the values.  ``defined`` is a progression too: one ``divmod``
+        finds its only zero on the row, if any, which is the row's one
+        ``None``; a row on which it is constantly 0 is all ``None``.
         """
         num, den, defined, _ = measure.fn
         steps = [sum(map(mul, form[1:], self.delta)) for form in (num, den, defined)]
-        yield chain.from_iterable(self._results(measure.fn, *steps)), False
+        pair = zip if self.certificate(measure) is None else partial(map, truediv)
+        yield chain.from_iterable(self._results(measure.fn, pair, *steps)), False
 
-    def _results(self, ratio, num_step: int, den_step: int, defined_step: int) -> Iterator:
-        """Per row: the results before its undefined ones, those, and the rest."""
+    def _results(self, ratio, pair, num_step: int, den_step: int, defined_step: int) -> Iterator:
+        """Per row: the results before its undefined ones, those, and the rest.
+
+        ``pair(nums, dens)`` turns a row's two progressions into its results.
+        """
         num, den, defined, _ = ratio
         for first, m in self.rows():
             n, d, f = form_value(num, first), form_value(den, first), form_value(defined, first)
@@ -248,9 +280,9 @@ class _CountTuples(Domain):
                 lo, hi = (zero, zero + 1) if not rest and 0 <= zero < m else (m, m)
             else:
                 lo, hi = (m, m) if f else (0, m)
-            yield zip(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
+            yield pair(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
             yield repeat(None, hi - lo)
-            yield zip(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
+            yield pair(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
 
 
 def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
@@ -542,6 +574,12 @@ class Contingency(_CountTuples):
             fp = n - tp
             yield (tp, fp, relevant - tp, nonrel - fp), min(relevant, n) - tp + 1
 
+    def largest(self) -> tuple[int, int, int, int]:
+        """Upper bounds on tp, fp, fn and tn over the domain."""
+        relevant, top = self.relevant, self.retrieved[1]
+        nonrel = self.collection - relevant
+        return min(relevant, top), min(nonrel, top), relevant, nonrel
+
     @staticmethod
     def element(text: str) -> ContingencyTable:
         f = parse_fields(text, "enumeration: contingency table", ("tp", "fp", "fn", "tn"))
@@ -605,6 +643,11 @@ class User(_CountTuples):
         for a in range(1, self.max_retrieved + 1):
             for rk in range(0, min(known, a) + 1):
                 yield (known, rk, 0, a), a - rk + 1
+
+    def largest(self) -> tuple[int, int, int, int]:
+        """Upper bounds on U, R_k, R_u and A over the domain."""
+        top = self.max_retrieved
+        return self.known, min(self.known, top), top, top
 
     @staticmethod
     def element(text: str) -> UserContext:

@@ -6,11 +6,12 @@ run lines:    ``topic Q0 doc rank score tag``
 Both formats are whitespace-delimited UTF-8 text, LF or CRLF.  A line
 ends at LF only, so the line numbers in a ``ParseError`` are those that
 ``wc -l`` and editors count; a CR, form feed or Unicode line separator is
-whitespace inside a line, and a file ending lines in a bare CR is one
-line.  The rank field of a run line must be an integer, but ordering
-always comes from descending score; score ties break by ascending doc id
-so conversion is deterministic.  Unjudged documents receive the lowest
-grade.
+whitespace inside a line, and a text ending lines in a bare CR is one
+line.  ``read_text`` reads a file as text mode does, turning CRLF and a
+bare CR into LF, and refuses one that is not UTF-8.  The rank field of a
+run line must be an integer, but ordering always comes from descending
+score; score ties break by ascending doc id so conversion is
+deterministic.  Unjudged documents receive the lowest grade.
 """
 
 from __future__ import annotations
@@ -41,8 +42,24 @@ class RunSet:
     by_topic: tuple[tuple[str, tuple[str, ...]], ...]  # (topic, doc ids best first)
 
 
+def read_text(path: str) -> str:
+    """A qrels or run file's text, with text mode's line ends.
+
+    A file that is not UTF-8 is a ``ParseError`` naming it and the offset
+    of its first bad byte.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"ingest: {path} is not UTF-8 (bad byte at offset {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_qrels(text: str) -> QrelsSet:
     by_topic: dict[str, dict[str, int]] = {}
+    current = None  # consecutive lines mostly share a topic, and so its dict
     for lineno, raw in enumerate(text.split("\n"), 1):
         fields = raw.split()
         if not fields:
@@ -56,7 +73,8 @@ def parse_qrels(text: str) -> QrelsSet:
             raise ParseError(f"ingest: qrels grade {grade_text!r} is not an integer", lineno)
         if grade < 0:
             raise ParseError(f"ingest: qrels grade {grade} is negative", lineno)
-        grades = by_topic.setdefault(topic, {})
+        if topic != current:
+            current, grades = topic, by_topic.setdefault(topic, {})
         if doc in grades:
             raise ParseError(f"ingest: duplicate judgment for ({topic}, {doc})", lineno)
         grades[doc] = grade
@@ -64,7 +82,9 @@ def parse_qrels(text: str) -> QrelsSet:
 
 
 def parse_run(text: str) -> RunSet:
-    by_topic: dict[str, dict[str, float]] = {}
+    """Each topic's documents by descending score, ties by ascending doc id."""
+    by_topic: dict[str, dict[str, float]] = {}  # topic -> {doc: negated score}
+    current = None
     tag = ""
     for lineno, raw in enumerate(text.split("\n"), 1):
         fields = raw.split()
@@ -80,13 +100,15 @@ def parse_run(text: str) -> RunSet:
             raise ParseError("ingest: run rank/score fields are not numeric", lineno)
         if not math.isfinite(score):  # nan/inf would sort arbitrarily
             raise ParseError(f"ingest: run score {score_text!r} is not finite", lineno)
-        scores = by_topic.setdefault(topic, {})
+        if topic != current:
+            current, scores = topic, by_topic.setdefault(topic, {})
         if doc in scores:
             raise ParseError(f"ingest: duplicate document {doc!r} in topic {topic}", lineno)
-        scores[doc] = score
+        scores[doc] = -score
         tag = tag or line_tag
+    # (-score, doc) pairs sort best first; -0.0 == 0.0, so such a tie breaks by doc too
     return RunSet(tag, tuple(
-        (topic, tuple(sorted(scores, key=lambda doc: (-scores[doc], doc))))
+        (topic, tuple(doc for _, doc in sorted(zip(scores.values(), scores))))
         for topic, scores in by_topic.items()
     ))
 

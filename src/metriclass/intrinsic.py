@@ -21,9 +21,13 @@ sorted keys of the distinct values over the buckets grouping filled, and
 no record per class.  The induced order (``induced_order``) also lists the
 members, for the Hasse export, which reads ``ValueClass`` records.  A walk
 may hand over a settled prefix as one run of elements sharing one value.
-Values are grouped, ordered and compared by their keys, the reduced
-``(num, den)`` of an exact value or the float of a real; a value object is
-built only where one is reported: a witness, gap, triple or Hasse node.
+Values are grouped and ordered by their keys: the reduced ``(num, den)`` of
+an exact value, the float of a real, or, on a contingency or user domain
+whose certificate holds (``Domain.certificate``), the float ``num / den``
+of an exact value.  Such a float is turned back into its pair
+(``_convergent``) only where a check or a report reads the value, and a
+value object is built only where one is reported: a witness, gap, triple
+or Hasse node.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, islice, repeat, starmap
 from math import gcd
@@ -45,7 +49,8 @@ from .values import DEFAULT_EPS, Exact, Value, absdiff, add, as_value, exact, fm
 #: Above this many quotient classes the definitional oracle is skipped.
 DEFAULT_ORACLE_CAP = 200
 
-#: How classes are grouped and compared: an exact value's reduced (num, den), a real's float.
+#: How classes are grouped and sorted: an exact value's reduced (num, den), a
+#: real's float, or an exact value's certified float (``Domain.certificate``).
 Key = tuple[int, int] | float
 
 
@@ -55,9 +60,12 @@ Key = tuple[int, int] | float
 
 
 class ValueClass(NamedTuple):
-    """One attained value's key, how many elements attain it, and the earliest one or two."""
+    """One attained value, how many elements attain it, and the earliest one or two.
 
-    key: Key
+    ``key`` is the value's raw result: its reduced ``(num, den)`` or a real's float.
+    """
+
+    key: tuple[int, int] | float
     size: int
     earliest: tuple[int, ...]  # the smallest positions, two unless the class is a singleton
 
@@ -66,8 +74,54 @@ class ValueClass(NamedTuple):
         return as_value(self.key)
 
 
+def _convergent(x: float, bound: int) -> tuple[int, int]:
+    """The last continued-fraction convergent of ``x`` whose denominator is at most ``bound``.
+
+    ``x.as_integer_ratio()`` is expanded exactly.  When ``x`` is the
+    correctly rounded float of a value p/q and ``bound`` is the denominator
+    bound D of ``Domain.certificate``, this is (p, q) in lowest terms.
+    """
+    num, den = x.as_integer_ratio()
+    p0, q0, p, q = 0, 1, 1, 0
+    while den:
+        a, rest = divmod(num, den)
+        if q0 + a * q > bound:
+            break
+        p0, q0, p, q = p, q, p0 + a * p, q0 + a * q
+        num, den = den, rest
+    return p, q
+
+
 @dataclass(frozen=True)
-class ValueSummary:
+class _Keyed:
+    """What a grouped domain's keys stand for.
+
+    ``bound`` is the domain's certificate (``Domain.certificate``) when its
+    keys are certified floats, else None.
+    """
+
+    bound: Optional[int] = field(default=None, kw_only=True)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def result(self, key: Key) -> tuple[int, int] | float:
+        """The raw result a key stands for: an exact value's reduced ``(num, den)`` or a real.
+
+        A pair key and a real are their own result.  Where ``bound`` is
+        set every key is a certified float, turned back into its pair once.
+        """
+        if self.bound is None:
+            return key
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = _convergent(key, self.bound)
+        return pair
+
+    def value(self, key: Key) -> Value:
+        return as_value(self.result(key))
+
+
+@dataclass(frozen=True)
+class ValueSummary(_Keyed):
     """What classification needs of a domain's attained values, from one pass.
 
     ``keys`` is the quotient, one key per class in increasing value order,
@@ -90,13 +144,13 @@ class ValueSummary:
 
 
 @dataclass(frozen=True)
-class OrderedDomain:
+class OrderedDomain(_Keyed):
     """A domain sorted and grouped by attained value, every member listed.
 
-    ``labels`` holds display strings in enumeration order; ``keys`` and
-    ``buckets`` are ``summarize``'s, and ``classes`` reads them as records;
-    ``members[ci]`` lists the indices in the class of ``keys[ci]``,
-    ascending; ``excluded`` lists the undefined points.
+    ``labels`` holds display strings in enumeration order; ``keys``,
+    ``buckets`` and ``bound`` are ``summarize``'s, and ``classes`` reads
+    them as records; ``members[ci]`` lists the indices in the class of
+    ``keys[ci]``, ascending; ``excluded`` lists the undefined points.
     """
 
     labels: tuple[str, ...]
@@ -107,7 +161,8 @@ class OrderedDomain:
 
     @property
     def classes(self) -> tuple[ValueClass, ...]:
-        return tuple(ValueClass(key, *_unpack(self.buckets[key])) for key in self.keys)
+        return tuple(ValueClass(self.result(key), *_unpack(self.buckets[key]))
+                     for key in self.keys)
 
     def labels_at(self, *indices: int) -> list[str]:
         return [self.labels[i] for i in indices]
@@ -134,8 +189,9 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions):
     from 0 in lexicographic order, or the positions a seed gives them.  An
     exact result is keyed by the pair reduced by one ``gcd``, which is
     ``Fraction(num, den).as_integer_ratio()`` without a ``Fraction``; a
-    real by its float.  A key maps to its element's position while it is
-    attained once, then to ``[count, earliest, second earliest]``.
+    float, real or certified, by itself.  A key maps to its element's
+    position while it is attained once, then to ``[count, earliest, second
+    earliest]``.
     Returns the buckets, the number of undefined elements and the earliest
     of them.
     """
@@ -215,20 +271,25 @@ def _enter(groups: dict, key: Key, size: int, earliest: tuple[int, ...]) -> None
     groups[key] = earliest[0] if size == 1 else [size, *earliest]
 
 
-def _quotient(groups: dict, excluded: int) -> list[Key]:
+def _quotient(groups: dict, excluded: int, certified: bool) -> list[Key]:
     """The classes' keys in increasing value order, over ``_gather``'s buckets.
 
     The defined values must be all exact or all real, and there must be
     one: a domain with no element, or whose ``excluded`` elements are all
-    undefined, is refused.  Each distinct exact value is a class.  A class
-    of reals is a run of sorted values within ``DEFAULT_EPS`` of its first,
-    the anchor, since nearness within a tolerance is not transitive; each
-    other key of the run leaves ``groups``, its bucket folded into the
-    anchor's, so that ``groups`` holds the returned keys only.
+    undefined, is refused.  Each distinct exact value is a class.
+    ``certified`` keys are floats that ``Domain.certificate`` proved
+    one-to-one on the exact values and ordered as they are, so a plain
+    sort orders them.  A class of reals is a run of sorted values within
+    ``DEFAULT_EPS`` of its first, the anchor, since nearness within a
+    tolerance is not transitive; each other key of the run leaves
+    ``groups``, its bucket folded into the anchor's, so that ``groups``
+    holds the returned keys only.
     """
     if not groups:
         raise ConstraintError("intrinsic: the domain has no element" if not excluded
                               else "intrinsic: every element of the domain is undefined")
+    if certified:
+        return sorted(groups)
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
@@ -272,7 +333,8 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     horizon, and leveled domains by one walk over ``esl``'s level fold,
     which stops where it settles; each settled prefix is one run.
     Contingency and user domains are evaluated a row at a time from the
-    measure's two affine forms, with no call per element.
+    measure's two affine forms, with no call per element, and their values
+    keyed by certified floats where the domain's certificate holds.
     Undefined points (zero denominators) are excluded and counted rather
     than mapped to a sentinel, so they cannot manufacture collisions.  Under a seed the
     elements are still walked in lexicographic order, and each is given
@@ -280,18 +342,20 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
+    bound = spec.certificate(measure)
     groups, excluded, first_excluded = _gather(spec.evaluators(measure), order.positions())
-    keys = _quotient(groups, excluded)
+    keys = _quotient(groups, excluded, bound is not None)
     elements = excluded + len(keys) + sum(g[0] - 1 for _, g in _collisions(groups))
-    return ValueSummary(keys, groups, elements, excluded, first_excluded, order)
+    return ValueSummary(keys, groups, elements, excluded, first_excluded, order, bound=bound)
 
 
 def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]],
-             labels: Iterable[str]) -> OrderedDomain:
+             labels: Iterable[str], bound: Optional[int] = None) -> OrderedDomain:
     """``summarize``'s quotient of a walk, with one more walk to list its members.
 
-    ``walk()`` and ``positions()`` are fresh arguments to ``_gather``, and
-    ``labels`` are in position order.  Each element is keyed as ``_gather``
+    ``walk()`` and ``positions()`` are fresh arguments to ``_gather``,
+    ``labels`` are in position order, and ``bound`` is the certificate of
+    the walk's floats, if any.  Each element is keyed as ``_gather``
     keys it; a real folded into an anchor goes to the greatest anchor below
     it, a run puts all its positions in one class, and a ``None`` result
     is an undefined point.  Positions arrive out of order under a seed, so
@@ -299,8 +363,8 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
     """
     groups, excluded_count, _ = _gather(walk(), positions())
     raw = list(groups)  # before _quotient folds near reals into their anchors
-    keys = _quotient(groups, excluded_count)
-    index = (dict(zip(keys, count())) if keys[0].__class__ is tuple
+    keys = _quotient(groups, excluded_count, bound is not None)
+    index = (dict(zip(keys, count())) if bound is not None or keys[0].__class__ is tuple
              else {key: bisect_right(keys, key) - 1 for key in raw})
     members: list[list[int]] = [[] for _ in keys]
     excluded = []
@@ -320,7 +384,7 @@ def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]
             else:
                 members[index[_key(v)]].append(position)
     return OrderedDomain(tuple(labels), keys, groups, tuple(tuple(sorted(m)) for m in members),
-                         tuple(sorted(excluded)))
+                         tuple(sorted(excluded)), bound=bound)
 
 
 def _raw(value: Optional[Value]) -> Optional[Key]:
@@ -346,7 +410,7 @@ def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> Ord
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     return _ordered(lambda: spec.evaluators(measure), order.positions,
-                    order.arrange(spec.labels()))
+                    order.arrange(spec.labels()), spec.certificate(measure))
 
 
 def distance(measure: Measure, a, b, universe=None) -> Value:
@@ -423,7 +487,7 @@ def check_injective(
     if best is None:
         return True, None
     key, (_, first, second) = best
-    return False, CollisionWitness(*ordered.labels_at(first, second), as_value(key))
+    return False, CollisionWitness(*ordered.labels_at(first, second), ordered.value(key))
 
 
 @dataclass(frozen=True)
@@ -440,17 +504,19 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
     Returns the common gap, or the three consecutive class values ending
     at the first gap unequal to the first.  Single-class quotients report
     equispaced vacuously but carry the degenerate flag.  Gaps are taken
-    between class keys: exact ones are compared by integer
-    cross-multiplication, real ones within ``DEFAULT_EPS`` of the first gap
-    (nearness within a tolerance is not transitive).
+    between the classes' results, recovered key by key up to the first
+    unequal gap: exact ones are compared by integer cross-multiplication,
+    real ones within ``DEFAULT_EPS`` of the first gap (nearness within a
+    tolerance is not transitive).
     """
-    keys = ordered.keys
+    keys, result = ordered.keys, ordered.result
     if len(keys) < 2:
         return SpacingResult(equispaced=True, degenerate=True)
-    real = keys[0].__class__ is not tuple
+    hi = result(keys[0])
+    real = hi.__class__ is float
     first = None
     for k in range(1, len(keys)):
-        lo, hi = keys[k - 1], keys[k]
+        lo, hi = hi, result(keys[k])
         if real:
             gap = hi - lo
             same = first is None or abs(gap - first) <= DEFAULT_EPS  # value_eq
@@ -458,11 +524,11 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
             gap = hi[0] * lo[1] - lo[0] * hi[1], lo[1] * hi[1]
             same = first is None or gap[0] * first[1] == first[0] * gap[1]
         if not same:
-            triple = tuple(map(as_value, keys[k - 2:k + 1]))
+            triple = tuple(map(ordered.value, keys[k - 2:k + 1]))
             return SpacingResult(equispaced=False, degenerate=False, violating_triple=triple)
         first = first or gap  # gaps between distinct classes are nonzero
     return SpacingResult(equispaced=True, degenerate=False,
-                         gap=sub(as_value(keys[1]), as_value(keys[0])))
+                         gap=sub(ordered.value(keys[1]), ordered.value(keys[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +561,8 @@ def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
     at one offset d = j - i.  Each such pair's value difference must equal
     the first, classes 0..d, and these first differences must strictly
     increase with d.  Every pair is compared, not only consecutive gaps.
-    Exact keys are compared as integers over their common denominator;
+    Exact values, recovered from their keys, are compared as integers over
+    their common denominator;
     a domain with real values as floats within ``DEFAULT_EPS``, each pair
     against its offset's first difference, since nearness within a
     tolerance is not transitive.  Quotients above ``cap`` classes are
@@ -507,13 +574,14 @@ def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
     if any(_collisions(ordered.buckets)):
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
     k = len(keys)
-    exact_values = all(key.__class__ is tuple for key in keys)
+    results = list(map(ordered.result, keys))
+    exact_values = all(r.__class__ is tuple for r in results)
     if exact_values:
-        den = math.lcm(*(d for _, d in keys))
-        xs = [n * (den // d) for n, d in keys]
+        den = math.lcm(*(d for _, d in results))
+        xs = [n * (den // d) for n, d in results]
         tol = 0
     else:
-        xs = keys
+        xs = results
         tol = DEFAULT_EPS
     firsts = []
     for d in range(k):

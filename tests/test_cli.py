@@ -128,6 +128,10 @@ CLASSIFY_GOLDENS = [
     ("dcg?b=2", "binary:L=12"),
     ("msr", "binary:L=11,seed=4"),
     ("ap", "graded:levels=3,L=1..6,R=3,N=9,seed=2"),
+    # recorded before contingency classes were keyed by certified floats: one
+    # domain that certifies its floats and one whose weight is past the bound
+    ("utility?alpha=7/3,beta=5,gamma=1/2,delta=11", "contingency:N=300,R=90"),
+    ("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2"),
 ]
 
 
@@ -240,6 +244,8 @@ HASSE_GOLDENS = [
     # settled prefixes: each run's positions go into its class's member list
     ("esl", "leveled:docs=5,s=2,seed=4"),  # seeded: a run's positions are scattered
     ("nxcg@2", "binary:L=5"),  # every class is a union of runs of 8
+    # recorded before contingency classes were keyed by certified floats
+    ("f-measure", "contingency:N=20,R=6"),
 ]
 
 
@@ -396,6 +402,17 @@ class TestIngestEval:
         code, out, err = invoke(*argv, "--measure", "ap", "--aggregate", "mean")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("which", ["--qrels", "--run"])
+    def test_file_that_is_not_utf8_is_computation_error(self, tmp_path, which):
+        argv = list(self.probe(tmp_path))
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 Q0 a 1 0.9 t\xff\n" if which == "--run" else b"1 0 a 1\n1 0 \xc3 0\n")
+        argv[argv.index(which) + 1] = str(bad)
+        code, out, err = invoke(*argv, "--measure", "ap")
+        assert (code, out) == (2, "")
+        offset = 14 if which == "--run" else 12
+        assert err == f"error: ingest: {bad} is not UTF-8 (bad byte at offset {offset})\n"
 
     def test_missing_file_is_computation_error(self):
         code, _, err = invoke(

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metriclass.errors import ConstraintError, ParseError
-from metriclass.ingest import parse_qrels, parse_run, to_rankings
+from metriclass.ingest import parse_qrels, parse_run, read_text, to_rankings
 from metriclass.model import GradeScheme
 
 BINARY = GradeScheme.binary()
@@ -40,6 +40,23 @@ class TestParseRun:
     def test_score_ties_break_by_doc_id(self):
         run = parse_run("1 Q0 db 1 0.5 sys\n1 Q0 da 2 0.5 sys\n")
         assert dict(run.by_topic)["1"] == ("da", "db")
+
+    @pytest.mark.parametrize("first, second", [("0.0", "-0.0"), ("-0.0", "0.0")])
+    def test_signed_zero_scores_tie_and_break_by_doc_id(self, first, second):
+        run = parse_run(f"1 Q0 db 1 {first} sys\n1 Q0 da 2 {second} sys\n1 Q0 dc 3 -1 sys\n")
+        assert dict(run.by_topic)["1"] == ("da", "db", "dc")
+
+    def test_topics_keep_first_seen_order_when_lines_interleave(self):
+        run = parse_run("2 Q0 a 1 0.1 s\n1 Q0 b 1 0.5 s\n2 Q0 c 2 0.9 s\n")
+        assert run.by_topic == (("2", ("c", "a")), ("1", ("b",)))
+        with pytest.raises(ParseError) as err:
+            parse_run("2 Q0 a 1 0.1 s\n1 Q0 b 1 0.5 s\n2 Q0 a 2 0.9 s\n")
+        assert err.value.line == 3
+        qrels = parse_qrels("2 0 a 1\n1 0 b 0\n2 0 c 2\n")
+        assert qrels.by_topic == {"2": {"a": 1, "c": 2}, "1": {"b": 0}}
+        with pytest.raises(ParseError) as err:
+            parse_qrels("2 0 a 1\n1 0 b 0\n2 0 a 2\n")
+        assert err.value.line == 3
 
     def test_missing_tag_field_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -93,6 +110,21 @@ class TestLineNumbersFollowNewlines:
             parse(text)
         assert err.value.line == 1
         assert f"got {fields}" in str(err.value)
+
+
+class TestReadText:
+    def test_line_ends_read_as_text_mode_reads_them(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"1 0 a 1\r\n1 0 b 0\r1 0 c 2\n")
+        assert read_text(str(path)) == "1 0 a 1\n1 0 b 0\n1 0 c 2\n"
+        assert parse_qrels(read_text(str(path))).by_topic == {"1": {"a": 1, "b": 0, "c": 2}}
+
+    def test_bytes_that_are_not_utf8_name_the_file_and_offset(self, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_bytes("1 Q0 \u00e9 1 0.9 t\n".encode() + b"1 Q0 b 2 0.8 \xff\n")
+        with pytest.raises(ParseError) as err:
+            read_text(str(path))
+        assert str(err.value) == f"ingest: {path} is not UTF-8 (bad byte at offset 29)"
 
 
 class TestToRankings:

@@ -7,13 +7,17 @@ verdict, field for field and byte for byte, on every domain kind, with
 and without a seed, for exact and for real measures.  The summary's
 memory must not grow with the elements.  Walks that yield settled
 prefixes as runs, and the row streams of contingency and user domains,
-must bucket exactly as evaluating every element does.
+must bucket exactly as evaluating every element does.  Where a contingency
+or user domain keys its classes by certified floats, each key must turn
+back into the reduced pair of its value, and the verdict must be the one
+the pairs give.
 """
 
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from itertools import repeat
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,10 +25,11 @@ from hypothesis import strategies as st
 
 import summary_reference as reference
 from metriclass import intrinsic
-from metriclass.enumeration import ElementOrder, cardinality, parse_domain
+from metriclass.enumeration import ElementOrder, _CountTuples, cardinality, parse_domain
 from metriclass.errors import MetriclassError, UndefinedValueError
-from metriclass.intrinsic import Verdict, _gather, _raw, classify, induced_order, summarize
-from metriclass.measures import measure_from_id
+from metriclass.intrinsic import (Verdict, _convergent, _gather, _raw, _unpack, classify,
+                                  induced_order, summarize)
+from metriclass.measures import list_measure_ids, measure_from_id
 from metriclass.report import emit_verdict_json
 
 MEASURES = {
@@ -38,10 +43,17 @@ MEASURES = {
     "leveled": ("esl",),
 }
 UTILITY_WEIGHTS = ("alpha", "beta", "gamma", "delta")
+# every set and user id, for the certified-float keys of their domains
+COUNT_TUPLE_MEASURES = {
+    family: (*(i for i in list_measure_ids() if "?" not in i and "@" not in i
+               and measure_from_id(i).family == family),
+             *(("utility?",) if family == "contingency" else ()))
+    for family in ("contingency", "user")
+}
 
 
 @st.composite
-def domain_texts(draw, kinds=tuple(sorted(MEASURES))):
+def domain_texts(draw, kinds=tuple(sorted(MEASURES)), measures=MEASURES, size=10):
     kind = draw(st.sampled_from(kinds))
     if kind == "rankings":
         levels = draw(st.integers(2, 3))
@@ -54,17 +66,17 @@ def domain_texts(draw, kinds=tuple(sorted(MEASURES))):
         rel = draw(st.one_of(st.none(), st.integers(0, r)))
         text = f"{head}L={lo}..{hi},R={r},N={n}" + ("" if rel is None else f",rel={rel}")
     elif kind == "contingency":
-        n = draw(st.integers(0, 10))
+        n = draw(st.integers(0, size))
         r = draw(st.integers(0, n))
         lo = draw(st.integers(0, n))
         text = f"contingency:N={n},R={r},n={lo}..{draw(st.integers(lo, n))}"
     elif kind == "user":
-        text = f"user:U={draw(st.integers(1, 3))},A=1..{draw(st.integers(1, 5))}"
+        text = f"user:U={draw(st.integers(1, 3))},A=1..{draw(st.integers(1, size // 2))}"
     else:
         text = f"leveled:docs={draw(st.integers(1, 6))},s={draw(st.integers(1, 3))}"
     seed = draw(st.one_of(st.none(), st.integers(0, 999)))
     text += "" if seed is None else f",seed={seed}"
-    measure = draw(st.sampled_from(MEASURES[kind]))
+    measure = draw(st.sampled_from(measures[kind]))
     if measure == "utility?":  # rational weights, so the forms are scaled by their lcm
         weights = draw(st.lists(st.fractions(Fraction(1, 10), 10, max_denominator=12),
                                 min_size=4, max_size=4))
@@ -141,7 +153,14 @@ class TestRunsMatchElementWalk:
         def gather(walk):
             return lambda m, s, _: _gather(walk(m, s), ElementOrder(s).positions())
 
-        got = outcome(gather(lambda m, s: s.evaluators(m)), *drawn)
+        def walked(m, s, _):  # certified floats turned back into their pairs
+            groups, excluded, first = gather(lambda m, s: s.evaluators(m))(m, s, _)
+            bound = s.certificate(m)
+            if bound is not None:
+                groups = {_convergent(key, bound): g for key, g in groups.items()}
+            return groups, excluded, first
+
+        got = outcome(walked, *drawn)
         assert got == outcome(gather(element_by_element), *drawn)
         if isinstance(got, tuple):
             measure_id, text, _ = drawn
@@ -155,6 +174,63 @@ class TestRunsMatchElementWalk:
         assert {f.name: getattr(verdict, f.name) for f in fields(Verdict)} == {
             f.name: getattr(expected, f.name) for f in fields(Verdict)
         }
+
+
+class TestCertifiedKeysMatchPairs:
+    """Classes keyed by certified floats against the materialised pair path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_texts(("contingency", "user"), COUNT_TUPLE_MEASURES, size=40))
+    @example(("f-measure", "contingency:N=30,R=9,n=0..30,seed=4", 200))
+    @example(("retrieval-recall", "user:U=3,A=1..20", 200))
+    @example(("utility?alpha=7/3,beta=5,gamma=1/2,delta=11", "contingency:N=30,R=9", 200))
+    @example(("utility?alpha=1,beta=1,gamma=1,delta=1/1000000007", "contingency:N=6,R=2", 200))
+    def test_keys_buckets_and_verdict(self, drawn):
+        summary = outcome(lambda m, s, _: summarize(m, s), *drawn)
+        expected = outcome(
+            lambda m, s, _: reference.order_values(reference.labeled_values(s, m)), *drawn)
+        if isinstance(expected, type):
+            assert summary is expected
+            return
+        assert [summary.result(key) for key in summary.keys] == [
+            cls.value.rational.as_integer_ratio() for cls in expected.classes]
+        assert [_unpack(summary.buckets[key]) for key in summary.keys] == [
+            (len(cls.members), cls.members[:2]) for cls in expected.classes]
+        # the same job with every certificate refused, so that the rows yield pairs
+        with patch.object(_CountTuples, "certificate", lambda self, measure: None):
+            pairs = outcome(classify, *drawn)
+        verdict = outcome(classify, *drawn)
+        assert verdict == pairs
+        assert emit_verdict_json(verdict) == emit_verdict_json(pairs)
+
+
+class TestCertificate:
+    PRECISION = measure_from_id("precision")
+
+    def test_recovers_farey_neighbours_at_the_largest_certified_bound(self):
+        # precision has |num| <= V = 1 here, and den = tp + fp <= D = N
+        bound = 2**26 - 1  # the largest D with V D^2 < 2^52
+        spec = parse_domain(f"contingency:N={bound},R=1")
+        assert spec.certificate(self.PRECISION) == bound
+        for (p, q), (r, s) in (((1, bound), (1, bound - 1)),
+                               ((bound - 2, bound - 1), (bound - 1, bound))):
+            assert abs(p * s - q * r) == 1  # neighbours: no fraction of den <= D between
+            assert p / q != r / s
+            assert (_convergent(p / q, bound), _convergent(r / s, bound)) == ((p, q), (r, s))
+
+    def test_refuses_a_bound_past_it(self):
+        spec = parse_domain(f"contingency:N={2**27},R=1")  # D = 2^27, V = 1
+        assert spec.certificate(self.PRECISION) is None
+        assert parse_domain(f"contingency:N={2**26},R=1").certificate(self.PRECISION) is None
+
+    @pytest.mark.parametrize("weights", ["delta=1e400", "delta=1/1000000007"])
+    def test_large_weights_fall_back_to_pairs(self, weights):
+        measure = measure_from_id(f"utility?alpha=1,beta=1,gamma=1,{weights}")
+        spec = parse_domain("contingency:N=6,R=2")
+        assert spec.certificate(measure) is None
+        stream, runs = next(spec.evaluators(measure))
+        assert not runs and all(v.__class__ is tuple for v in stream)
+        assert summarize(measure, spec).bound is None
 
 
 class TestInducedOrderMatchesSummary:
