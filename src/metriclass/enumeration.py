@@ -298,7 +298,7 @@ def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
                for j in range(max(0, least - c), min(tail, most - c) + 1))
 
 
-def _undefined(state) -> None:
+def _undefined(*_) -> None:
     return None
 
 
@@ -393,43 +393,37 @@ class Rankings(Domain):
         ``finish`` of the final state.  With one it stops at that depth and
         yields, per prefix of that length, ``(finish(state), k)``: of the
         prefix's state, and the number of rankings that complete it, which
-        are consecutive.  The stop depth is chosen once per walk, so a walk
-        without a horizon makes no extra comparison per node.
+        are consecutive.  The two share one loop, which pops a prefix and
+        steps its children: it pushes them, or yields them at the stop depth.
+        A ``horizon`` is at least 1.
         """
         ascending = range(self.levels)
         descending = ascending[::-1]  # pushed so that the stack pops them ascending
         exact_rel = self.exact_relevant
         most = self.universe.total_relevant if exact_rel is None else exact_rel
         least = exact_rel or 0
-        last = length - 1
+        stop = length if horizon is None else min(horizon, length)
+        completions = None  # per relevant count, for a walk that stops short of the length
+        if stop < length:
+            completions = [_completing(self.levels - 1, length - stop, c, least, most)
+                           for c in range(min(stop, most) + 1)]
         stack = [(0, 0, init)]  # (depth, relevant count, state) of a prefix
-        if horizon is not None and horizon < length:
-            tail, other = length - horizon, self.levels - 1
-            completions = [_completing(other, tail, c, least, most)  # per relevant count
-                           for c in range(min(horizon, most) + 1)]
-            while stack:
-                depth, rel, state = stack.pop()
-                if depth == horizon:
-                    yield finish(state), completions[rel]
-                    continue
-                room = last - depth
-                for g in descending:
-                    count = rel + (g > 0)
-                    if count <= most and count + room >= least:
-                        stack.append((depth + 1, count, step(state, depth + 1, g)))
-            return
+        push, pop = stack.append, stack.pop
         while stack:
-            depth, rel, state = stack.pop()
-            if depth == last:  # the children are elements
-                for g in ascending:
-                    if least <= rel + (g > 0) <= most:
-                        yield finish(step(state, length, g))
-                continue
-            room = last - depth  # positions after the next one
-            for g in descending:
+            depth, rel, state = pop()
+            depth += 1  # the children's
+            fewest = least - (length - depth)  # relevant grades a child needs to reach least
+            yields = depth == stop  # the children are yielded, not pushed
+            for g in ascending if yields else descending:
                 count = rel + (g > 0)
-                if count <= most and count + room >= least:
-                    stack.append((depth + 1, count, step(state, depth + 1, g)))
+                if fewest <= count <= most:
+                    child = step(state, depth, g)
+                    if not yields:
+                        push((depth, count, child))
+                    elif completions is None:
+                        yield finish(child)
+                    else:
+                        yield finish(child), completions[count]
 
     def labels_at(self, indices: list[int]) -> list[str]:
         """Display forms at lexicographic ``indices``, each unranked, not walked to.
@@ -485,7 +479,7 @@ class Rankings(Domain):
         A fold whose horizon is below the length is walked to its horizon
         only, as a run stream; any other fold yields every ranking's
         result.  A fold that is undefined for a whole length marks every
-        element of that length undefined, as one run from the empty prefix;
+        element of that length undefined, as one run per grade at rank 1;
         any other error propagates.
         """
         for length in self.lengths:
@@ -494,7 +488,7 @@ class Rankings(Domain):
             try:
                 init, step, finish, horizon = measure.fn(self.scheme, self.universe, length)
             except UndefinedValueError:
-                init, step, finish, horizon = None, None, _undefined, 0  # the root is the run
+                init, step, finish, horizon = None, _undefined, _undefined, 1
             yield self.walk(length, init, step, finish, horizon), horizon < length
 
     def element(self, text: str) -> Ranking:
@@ -831,11 +825,11 @@ class ElementOrder:
     position is its index in lexicographic order.  With one, a compact
     array of the indices is shuffled by ``random.Random(seed)`` (a shuffle
     depends only on the length), and its inverse maps each index to its
-    position.
+    position.  ``size`` is the element count.
     """
 
     def __init__(self, spec: Domain, cap: int = DEFAULT_CAP):
-        size = cardinality(spec, cap)
+        self.size = size = cardinality(spec, cap)
         if size > cap:
             raise DomainTooLargeError(size, cap)
         self.spec = spec

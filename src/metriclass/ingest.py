@@ -5,10 +5,10 @@ run lines:    ``topic Q0 doc rank score tag``
 
 Both formats are whitespace-delimited UTF-8 text, LF or CRLF.  A line
 ends at LF only, so the line numbers in a ``ParseError`` are those that
-``wc -l`` and editors count; a CR, form feed or Unicode line separator is
-whitespace inside a line, and a text ending lines in a bare CR is one
-line.  ``read_text`` reads a file as text mode does, turning CRLF and a
-bare CR into LF, and refuses one that is not UTF-8.  The rank field of a
+``wc -l`` counts; a CR, form feed or Unicode line separator is whitespace
+inside a line, so a CRLF line parses as its LF form and a text ending
+lines in a bare CR is one line.  ``read_text`` returns a file's decoded
+text unchanged and refuses one that is not UTF-8.  The rank field of a
 run line must be an integer, but ordering always comes from descending
 score; score ties break by ascending doc id so conversion is
 deterministic.  Unjudged documents receive the lowest grade.
@@ -43,7 +43,7 @@ class RunSet:
 
 
 def read_text(path: str) -> str:
-    """A qrels or run file's text, with text mode's line ends.
+    """A qrels or run file's text, decoded and otherwise unchanged.
 
     A file that is not UTF-8 is a ``ParseError`` naming it and the offset
     of its first bad byte.
@@ -51,10 +51,9 @@ def read_text(path: str) -> str:
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"ingest: {path} is not UTF-8 (bad byte at offset {exc.start})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_qrels(text: str) -> QrelsSet:

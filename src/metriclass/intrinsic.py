@@ -18,9 +18,11 @@ the quotient-gap route, so the two must always agree.
 Classification needs only the attained values in order, how often each is
 attained and the two earliest elements attaining it (``summarize``): the
 sorted keys of the distinct values over the buckets grouping filled, and
-no record per class.  The induced order (``induced_order``) also lists the
-members, for the Hasse export, which reads ``ValueClass`` records.  A walk
-may hand over a settled prefix as one run of elements sharing one value.
+no record per class; undefined points fill one more bucket, keyed
+``None``, which the quotient takes out.  The induced order
+(``induced_order``) also lists the members, from the same one walk, for
+the Hasse export, which reads ``ValueClass`` records.  A walk may hand
+over a settled prefix as one run of elements sharing one value.
 Values are grouped and ordered by their keys: the reduced ``(num, den)`` of
 an exact value, the float of a real, or, on a contingency or user domain
 whose certificate holds (``Domain.certificate``), the float ``num / den``
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, islice, repeat, starmap
 from math import gcd
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain
 from .errors import ConstraintError
@@ -127,9 +129,11 @@ class ValueSummary(_Keyed):
     ``keys`` is the quotient, one key per class in increasing value order,
     and ``buckets`` maps each key to its class's position, or to ``[size,
     earliest, second earliest]`` in ``enumerate_domain`` order.  ``elements``
-    and ``excluded`` count the domain and its undefined points, and
-    ``first_excluded`` is the earliest undefined position.  ``labels_at``
-    names the elements at some positions through ``ElementOrder.labels_at``.
+    is the element count ``ElementOrder`` took; ``excluded`` and
+    ``first_excluded`` are the size and earliest position of the undefined
+    points' bucket, which ``_quotient`` took out (0 and None without one).
+    ``labels_at`` names the elements at some positions through
+    ``ElementOrder.labels_at``.
     """
 
     keys: list[Key]
@@ -178,51 +182,38 @@ def _collisions(buckets: dict) -> Iterable[tuple[Key, list[int]]]:
     return compress(buckets.items(), map(isinstance, buckets.values(), repeat(list)))
 
 
-def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions):
-    """Bucket attained values by key in one pass over the elements.
+def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions) -> dict:
+    """Bucket raw results by key in one pass over the elements.
 
     ``evaluators`` yields ``(stream, runs)`` as ``Domain.evaluators``
     does: an element stream gives each element's raw result, ``(num,
-    den)`` with a positive ``den`` or a float, or ``None`` where it is
+    den)`` with a positive ``den``, a float, or ``None`` where it is
     undefined, and a run stream gives ``(result, k)`` for k consecutive
     elements.  ``positions`` yields each element's position: a ``count``
     from 0 in lexicographic order, or the positions a seed gives them.  An
     exact result is keyed by the pair reduced by one ``gcd``, which is
     ``Fraction(num, den).as_integer_ratio()`` without a ``Fraction``; a
-    float, real or certified, by itself.  A key maps to its element's
-    position while it is attained once, then to ``[count, earliest, second
+    float, real or certified, and ``None`` by themselves, so the undefined
+    points fill one more bucket.  A key maps to its element's position
+    while it is attained once, then to ``[count, earliest, second
     earliest]``.
-    Returns the buckets, the number of undefined elements and the earliest
-    of them.
     """
-    groups: dict[tuple | float, int | list[int]] = {}
-    excluded = 0
-    first_excluded: Optional[int] = None
+    groups: dict[Optional[Key], int | list[int]] = {}
     for stream, runs in evaluators:
         if runs:
             for v, k in stream:
                 run, positions = _take(positions, k)
                 earliest = run[:2] if run.__class__ is range else sorted(run)[:2]
-                if v is None:
-                    excluded += k
-                    if first_excluded is None or earliest[0] < first_excluded:
-                        first_excluded = earliest[0]
-                    continue
                 _enter(groups, _key(v), k, tuple(earliest))
             continue
         # stream first: zip stops on an exhausted stream without taking a position
         for v, position in zip(stream, positions):
-            if v is None:
-                excluded += 1
-                if first_excluded is None or position < first_excluded:
-                    first_excluded = position
-                continue
-            if v.__class__ is float:
-                key = v
-            else:
+            if v.__class__ is tuple:
                 num, den = v
                 d = gcd(num, den)
                 key = v if d == 1 else (num // d, den // d)
+            else:
+                key = v
             g = groups.setdefault(key, position)
             if g is position:  # a new key
                 continue
@@ -232,7 +223,7 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions):
                 g[0] += 1
                 if position < g[2]:  # only under a seed do positions arrive out of order
                     g[1:] = sorted((g[1], position))
-    return groups, excluded, first_excluded
+    return groups
 
 
 def _take(positions, k: int):
@@ -247,16 +238,16 @@ def _take(positions, k: int):
     return list(islice(positions, k)), positions
 
 
-def _key(v) -> Key:
+def _key(v) -> Optional[Key]:
     """The key ``_gather`` gives a raw result."""
-    if v.__class__ is float:
+    if v.__class__ is not tuple:
         return v
     num, den = v
     d = gcd(num, den)
     return num // d, den // d
 
 
-def _enter(groups: dict, key: Key, size: int, earliest: tuple[int, ...]) -> None:
+def _enter(groups: dict, key: Optional[Key], size: int, earliest: tuple[int, ...]) -> None:
     """Add ``size`` elements attaining ``key`` to its bucket.
 
     ``earliest`` holds their one or two smallest positions, ascending.
@@ -271,25 +262,29 @@ def _enter(groups: dict, key: Key, size: int, earliest: tuple[int, ...]) -> None
     groups[key] = earliest[0] if size == 1 else [size, *earliest]
 
 
-def _quotient(groups: dict, excluded: int, certified: bool) -> list[Key]:
+def _quotient(groups: dict, certified: bool) -> tuple[list[Key], int, Optional[int]]:
     """The classes' keys in increasing value order, over ``_gather``'s buckets.
 
-    The defined values must be all exact or all real, and there must be
-    one: a domain with no element, or whose ``excluded`` elements are all
-    undefined, is refused.  Each distinct exact value is a class.
-    ``certified`` keys are floats that ``Domain.certificate`` proved
-    one-to-one on the exact values and ordered as they are, so a plain
-    sort orders them.  A class of reals is a run of sorted values within
-    ``DEFAULT_EPS`` of its first, the anchor, since nearness within a
-    tolerance is not transitive; each other key of the run leaves
-    ``groups``, its bucket folded into the anchor's, so that ``groups``
-    holds the returned keys only.
+    The ``None`` bucket leaves ``groups`` first: its size and earliest
+    position are returned after the keys, as the number of undefined
+    points and the first of them (0 and None without one).  The defined
+    values must be all exact or all real, and there must be one: a domain
+    with no element, or whose elements are all undefined, is refused.
+    Each distinct exact value is a class.  ``certified`` keys are floats
+    that ``Domain.certificate`` proved one-to-one on the exact values and
+    ordered as they are, so a plain sort orders them.  A class of reals is
+    a run of sorted values within ``DEFAULT_EPS`` of its first, the anchor,
+    since nearness within a tolerance is not transitive; each other key of
+    the run leaves ``groups``, its bucket folded into the anchor's, so that
+    ``groups`` holds the returned keys only.
     """
+    undefined = groups.pop(None, None)
+    excluded, (first, *_) = (0, (None,)) if undefined is None else _unpack(undefined)
     if not groups:
         raise ConstraintError("intrinsic: the domain has no element" if not excluded
                               else "intrinsic: every element of the domain is undefined")
     if certified:
-        return sorted(groups)
+        return sorted(groups), excluded, first
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
@@ -300,7 +295,7 @@ def _quotient(groups: dict, excluded: int, certified: bool) -> list[Key]:
                 _enter(groups, anchors[-1], *_unpack(groups.pop(key)))
             else:
                 anchors.append(key)
-        return anchors
+        return anchors, excluded, first
     # float() of a rational is correctly rounded, hence monotone: the sort by
     # floats is exact unless two distinct rationals round to one float, or
     # one lies beyond the float range
@@ -309,10 +304,10 @@ def _quotient(groups: dict, excluded: int, certified: bool) -> list[Key]:
         floats = starmap(operator.truediv, keys)
         later = starmap(operator.truediv, islice(keys, 1, None))
         if all(map(operator.lt, floats, later)):
-            return keys
+            return keys, excluded, first
     except OverflowError:
         pass
-    return sorted(groups, key=lambda key: Fraction(*key))
+    return sorted(groups, key=lambda key: Fraction(*key)), excluded, first
 
 
 def _check_family(measure: Measure, spec: Domain) -> None:
@@ -335,56 +330,54 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     Contingency and user domains are evaluated a row at a time from the
     measure's two affine forms, with no call per element, and their values
     keyed by certified floats where the domain's certificate holds.
-    Undefined points (zero denominators) are excluded and counted rather
-    than mapped to a sentinel, so they cannot manufacture collisions.  Under a seed the
-    elements are still walked in lexicographic order, and each is given
-    its shuffled position.
+    Undefined points (zero denominators) are bucketed apart and that
+    bucket is taken out of the quotient, so they are counted and cannot
+    manufacture collisions.  The element count is the one ``ElementOrder``
+    took for the cap.  Under a seed the elements are still walked in
+    lexicographic order, and each is given its shuffled position.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     bound = spec.certificate(measure)
-    groups, excluded, first_excluded = _gather(spec.evaluators(measure), order.positions())
-    keys = _quotient(groups, excluded, bound is not None)
-    elements = excluded + len(keys) + sum(g[0] - 1 for _, g in _collisions(groups))
-    return ValueSummary(keys, groups, elements, excluded, first_excluded, order, bound=bound)
+    groups = _gather(spec.evaluators(measure), order.positions())
+    keys, excluded, first_excluded = _quotient(groups, bound is not None)
+    return ValueSummary(keys, groups, order.size, excluded, first_excluded, order, bound=bound)
 
 
-def _ordered(walk: Callable[[], Iterable], positions: Callable[[], Iterable[int]],
-             labels: Iterable[str], bound: Optional[int] = None) -> OrderedDomain:
-    """``summarize``'s quotient of a walk, with one more walk to list its members.
+def _ordered(walk: Iterable, positions: Iterable[int], labels: Iterable[str],
+             bound: Optional[int] = None) -> OrderedDomain:
+    """``summarize``'s quotient of a walk, every member listed, from one pass over it.
 
-    ``walk()`` and ``positions()`` are fresh arguments to ``_gather``,
-    ``labels`` are in position order, and ``bound`` is the certificate of
-    the walk's floats, if any.  Each element is keyed as ``_gather``
-    keys it; a real folded into an anchor goes to the greatest anchor below
-    it, a run puts all its positions in one class, and a ``None`` result
-    is an undefined point.  Positions arrive out of order under a seed, so
-    lists are sorted.
+    ``walk`` and ``positions`` are ``_gather``'s arguments, ``labels`` are
+    in position order, and ``bound`` is the certificate of the walk's
+    floats, if any.  Each position goes to a list under its element's key,
+    as ``_gather`` keys it, a run's positions all to one list, and the
+    buckets are read off the sorted lists; the ``None`` list holds the
+    undefined points.  A real folded into an anchor joins the greatest
+    anchor below it.  Positions arrive out of order under a seed, so lists
+    are sorted.
     """
-    groups, excluded_count, _ = _gather(walk(), positions())
-    raw = list(groups)  # before _quotient folds near reals into their anchors
-    keys = _quotient(groups, excluded_count, bound is not None)
-    index = (dict(zip(keys, count())) if bound is not None or keys[0].__class__ is tuple
-             else {key: bisect_right(keys, key) - 1 for key in raw})
-    members: list[list[int]] = [[] for _ in keys]
-    excluded = []
-    place = positions()
-    for stream, runs in walk():
+    lists: dict[Optional[Key], list[int]] = {}
+    for stream, runs in walk:
         if runs:
             for v, k in stream:
-                run, place = _take(place, k)
-                if v is None:
-                    excluded.extend(run)
-                else:
-                    members[index[_key(v)]].extend(run)
+                run, positions = _take(positions, k)
+                lists.setdefault(_key(v), []).extend(run)
             continue
-        for v, position in zip(stream, place):
-            if v is None:
-                excluded.append(position)
-            else:
-                members[index[_key(v)]].append(position)
-    return OrderedDomain(tuple(labels), keys, groups, tuple(tuple(sorted(m)) for m in members),
-                         tuple(sorted(excluded)), bound=bound)
+        for v, position in zip(stream, positions):
+            lists.setdefault(_key(v), []).append(position)
+    for members in lists.values():
+        members.sort()
+    groups = {key: m[0] if len(m) == 1 else [len(m), m[0], m[1]] for key, m in lists.items()}
+    keys, _, _ = _quotient(groups, bound is not None)
+    excluded = tuple(lists.pop(None, ()))
+    if bound is None and keys[0].__class__ is float:
+        folded: list[list[int]] = [[] for _ in keys]
+        for key, members in lists.items():
+            folded[bisect_right(keys, key) - 1] += members
+        lists = dict(zip(keys, map(sorted, folded)))
+    return OrderedDomain(tuple(labels), keys, groups, tuple(tuple(lists[key]) for key in keys),
+                         excluded, bound=bound)
 
 
 def _raw(value: Optional[Value]) -> Optional[Key]:
@@ -396,20 +389,20 @@ def _raw(value: Optional[Value]) -> Optional[Key]:
 
 def order_values(pairs: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
     """The induced order of (label, value) pairs, grouped as a walk is; None is excluded."""
-    values = [v for _, v in pairs]
-    return _ordered(lambda: [(map(_raw, values), False)], count, (label for label, _ in pairs))
+    return _ordered([(map(_raw, (v for _, v in pairs)), False)], count(),
+                    (label for label, _ in pairs))
 
 
 def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> OrderedDomain:
     """Evaluate the measure over the domain and sort it into the weak order.
 
-    The walks and classes are ``summarize``'s; this also keeps every
+    The walk and classes are ``summarize``'s; this also keeps every
     element's label and each class's members, which the Hasse export
-    lists.  Undefined points are excluded.
+    lists, from the same one walk.  Undefined points are excluded.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
-    return _ordered(lambda: spec.evaluators(measure), order.positions,
+    return _ordered(spec.evaluators(measure), order.positions(),
                     order.arrange(spec.labels()), spec.certificate(measure))
 
 

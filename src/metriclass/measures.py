@@ -143,10 +143,10 @@ class Kernel(NamedTuple):
     ``pnorm`` and ``dcg``), the pair of sums of a cumulative fold or of
     ``bpref``, or a first relevant rank, so one prefix state can be
     extended by every sibling grade.  ``finish`` is called after exactly
-    ``length`` steps and does not raise.  ``horizon`` is the last rank at
-    which ``step`` can change a state; every later step returns its state
-    unchanged, so ``finish`` of the state at the horizon is the result of
-    every ranking with that prefix.
+    ``length`` steps and does not raise.  ``horizon``, at least 1, is the
+    last rank at which ``step`` can change a state; every later step
+    returns its state unchanged, so ``finish`` of the state at the horizon
+    is the result of every ranking with that prefix.
     """
 
     init: object
@@ -187,14 +187,14 @@ def _upto(cutoff: int, length: int) -> list[int]:
 def _additive(per_grade, per_rank, finish) -> Kernel:
     """The fold of ``sum_r per_grade[g_r] * per_rank[r]``; its state is the running sum.
 
-    Its horizon is the last rank whose weight is not 0.
+    Its horizon is the last rank whose weight is not 0, or rank 1.
     """
 
     def step(total, r, g):
         return total + per_grade[g] * per_rank[r]
 
     horizon = len(per_rank) - 1
-    while horizon and not per_rank[horizon]:
+    while horizon > 1 and not per_rank[horizon]:
         horizon -= 1
     return Kernel(0, step, finish, horizon)
 

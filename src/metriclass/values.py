@@ -44,6 +44,10 @@ class Approx:
 
     real: float
 
+    def __post_init__(self):
+        if self.real.__class__ is not float:
+            object.__setattr__(self, "real", float(self.real))
+
     def numeric(self) -> float:
         return self.real
 

@@ -4,9 +4,12 @@ import io
 import json
 import re
 import runpy
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclass import cli
 from metriclass.cli import run
@@ -414,6 +417,14 @@ class TestIngestEval:
         offset = 14 if which == "--run" else 12
         assert err == f"error: ingest: {bad} is not UTF-8 (bad byte at offset {offset})\n"
 
+    def test_bare_cr_does_not_end_a_line(self, tmp_path):
+        # wc -l counts no line here, so the two judgments are one line of 8 fields
+        argv = list(self.probe(tmp_path))
+        (tmp_path / "q.txt").write_bytes(b"1 0 a 1\r1 0 a 1\r")
+        code, out, err = invoke(*argv, "--measure", "ap")
+        assert (code, out) == (2, "")
+        assert err == "error: ingest: qrels line needs 4 fields, got 8 (line 1)\n"
+
     def test_missing_file_is_computation_error(self):
         code, _, err = invoke(
             "ingest-eval", "--qrels", "no-such-file", "--run", "also-missing",
@@ -541,3 +552,126 @@ class TestUsageErrors:
         ):
             assert invoke(verb, "--help")[0] == 0
         capsys.readouterr()
+
+
+# Bounded generators for the exit-code property: rankings of length at most 6,
+# at most 4 grades, N at most 20 and at most 5 leveled documents.  A mutation
+# cuts a text short, deletes one character or inserts one non-digit, so no
+# number grows; the unbounded inputs (a huge levels= or L=) are not drawn.
+SMALL = st.integers(0, 6)
+MEASURES = {
+    "ranking": ["ap", "msr", "sr", "rr", "bpref", "rnorm", "pnorm", "q-measure", "r-precision",
+                "dcg?b=2", "rbp?p=1/2", "prec@3", "recall@2", "nxcg@2", "manxcg@4", "gr@1"],
+    "contingency": ["recall", "precision", "f-measure", "fallout",
+                    "utility?alpha=1,beta=2,gamma=1/2,delta=3"],
+    "user": ["novelty-ratio", "coverage-ratio", "recall-effort", "retrieval-recall"],
+    "leveled": ["esl"],
+}
+BAD_MEASURES = ["", "nope", "rbp?p=2", "dcg?b=1", "utility?alpha=1", "prec@", "prec@0", "prec@x"]
+
+
+def mutated(text):
+    """The text cut short, or with one character deleted or one non-digit inserted."""
+    at = st.integers(0, len(text))
+    return st.one_of(
+        at.map(lambda i: text[:i]),
+        at.map(lambda i: text[:i] + text[i + 1:]),
+        st.tuples(at, st.sampled_from(",=.:x-")).map(lambda p: text[:p[0]] + p[1] + text[p[0]:]),
+    )
+
+
+@st.composite
+def well_formed(draw, text):
+    """Mostly the text as drawn, sometimes mutated."""
+    return draw(mutated(text)) if draw(st.integers(0, 4)) == 0 else text
+
+
+@st.composite
+def measure_for(draw, family):
+    """Mostly a measure of the family, sometimes of another one or malformed."""
+    pick = draw(st.integers(0, 7))
+    if pick == 0:
+        return draw(st.sampled_from(BAD_MEASURES))
+    if pick == 1:
+        family = draw(st.sampled_from(sorted(MEASURES)))
+    return draw(st.sampled_from(MEASURES[family]))
+
+
+@st.composite
+def domain_texts(draw):
+    """A measure family and a domain of it."""
+    kind = draw(st.sampled_from(["binary", "graded", "contingency", "user", "leveled"]))
+    if kind in ("binary", "graded"):
+        family, lo = "ranking", draw(st.integers(0, 6))
+        hi, r = draw(st.integers(lo - 1, 6)), draw(SMALL)
+        head = "binary:" if kind == "binary" else f"graded:levels={draw(st.integers(1, 4))},"
+        text = f"{head}L={lo}..{hi},R={r}"
+        text += draw(st.sampled_from(["", f",N={hi + r + draw(st.integers(-1, 2))}"]))
+        text += draw(st.sampled_from(["", f",rel={draw(SMALL)}"]))
+    elif kind == "contingency":
+        family, n = kind, draw(st.integers(0, 20))
+        text = f"contingency:N={n},R={draw(st.integers(0, 21))},n={draw(st.integers(0, n))}..{n}"
+    elif kind == "user":
+        family = kind
+        text = f"user:U={draw(st.integers(0, 3))},A={draw(st.integers(1, 2))}..{draw(SMALL)}"
+    else:
+        family = kind
+        text = f"leveled:docs={draw(st.integers(0, 5))},s={draw(st.integers(0, 3))}"
+    text += draw(st.sampled_from(["", f",seed={draw(SMALL)}"]))
+    return family, draw(well_formed(text))
+
+
+@st.composite
+def elements(draw, family):
+    """``evaluate``'s flags for one element of the family."""
+    if family == "contingency":
+        counts = draw(st.tuples(SMALL, SMALL, SMALL, SMALL))
+        return ["--table", draw(well_formed("tp={},fp={},fn={},tn={}".format(*counts)))]
+    if family == "user":
+        counts = draw(st.tuples(SMALL, SMALL, SMALL, SMALL))
+        return ["--context", draw(well_formed("U={},Rk={},Ru={},A={}".format(*counts)))]
+    if family == "ranking":
+        grades = draw(st.lists(st.sampled_from("0123x"), min_size=1, max_size=6))
+        universe = f"N={draw(st.integers(0, 20))},R={draw(SMALL)}"
+        scheme = draw(st.sampled_from(["binary", "graded:levels=3", "graded:levels=4",
+                                       "graded:levels=x", "graded:", "ternary"]))
+        return ["--ranking", ",".join(grades), "--universe", draw(well_formed(universe)),
+                "--scheme", scheme]
+    levels = draw(st.lists(st.tuples(SMALL, SMALL), max_size=3))
+    return ["--leveled", "".join(f"({r},{n})" for r, n in levels),
+            "--need", draw(st.sampled_from(["0", "1", "2", "x"]))]
+
+
+@st.composite
+def argvs(draw):
+    """One well-formed or malformed call of classify, witness, hasse or evaluate."""
+    verb = draw(st.sampled_from(["classify", "witness", "hasse", "evaluate"]))
+    if verb == "evaluate":
+        family = draw(st.sampled_from(sorted(MEASURES)))
+        argv = [verb, "--measure", draw(measure_for(family)),
+                *draw(elements(draw(st.sampled_from([family, family, *MEASURES]))))]
+    else:
+        family, domain = draw(domain_texts())
+        argv = [verb, "--measure", draw(measure_for(family)), "--domain", domain]
+        if verb == "classify":
+            argv += draw(st.sampled_from([[], [], ["--json"], ["--json"], ["--oracle-cap", "3"],
+                                          ["--oracle-cap", "-1"], ["--oracle-cap", "x"]]))
+        if verb == "hasse":  # {out} is a temporary directory
+            argv += ["--out", draw(st.sampled_from(["{out}/chain.gv", "{out}/no/chain.gv"]))]
+    if draw(st.integers(0, 5)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv + (draw(st.sampled_from([["--bogus"], ["extra"]]))
+                   if draw(st.integers(0, 7)) == 0 else [])
+
+
+class TestExitCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def test_every_exit_is_0_1_or_2_without_a_traceback_and_repeats(self, drawn):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [part.replace("{out}", tmp) for part in drawn]
+            first, second = invoke(*argv), invoke(*argv)
+        code, out, err = first
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        assert second == first

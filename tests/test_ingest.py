@@ -113,11 +113,16 @@ class TestLineNumbersFollowNewlines:
 
 
 class TestReadText:
-    def test_line_ends_read_as_text_mode_reads_them(self, tmp_path):
+    def test_lines_end_at_lf_and_a_cr_is_whitespace(self, tmp_path):
         path = tmp_path / "q.txt"
-        path.write_bytes(b"1 0 a 1\r\n1 0 b 0\r1 0 c 2\n")
-        assert read_text(str(path)) == "1 0 a 1\n1 0 b 0\n1 0 c 2\n"
+        path.write_bytes(b"1 0 a 1\r\n1 0 b 0\r\n1 0 c 2\n")
+        assert read_text(str(path)) == "1 0 a 1\r\n1 0 b 0\r\n1 0 c 2\n"
         assert parse_qrels(read_text(str(path))).by_topic == {"1": {"a": 1, "b": 0, "c": 2}}
+        path.write_bytes(b"1 0 a 1\r\n1 0 b 0\r1 0 c 2\n")  # wc -l counts 2 lines
+        assert read_text(str(path)) == "1 0 a 1\r\n1 0 b 0\r1 0 c 2\n"
+        with pytest.raises(ParseError) as err:
+            parse_qrels(read_text(str(path)))
+        assert str(err.value) == "ingest: qrels line needs 4 fields, got 8 (line 2)"
 
     def test_bytes_that_are_not_utf8_name_the_file_and_offset(self, tmp_path):
         path = tmp_path / "r.txt"

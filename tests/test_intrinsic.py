@@ -26,7 +26,7 @@ from metriclass.intrinsic import (
 )
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
-from metriclass.values import DEFAULT_EPS, Approx, Exact, exact, value_eq
+from metriclass.values import DEFAULT_EPS, Approx, Exact, exact, fmt, value_eq
 from summary_reference import labeled_values
 from oracle_reference import reference_oracle
 from pseudometric import pseudometric_check
@@ -100,6 +100,27 @@ class TestInducedOrder:
         ordered = ordered_for("precision", "contingency:N=15,R=5,n=0..15")
         assert len(ordered.excluded) == 1  # the empty retrieved set
         assert ordered.labels[ordered.excluded[0]] == "tp=0,fp=0,fn=5,tn=10"
+
+    @pytest.mark.parametrize("measure_id, domain_text, refused", [
+        ("sr", "binary:L=3..5,R=0,seed=2", True),  # undefined on every length, as runs
+        ("esl", "leveled:docs=5,s=2,seed=4", False),
+        ("novelty-ratio", "user:U=2,A=1..5,seed=1", False),  # undefined points among rows
+    ])
+    def test_walks_the_domain_once(self, monkeypatch, measure_id, domain_text, refused):
+        spec = parse_domain(domain_text)
+        evaluators, calls = type(spec).evaluators, []
+
+        def counted(self, measure):
+            calls.append(measure.id)
+            return evaluators(self, measure)
+
+        monkeypatch.setattr(type(spec), "evaluators", counted)
+        if refused:
+            with pytest.raises(ConstraintError, match="every element of the domain is undefined"):
+                induced_order(measure_from_id(measure_id), spec)
+        else:
+            induced_order(measure_from_id(measure_id), spec)
+        assert calls == [measure_id]
 
     def test_weak_order_totality_and_transitivity_on_samples(self):
         ordered = ordered_for("ap", "binary:L=4")
@@ -216,6 +237,11 @@ class TestOrderValuesEdges:
     def test_mixed_exact_and_real_values_are_refused(self, pairs):
         with pytest.raises(ConstraintError, match="mixes exact and real values"):
             order_values(pairs)
+
+    def test_reals_built_from_ints_are_floats(self):
+        ordered = order_values([("a", Approx(0)), ("b", Approx(1))])
+        assert len(ordered.classes) == 2
+        assert fmt(check_equispaced(ordered).gap) == "1.000 (~1e-09)"
 
     def test_rationals_beyond_float_range_sort_exactly(self):
         huge = 10 ** 400

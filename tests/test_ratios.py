@@ -94,11 +94,11 @@ def check_row(measure, element, args, expected, raw=None):
         result = raw(*args)
     except UndefinedValueError:
         result = None
-    groups, excluded, _ = _gather([([result], False)], count())
-    if expected is None:
-        assert (groups, excluded) == ({}, 1)
+    groups = _gather([([result], False)], count())
+    if expected is None:  # the undefined points' bucket: one element, at position 0
+        assert groups == {None: 0}
     else:
-        assert (groups, excluded) == ({F(num, den).as_integer_ratio(): 0}, 0)
+        assert groups == {F(num, den).as_integer_ratio(): 0}
         assert list(groups)[0] == (expected.numerator, expected.denominator)
 
 

@@ -151,14 +151,18 @@ class TestRunsMatchElementWalk:
     @example(("recall", "contingency:N=3,R=0", 200))  # every row is undefined
     def test_buckets_run_lengths_and_verdict(self, drawn):
         def gather(walk):
-            return lambda m, s, _: _gather(walk(m, s), ElementOrder(s).positions())
+            def split(m, s, _):  # the undefined points' bucket: its size and earliest positions
+                groups = _gather(walk(m, s), ElementOrder(s).positions())
+                undefined = groups.pop(None, None)
+                return groups, (0, ()) if undefined is None else _unpack(undefined)
+            return split
 
         def walked(m, s, _):  # certified floats turned back into their pairs
-            groups, excluded, first = gather(lambda m, s: s.evaluators(m))(m, s, _)
+            groups, undefined = gather(lambda m, s: s.evaluators(m))(m, s, _)
             bound = s.certificate(m)
             if bound is not None:
                 groups = {_convergent(key, bound): g for key, g in groups.items()}
-            return groups, excluded, first
+            return groups, undefined
 
         got = outcome(walked, *drawn)
         assert got == outcome(gather(element_by_element), *drawn)
