@@ -174,14 +174,14 @@ class Domain:
                 found[index] = label
         return [found[index] for index in indices]
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
         """``(stream, runs)`` pairs covering the elements in order.
 
         The streams in turn give the measure's raw result (``(num, den)`` or
         a float, see :mod:`metriclass.measures`) on every element, in
         lexicographic order, with ``None`` where the value is undefined.
-        Where ``certificate(measure)`` is not None an exact result comes as
-        the float ``num / den``, certified one-to-one on the values.  In
+        Given ``bound``, the ``certificate(measure)``, an exact result comes
+        as the float ``num / den``, certified one-to-one on the values.  In
         an element stream (``runs`` false) each item is one element's
         result.  In a run stream each item is ``(result, k)``: the result
         of a settled prefix, shared by the k elements that complete it,
@@ -250,21 +250,21 @@ class _CountTuples(Domain):
         den = max(den, 1)
         return den if num * den * den < 1 << 52 else None
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
         """One element stream, row by row, of the ratio of two affine forms.
 
         ``measure.fn`` is a :class:`~metriclass.measures.Ratio`.  Along a
         row each form is an arithmetic progression, whose step (the form's
         dot product with ``delta``) is the same for every row, so a row's
         results are two ``range``s, zipped into pairs, or divided in C into
-        floats where ``certificate`` vouches that the floats are one-to-one
-        on the values.  ``defined`` is a progression too: one ``divmod``
-        finds its only zero on the row, if any, which is the row's one
-        ``None``; a row on which it is constantly 0 is all ``None``.
+        floats where ``bound``, the certificate, vouches that the floats are
+        one-to-one on the values.  ``defined`` is a progression too: one
+        ``divmod`` finds its only zero on the row, if any, which is the
+        row's one ``None``; a row on which it is constantly 0 is all ``None``.
         """
         num, den, defined, _ = measure.fn
         steps = [sum(map(mul, form[1:], self.delta)) for form in (num, den, defined)]
-        pair = zip if self.certificate(measure) is None else partial(map, truediv)
+        pair = zip if bound is None else partial(map, truediv)
         yield chain.from_iterable(self._results(measure.fn, pair, *steps)), False
 
     def _results(self, ratio, pair, num_step: int, den_step: int, defined_step: int) -> Iterator:
@@ -472,7 +472,7 @@ class Rankings(Domain):
     def labels(self) -> Iterator[str]:
         return self._items(ranking_label)
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
         """One pruned walk per length over the measure's fold, into its ``finish``.
 
         ``measure.fn`` binds the fold to this scheme, universe and length.
@@ -755,7 +755,7 @@ class Leveled(Domain):
         for total in range(1, self.max_docs + 1):
             yield from rec(total, 0, init)
 
-    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
         """One run stream: the level fold's settled prefixes, each with its result."""
         init, step = measure.fn(self.need)
         yield self.walk(init, step), True

@@ -15,21 +15,18 @@ the same verdict from the definition of an interval scale (span ordering
 vs value-difference ordering over all interval pairs), independently of
 the quotient-gap route, so the two must always agree.
 
-Classification needs only the attained values in order, how often each is
-attained and the two earliest elements attaining it (``summarize``): the
-sorted keys of the distinct values over the buckets grouping filled, and
-no record per class; undefined points fill one more bucket, keyed
-``None``, which the quotient takes out.  The induced order
-(``induced_order``) also lists the members, from the same one walk, for
-the Hasse export, which reads ``ValueClass`` records.  A walk may hand
-over a settled prefix as one run of elements sharing one value.
-Values are grouped and ordered by their keys: the reduced ``(num, den)`` of
-an exact value, the float of a real, or, on a contingency or user domain
-whose certificate holds (``Domain.certificate``), the float ``num / den``
-of an exact value.  Such a float is turned back into its pair
-(``_convergent``) only where a check or a report reads the value, and a
-value object is built only where one is reported: a witness, gap, triple
-or Hasse node.
+Classification needs only the attained values in order, each one's size
+and the earliest collision (``summarize``): one pass buckets values up to
+the first repeat of an exact value, unless a seed shuffles the positions,
+and counts the rest in C; no record is built per class, and undefined
+points are counted apart.  The induced order (``induced_order``) also
+lists the members, for the Hasse export.  A walk may hand over a settled
+prefix as one run of elements sharing one value.  Values are grouped and
+ordered by their keys: the reduced ``(num, den)`` of an exact value, the
+float of a real, or, on a contingency or user domain whose certificate
+holds (``Domain.certificate``), the float ``num / den`` of an exact value,
+turned back into its pair (``_convergent``) only where a check or a
+report reads the value.
 """
 
 from __future__ import annotations
@@ -37,10 +34,13 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count, islice, repeat, starmap
+from functools import reduce
+from itertools import chain, compress, count, islice, repeat, starmap
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain
@@ -108,8 +108,7 @@ class _Keyed:
     def result(self, key: Key) -> tuple[int, int] | float:
         """The raw result a key stands for: an exact value's reduced ``(num, den)`` or a real.
 
-        A pair key and a real are their own result.  Where ``bound`` is
-        set every key is a certified float, turned back into its pair once.
+        Where ``bound`` is set a key is a certified float, turned back into its pair once.
         """
         if self.bound is None:
             return key
@@ -126,18 +125,17 @@ class _Keyed:
 class ValueSummary(_Keyed):
     """What classification needs of a domain's attained values, from one pass.
 
-    ``keys`` is the quotient, one key per class in increasing value order,
-    and ``buckets`` maps each key to its class's position, or to ``[size,
-    earliest, second earliest]`` in ``enumerate_domain`` order.  ``elements``
-    is the element count ``ElementOrder`` took; ``excluded`` and
-    ``first_excluded`` are the size and earliest position of the undefined
-    points' bucket, which ``_quotient`` took out (0 and None without one).
-    ``labels_at`` names the elements at some positions through
-    ``ElementOrder.labels_at``.
+    ``keys`` is the quotient in increasing value order, and ``sizes`` maps
+    each key to its class's size.  ``collision`` is ``(key, earliest,
+    second)`` of the class whose second earliest position in
+    ``enumerate_domain`` order is least, or None.  ``elements`` is the count
+    ``ElementOrder`` took; ``excluded`` and ``first_excluded`` are the
+    number and earliest position of the undefined points (0 and None).
     """
 
     keys: list[Key]
-    buckets: dict[Key, int | list[int]]
+    sizes: dict[Key, int]
+    collision: Optional[tuple[Key, int, int]]
     elements: int
     excluded: int
     first_excluded: Optional[int]
@@ -152,21 +150,21 @@ class OrderedDomain(_Keyed):
     """A domain sorted and grouped by attained value, every member listed.
 
     ``labels`` holds display strings in enumeration order; ``keys``,
-    ``buckets`` and ``bound`` are ``summarize``'s, and ``classes`` reads
-    them as records; ``members[ci]`` lists the indices in the class of
-    ``keys[ci]``, ascending; ``excluded`` lists the undefined points.
+    ``collision`` and ``bound`` are ``summarize``'s; ``members[ci]`` lists
+    the positions in the class of ``keys[ci]``, ascending, and ``excluded``
+    the undefined points.
     """
 
     labels: tuple[str, ...]
     keys: list[Key]
-    buckets: dict[Key, int | list[int]]
     members: tuple[tuple[int, ...], ...]
     excluded: tuple[int, ...]
+    collision: Optional[tuple[Key, int, int]]
 
     @property
     def classes(self) -> tuple[ValueClass, ...]:
-        return tuple(ValueClass(self.result(key), *_unpack(self.buckets[key]))
-                     for key in self.keys)
+        return tuple(ValueClass(self.result(key), len(m), m[:2])
+                     for key, m in zip(self.keys, self.members))
 
     def labels_at(self, *indices: int) -> list[str]:
         return [self.labels[i] for i in indices]
@@ -177,34 +175,30 @@ def _unpack(g: int | list[int]) -> tuple[int, tuple[int, ...]]:
     return (1, (g,)) if g.__class__ is int else (g[0], (g[1], g[2]))
 
 
-def _collisions(buckets: dict) -> Iterable[tuple[Key, list[int]]]:
-    """The key and bucket of every class attained more than once, found without a Python loop."""
-    return compress(buckets.items(), map(isinstance, buckets.values(), repeat(list)))
+def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool) -> tuple:
+    """Bucket raw results by key, one element or run at a time.
 
-
-def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions) -> dict:
-    """Bucket raw results by key in one pass over the elements.
-
-    ``evaluators`` yields ``(stream, runs)`` as ``Domain.evaluators``
-    does: an element stream gives each element's raw result, ``(num,
-    den)`` with a positive ``den``, a float, or ``None`` where it is
-    undefined, and a run stream gives ``(result, k)`` for k consecutive
-    elements.  ``positions`` yields each element's position: a ``count``
-    from 0 in lexicographic order, or the positions a seed gives them.  An
-    exact result is keyed by the pair reduced by one ``gcd``, which is
-    ``Fraction(num, den).as_integer_ratio()`` without a ``Fraction``; a
-    float, real or certified, and ``None`` by themselves, so the undefined
-    points fill one more bucket.  A key maps to its element's position
-    while it is attained once, then to ``[count, earliest, second
-    earliest]``.
+    ``evaluators`` yields ``(stream, runs)`` as ``Domain.evaluators`` does,
+    ``positions`` each element's position (a ``count`` in lexicographic
+    order, or a seed's).  An exact result is keyed by its pair reduced by
+    one ``gcd``, a float or ``None`` by itself.  A key maps to its
+    element's position while attained once, then to ``[count, earliest,
+    second earliest]``.  Returns the buckets and None; or, where ``early``
+    and a defined key repeats (the earliest collision, when positions
+    ascend and keys are exact), the buckets and ``(key, stream, runs, p)``:
+    the rest of the stream it stopped in, its kind, and the next position.
     """
     groups: dict[Optional[Key], int | list[int]] = {}
     for stream, runs in evaluators:
         if runs:
             for v, k in stream:
-                run, positions = _take(positions, k)
-                earliest = run[:2] if run.__class__ is range else sorted(run)[:2]
-                _enter(groups, _key(v), k, tuple(earliest))
+                if positions.__class__ is count:  # lexicographic: the run holds p..p+k-1
+                    p = next(positions)
+                    earliest, positions = (p, p + 1)[:k], count(p + k)
+                else:
+                    earliest = tuple(sorted(islice(positions, k))[:2])
+                if _enter(groups, key := _key(v), k, earliest) and early and key is not None:
+                    return groups, (key, stream, True, next(positions))
             continue
         # stream first: zip stops on an exhausted stream without taking a position
         for v, position in zip(stream, positions):
@@ -219,23 +213,43 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions) -> dict:
                 continue
             if g.__class__ is int:
                 groups[key] = [2, g, position] if g < position else [2, position, g]
+                if early and key is not None:
+                    return groups, (key, stream, False, position + 1)
             else:
                 g[0] += 1
                 if position < g[2]:  # only under a seed do positions arrive out of order
                     g[1:] = sorted((g[1], position))
-    return groups
+    return groups, None
 
 
-def _take(positions, k: int):
-    """The positions of a run of k elements, and the positions that follow them.
+def _count(groups: dict, stream, runs: bool, p: int, evaluators, keyed: bool) -> tuple:
+    """Sizes over ``_gather``'s buckets and the rest of its walk, and the first ``None``'s position.
 
-    A ``count`` is lexicographic order, so the run holds p..p+k-1 and the
-    count moves on by k without iterating; a seed's positions are taken.
+    ``Counter.update`` counts element streams (certified floats where ``keyed``,
+    else ``map(_key, ...)`` of pairs), 1,024 at a time until the chunk that
+    brings ``None`` in, scanned for it in C; runs add their lengths.
     """
-    if positions.__class__ is count:
-        p = next(positions)
-        return range(p, p + k), count(p + k)
-    return list(islice(positions, k)), positions
+    sizes = Counter({key: 1 if g.__class__ is int else g[0] for key, g in groups.items()})
+    first = _unpack(groups[None])[1][0] if None in groups else None
+    for stream, runs in chain([(stream, runs)], evaluators):
+        if runs:
+            for v, k in stream:
+                key = _key(v)
+                first = p if key is None and first is None else first
+                sizes[key] += k
+                p += k
+            continue
+        stream = stream if keyed else map(_key, stream)
+        while first is None:
+            sizes.update(chunk := list(islice(stream, 1024)))
+            if None in sizes:
+                first = p + operator.indexOf(chunk, None)
+            p += len(chunk)
+            if len(chunk) < 1024:  # the stream is done
+                break
+        else:
+            sizes.update(stream)
+    return sizes, first
 
 
 def _key(v) -> Optional[Key]:
@@ -247,55 +261,44 @@ def _key(v) -> Optional[Key]:
     return num // d, den // d
 
 
-def _enter(groups: dict, key: Optional[Key], size: int, earliest: tuple[int, ...]) -> None:
-    """Add ``size`` elements attaining ``key`` to its bucket.
+def _enter(groups: dict, key: Optional[Key], size: int, earliest: tuple[int, ...]) -> bool:
+    """Add ``size`` elements to ``key``'s bucket; True if it then holds more than one.
 
     ``earliest`` holds their one or two smallest positions, ascending.
     """
-    g = groups.get(key)
-    if g.__class__ is int:
-        size += 1
-        earliest = tuple(sorted((g, *earliest))[:2])
-    elif g is not None:
-        size += g[0]
-        earliest = tuple(sorted((g[1], g[2], *earliest))[:2])
+    if key in groups:
+        more, seen = _unpack(groups[key])
+        size, earliest = size + more, tuple(sorted((*seen, *earliest))[:2])
     groups[key] = earliest[0] if size == 1 else [size, *earliest]
+    return size > 1
 
 
-def _quotient(groups: dict, certified: bool) -> tuple[list[Key], int, Optional[int]]:
-    """The classes' keys in increasing value order, over ``_gather``'s buckets.
+def _quotient(groups: dict, certified: bool, excluded: int) -> list[Key]:
+    """The classes' keys in increasing value order, over the keys of ``groups``.
 
-    The ``None`` bucket leaves ``groups`` first: its size and earliest
-    position are returned after the keys, as the number of undefined
-    points and the first of them (0 and None without one).  The defined
-    values must be all exact or all real, and there must be one: a domain
-    with no element, or whose elements are all undefined, is refused.
-    Each distinct exact value is a class.  ``certified`` keys are floats
+    ``groups`` holds the defined values, ``excluded`` counts the undefined
+    ones.  Values must be all exact or all real, and one must be defined.
+    Each distinct exact value is a class; ``certified`` keys are floats
     that ``Domain.certificate`` proved one-to-one on the exact values and
-    ordered as they are, so a plain sort orders them.  A class of reals is
-    a run of sorted values within ``DEFAULT_EPS`` of its first, the anchor,
-    since nearness within a tolerance is not transitive; each other key of
-    the run leaves ``groups``, its bucket folded into the anchor's, so that
-    ``groups`` holds the returned keys only.
+    ordered as they are.  A class of reals is a run of sorted values within
+    ``DEFAULT_EPS`` of its first, the anchor, since nearness within a
+    tolerance is not transitive; only anchors are returned, and each other
+    real belongs to the greatest anchor below it.
     """
-    undefined = groups.pop(None, None)
-    excluded, (first, *_) = (0, (None,)) if undefined is None else _unpack(undefined)
     if not groups:
         raise ConstraintError("intrinsic: the domain has no element" if not excluded
                               else "intrinsic: every element of the domain is undefined")
     if certified:
-        return sorted(groups), excluded, first
+        return sorted(groups)
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
     if float in kinds:
         anchors: list[Key] = []
         for key in sorted(groups):  # value_eq of two reals; the keys ascend
-            if anchors and key - anchors[-1] <= DEFAULT_EPS:
-                _enter(groups, anchors[-1], *_unpack(groups.pop(key)))
-            else:
+            if not anchors or key - anchors[-1] > DEFAULT_EPS:
                 anchors.append(key)
-        return anchors, excluded, first
+        return anchors
     # float() of a rational is correctly rounded, hence monotone: the sort by
     # floats is exact unless two distinct rationals round to one float, or
     # one lies beyond the float range
@@ -304,10 +307,10 @@ def _quotient(groups: dict, certified: bool) -> tuple[list[Key], int, Optional[i
         floats = starmap(operator.truediv, keys)
         later = starmap(operator.truediv, islice(keys, 1, None))
         if all(map(operator.lt, floats, later)):
-            return keys, excluded, first
+            return keys
     except OverflowError:
         pass
-    return sorted(groups, key=lambda key: Fraction(*key)), excluded, first
+    return sorted(groups, key=lambda key: Fraction(*key))
 
 
 def _check_family(measure: Measure, spec: Domain) -> None:
@@ -321,27 +324,39 @@ def _check_family(measure: Measure, spec: Domain) -> None:
 def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSummary:
     """Evaluate the measure over the domain into a summary of its attained values.
 
-    One pass keeps, per distinct value, its count and two earliest
-    positions, so memory grows with the distinct values, not with the
-    elements.  Rankings domains are evaluated by one prefix-sharing walk
-    per length over the measure's fold, which stops at the fold's
-    horizon, and leveled domains by one walk over ``esl``'s level fold,
-    which stops where it settles; each settled prefix is one run.
-    Contingency and user domains are evaluated a row at a time from the
-    measure's two affine forms, with no call per element, and their values
-    keyed by certified floats where the domain's certificate holds.
-    Undefined points (zero denominators) are bucketed apart and that
-    bucket is taken out of the quotient, so they are counted and cannot
-    manufacture collisions.  The element count is the one ``ElementOrder``
-    took for the cap.  Under a seed the elements are still walked in
-    lexicographic order, and each is given its shuffled position.
+    One pass over ``Domain.evaluators`` (prefix-sharing walks that yield
+    settled prefixes as runs, or affine rows keyed by certified floats)
+    keeps each value's size and the earliest collision, so memory grows
+    with the distinct values, not the elements.  Values are bucketed
+    (``_gather``) up to the first repeat of an exact value and counted in
+    C after it (``_count``).  Under a seed, where positions do not ascend,
+    or for reals, where near values join a class without a repeat, every
+    element is bucketed, and near reals fold into their anchors' buckets.
+    Undefined points are counted apart and left out of the quotient.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     bound = spec.certificate(measure)
-    groups = _gather(spec.evaluators(measure), order.positions())
-    keys, excluded, first_excluded = _quotient(groups, bound is not None)
-    return ValueSummary(keys, groups, order.size, excluded, first_excluded, order, bound=bound)
+    evaluators = spec.evaluators(measure, bound)
+    groups, stop = _gather(evaluators, order.positions(),
+                           spec.order_seed is None and measure.backend == "exact")
+    if stop is None:
+        excluded, (first, *_) = _unpack(groups.pop(None)) if None in groups else (0, (None,))
+        keys = _quotient(groups, bound is not None, excluded)
+        if len(keys) < len(groups):  # near reals: each joins the greatest anchor below it
+            for key in groups.keys() - set(keys):
+                _enter(groups, keys[bisect_right(keys, key) - 1], *_unpack(groups.pop(key)))
+        collided = dict(compress(groups.items(), map(isinstance, groups.values(), repeat(list))))
+        collision = min(((key, g[1], g[2]) for key, g in collided.items()),
+                        key=itemgetter(2), default=None)
+        sizes = dict.fromkeys(groups, 1)
+        sizes.update(zip(collided, map(itemgetter(0), collided.values())))
+    else:
+        collision = (stop[0], *groups[stop[0]][1:])
+        sizes, first = _count(groups, *stop[1:], evaluators, bound is not None)
+        excluded = sizes.pop(None, 0)
+        keys = _quotient(sizes, bound is not None, excluded)
+    return ValueSummary(keys, sizes, collision, order.size, excluded, first, order, bound=bound)
 
 
 def _ordered(walk: Iterable, positions: Iterable[int], labels: Iterable[str],
@@ -349,35 +364,29 @@ def _ordered(walk: Iterable, positions: Iterable[int], labels: Iterable[str],
     """``summarize``'s quotient of a walk, every member listed, from one pass over it.
 
     ``walk`` and ``positions`` are ``_gather``'s arguments, ``labels`` are
-    in position order, and ``bound`` is the certificate of the walk's
-    floats, if any.  Each position goes to a list under its element's key,
-    as ``_gather`` keys it, a run's positions all to one list, and the
-    buckets are read off the sorted lists; the ``None`` list holds the
-    undefined points.  A real folded into an anchor joins the greatest
-    anchor below it.  Positions arrive out of order under a seed, so lists
-    are sorted.
+    in position order, and ``bound`` certifies the walk's floats, if any.
+    Each position goes to a list under its element's key; ``None``'s holds
+    the undefined points, and a real joins the greatest anchor below it.
     """
     lists: dict[Optional[Key], list[int]] = {}
     for stream, runs in walk:
         if runs:
             for v, k in stream:
-                run, positions = _take(positions, k)
-                lists.setdefault(_key(v), []).extend(run)
+                lists.setdefault(_key(v), []).extend(islice(positions, k))
             continue
         for v, position in zip(stream, positions):
             lists.setdefault(_key(v), []).append(position)
-    for members in lists.values():
-        members.sort()
-    groups = {key: m[0] if len(m) == 1 else [len(m), m[0], m[1]] for key, m in lists.items()}
-    keys, _, _ = _quotient(groups, bound is not None)
-    excluded = tuple(lists.pop(None, ()))
-    if bound is None and keys[0].__class__ is float:
-        folded: list[list[int]] = [[] for _ in keys]
+    excluded = tuple(sorted(lists.pop(None, ())))
+    keys = _quotient(lists, bound is not None, len(excluded))
+    if len(keys) < len(lists):  # near reals: each joins the greatest anchor below it
+        folded: dict[Key, list[int]] = {key: [] for key in keys}
         for key, members in lists.items():
-            folded[bisect_right(keys, key) - 1] += members
-        lists = dict(zip(keys, map(sorted, folded)))
-    return OrderedDomain(tuple(labels), keys, groups, tuple(tuple(lists[key]) for key in keys),
-                         excluded, bound=bound)
+            folded[keys[bisect_right(keys, key) - 1]] += members
+        lists = folded
+    members = tuple(tuple(sorted(lists[key])) for key in keys)
+    collision = min(((key, *m[:2]) for key, m in zip(keys, members) if len(m) > 1),
+                    key=itemgetter(2), default=None)
+    return OrderedDomain(tuple(labels), keys, members, excluded, collision, bound=bound)
 
 
 def _raw(value: Optional[Value]) -> Optional[Key]:
@@ -402,8 +411,9 @@ def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> Ord
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
-    return _ordered(spec.evaluators(measure), order.positions(),
-                    order.arrange(spec.labels()), spec.certificate(measure))
+    bound = spec.certificate(measure)
+    return _ordered(spec.evaluators(measure, bound), order.positions(),
+                    order.arrange(spec.labels()), bound)
 
 
 def distance(measure: Measure, a, b, universe=None) -> Value:
@@ -430,17 +440,8 @@ class HasseDiagram:
     weights: tuple[Value, ...]  # weights[i] joins classes[i] and classes[i+1]
 
     def path_distance(self, i: int, j: int) -> Value:
-        """Minimum path length between classes i and j.
-
-        On a chain the only path is the direct one, so this literally sums
-        the edge weights between the two classes; it never looks at the
-        class values themselves.
-        """
-        lo, hi = min(i, j), max(i, j)
-        total: Value = exact(0)
-        for k in range(lo, hi):
-            total = add(total, self.weights[k])
-        return total
+        """Minimum path length between classes i and j: on a chain, the edge weights' sum."""
+        return reduce(add, self.weights[min(i, j):max(i, j)], exact(0))
 
 
 def build_hasse(ordered: OrderedDomain) -> HasseDiagram:
@@ -467,19 +468,17 @@ class CollisionWitness:
         return f"{self.first} = {self.second} = {fmt(self.value)}"
 
 
-def check_injective(
-    ordered: ValueSummary | OrderedDomain,
-) -> tuple[bool, Optional[CollisionWitness]]:
+def check_injective(ordered: ValueSummary | OrderedDomain,
+                    ) -> tuple[bool, Optional[CollisionWitness]]:
     """True iff every class is a singleton.
 
     The witness is the earliest collision in enumeration order: the first
     element whose value was already attained, paired with the earliest
     element attaining it.
     """
-    best = min(_collisions(ordered.buckets), key=lambda item: item[1][2], default=None)
-    if best is None:
+    if ordered.collision is None:
         return True, None
-    key, (_, first, second) = best
+    key, first, second = ordered.collision
     return False, CollisionWitness(*ordered.labels_at(first, second), ordered.value(key))
 
 
@@ -555,16 +554,14 @@ def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
     the first, classes 0..d, and these first differences must strictly
     increase with d.  Every pair is compared, not only consecutive gaps.
     Exact values, recovered from their keys, are compared as integers over
-    their common denominator;
-    a domain with real values as floats within ``DEFAULT_EPS``, each pair
-    against its offset's first difference, since nearness within a
-    tolerance is not transitive.  Quotients above ``cap`` classes are
-    skipped with a marker.
+    their common denominator; reals as floats within ``DEFAULT_EPS`` of
+    their offset's first difference, since nearness within a tolerance is
+    not transitive.  Quotients above ``cap`` classes are skipped with a marker.
     """
     keys = ordered.keys
     if len(keys) > cap:
         return OracleResult(None, f"skipped: {len(keys)} classes exceed the oracle cap {cap}")
-    if any(_collisions(ordered.buckets)):
+    if ordered.collision is not None:
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
     k = len(keys)
     results = list(map(ordered.result, keys))

@@ -127,8 +127,11 @@ def fmt(v: Value) -> str:
 
 
 def fmt_short(v: Value) -> str:
-    """3-decimal rendering used inside tables."""
-    return f"{float(v.numeric()):.3f}"
+    """3-decimal rendering used inside tables; beyond the float range as ``fmt`` has it."""
+    try:
+        return f"{float(v.numeric()):.3f}"
+    except OverflowError:
+        return "inf" if v.numeric() > 0 else "-inf"
 
 
 def to_record(v: Value) -> dict:

@@ -231,6 +231,9 @@ class TestWitness:
         assert err == f"error: intrinsic: {message}\n"
 
 
+# a weight beyond the float range: its values are exact, but print as inf
+HUGE_UTILITY = "utility?alpha=1,beta=1,gamma=1,delta=1e400"
+
 # hasse jobs whose DOT bytes are pinned: a seed, reals, and a domain of each
 # other kind; each golden was written while the Hasse export still kept a
 # value and a member list in each class
@@ -272,6 +275,14 @@ class TestHasse:
         text = target.read_text()
         assert text.startswith("digraph")
         assert text.count("->") == 4
+
+    def test_values_beyond_the_float_range_render_as_inf(self, tmp_path):
+        target = tmp_path / "chain.gv"
+        code, _, err = invoke("hasse", "--measure", HUGE_UTILITY, "--domain",
+                              "contingency:N=6,R=2", "--out", str(target))
+        assert code == 0 and "Traceback" not in err
+        labels = re.findall(r'label="([^:"]*):', target.read_text())
+        assert labels == ["6.000", "inf", "inf", "inf", "inf"]
 
 
 class TestTable:
@@ -563,7 +574,7 @@ MEASURES = {
     "ranking": ["ap", "msr", "sr", "rr", "bpref", "rnorm", "pnorm", "q-measure", "r-precision",
                 "dcg?b=2", "rbp?p=1/2", "prec@3", "recall@2", "nxcg@2", "manxcg@4", "gr@1"],
     "contingency": ["recall", "precision", "f-measure", "fallout",
-                    "utility?alpha=1,beta=2,gamma=1/2,delta=3"],
+                    "utility?alpha=1,beta=2,gamma=1/2,delta=3", HUGE_UTILITY],
     "user": ["novelty-ratio", "coverage-ratio", "recall-effort", "retrieval-recall"],
     "leveled": ["esl"],
 }

@@ -110,9 +110,9 @@ class TestInducedOrder:
         spec = parse_domain(domain_text)
         evaluators, calls = type(spec).evaluators, []
 
-        def counted(self, measure):
+        def counted(self, measure, *bound):
             calls.append(measure.id)
-            return evaluators(self, measure)
+            return evaluators(self, measure, *bound)
 
         monkeypatch.setattr(type(spec), "evaluators", counted)
         if refused:
@@ -464,8 +464,8 @@ def singleton_chain(values):
     """One singleton class per value, in the given order, sorted or not."""
     keys = [v.rational.as_integer_ratio() if isinstance(v, Exact) else v.real for v in values]
     indices = range(len(values))
-    return OrderedDomain(tuple(f"e{i}" for i in indices), keys, dict(zip(keys, indices)),
-                         tuple((i,) for i in indices), ())
+    return OrderedDomain(tuple(f"e{i}" for i in indices), keys, tuple((i,) for i in indices),
+                         (), None)
 
 
 @st.composite

@@ -94,7 +94,8 @@ def check_row(measure, element, args, expected, raw=None):
         result = raw(*args)
     except UndefinedValueError:
         result = None
-    groups = _gather([([result], False)], count())
+    groups, stop = _gather([([result], False)], count(), True)  # exact keys, as summarize has them
+    assert stop is None  # one element: no collision
     if expected is None:  # the undefined points' bucket: one element, at position 0
         assert groups == {None: 0}
     else:

@@ -1,16 +1,17 @@
 """The one-pass value summary against the materialised path it replaced.
 
-``classify`` keeps, per distinct attained value, a count and the two
-earliest positions, and names witnesses from their positions alone.
-``summary_reference`` keeps every element.  Both must give the same
-verdict, field for field and byte for byte, on every domain kind, with
-and without a seed, for exact and for real measures.  The summary's
-memory must not grow with the elements.  Walks that yield settled
-prefixes as runs, and the row streams of contingency and user domains,
-must bucket exactly as evaluating every element does.  Where a contingency
-or user domain keys its classes by certified floats, each key must turn
-back into the reduced pair of its value, and the verdict must be the one
-the pairs give.
+``classify`` keeps, per distinct attained value, its size, and the
+earliest collision, and names witnesses from its positions alone; after
+the first repeat of an exact value it counts in C.  ``summary_reference``
+keeps every element.  Both must give the same sizes, collision and
+undefined points, and the same verdict, field for field and byte for
+byte, on every domain kind, with and without a seed, for exact and for
+real measures.  The summary's memory must not grow with the elements.
+Walks that yield settled prefixes as runs, and the row streams of
+contingency and user domains, must bucket exactly as evaluating every
+element does.  Where a contingency or user domain keys its classes by
+certified floats, each key must turn back into the reduced pair of its
+value, and the verdict must be the one the pairs give.
 """
 
 import tracemalloc
@@ -152,14 +153,15 @@ class TestRunsMatchElementWalk:
     def test_buckets_run_lengths_and_verdict(self, drawn):
         def gather(walk):
             def split(m, s, _):  # the undefined points' bucket: its size and earliest positions
-                groups = _gather(walk(m, s), ElementOrder(s).positions())
+                # every element bucketed, as under a seed or for reals
+                groups, _ = _gather(walk(m, s), ElementOrder(s).positions(), False)
                 undefined = groups.pop(None, None)
                 return groups, (0, ()) if undefined is None else _unpack(undefined)
             return split
 
         def walked(m, s, _):  # certified floats turned back into their pairs
-            groups, undefined = gather(lambda m, s: s.evaluators(m))(m, s, _)
             bound = s.certificate(m)
+            groups, undefined = gather(lambda m, s: s.evaluators(m, bound))(m, s, _)
             if bound is not None:
                 groups = {_convergent(key, bound): g for key, g in groups.items()}
             return groups, undefined
@@ -180,6 +182,84 @@ class TestRunsMatchElementWalk:
         }
 
 
+def earliest_collision(ordered):
+    """The reference's earliest collision, as ``ValueSummary.collision`` with a raw result.
+
+    That is the class whose second member is least, or None.
+    """
+    collided = [cls for cls in ordered.classes if len(cls.members) > 1]
+    if not collided:
+        return None
+    cls = min(collided, key=lambda cls: cls.members[1])
+    return (_raw(cls.value), *cls.members[:2])
+
+
+def summary_collision(summary):
+    """The summary's earliest collision, its key turned into the raw result."""
+    if summary.collision is None:
+        return None
+    key, first, second = summary.collision
+    return summary.result(key), first, second
+
+
+class TestSummaryMatchesReference:
+    """Sizes, the earliest collision and the undefined points, against every element kept."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_texts())
+    @example(("dcg?b=2", "binary:L=1..5", 200))  # reals: every element bucketed
+    # a near real joins an earlier class before any exact repeat: the first exact
+    # repeat is not the earliest collision here
+    @example(("pnorm", "binary:L=10,R=2,N=12", 200))
+    @example(("esl", "leveled:docs=8,s=1", 200))  # a run joins an earlier element's class
+    @example(("ap", "binary:L=2..6,R=2,N=8", 200))  # counted in C over several lengths
+    @example(("ap", "binary:L=2..6,R=2,N=8,seed=5", 200))
+    # the one undefined point (n = N) comes after the first repeat, in the C count
+    @example(("inverse-precision", "contingency:N=15,R=5,n=0..15", 200))
+    @example(("inverse-precision", "contingency:N=80,R=30,n=0..80", 200))  # in the 2nd chunk
+    @example(("precision", "contingency:N=15,R=5,n=0..15", 200))  # undefined before it
+    @example(("sr", "binary:L=3..5,R=0", 200))  # every element undefined
+    def test_sizes_collision_and_undefined_points(self, drawn):
+        summary = outcome(lambda m, s, _: summarize(m, s), *drawn)
+        expected = outcome(
+            lambda m, s, _: reference.order_values(reference.labeled_values(s, m)), *drawn)
+        if isinstance(expected, type):
+            assert summary is expected
+            return
+        assert [summary.result(key) for key in summary.keys] == [
+            _raw(cls.value) for cls in expected.classes]
+        assert [summary.sizes[key] for key in summary.keys] == [
+            len(cls.members) for cls in expected.classes]
+        assert summary_collision(summary) == earliest_collision(expected)
+        assert summary.excluded == len(expected.excluded)
+        assert summary.first_excluded == (expected.excluded or (None,))[0]
+
+
+@pytest.mark.parametrize("measure_id, domain, early", [
+    ("ap", "binary:L=2..6,R=2,N=8", True),
+    ("inverse-precision", "contingency:N=15,R=5,n=0..15", True),
+    ("esl", "leveled:docs=8,s=1", True),
+    ("ap", "binary:L=2..6,R=2,N=8,seed=5", False),  # positions do not ascend
+    ("inverse-precision", "contingency:N=15,R=5,n=0..15,seed=2", False),
+    ("dcg?b=2", "binary:L=6", False),  # reals: near values join without a repeat
+    ("pnorm", "binary:L=10,R=2,N=12", False),
+])
+def test_stops_at_the_first_repeat_for_exact_keys_without_a_seed_only(
+        monkeypatch, measure_id, domain, early):
+    gather, stops = intrinsic._gather, []
+
+    def spy(evaluators, positions, early):
+        groups, stop = gather(evaluators, positions, early)
+        stops.append((early, stop is not None))
+        return groups, stop
+
+    monkeypatch.setattr(intrinsic, "_gather", spy)
+    measure, spec = measure_from_id(measure_id), parse_domain(domain)
+    verdict = classify(measure, spec)
+    assert stops == [(early, early)]  # every domain here has a collision
+    assert verdict == reference.classify(measure, spec)
+
+
 class TestCertifiedKeysMatchPairs:
     """Classes keyed by certified floats against the materialised pair path."""
 
@@ -198,8 +278,12 @@ class TestCertifiedKeysMatchPairs:
             return
         assert [summary.result(key) for key in summary.keys] == [
             cls.value.rational.as_integer_ratio() for cls in expected.classes]
-        assert [_unpack(summary.buckets[key]) for key in summary.keys] == [
-            (len(cls.members), cls.members[:2]) for cls in expected.classes]
+        assert [summary.sizes[key] for key in summary.keys] == [
+            len(cls.members) for cls in expected.classes]
+        assert summary_collision(summary) == earliest_collision(expected)
+        # every class's members, and so its size and first two, on the Hasse export's order
+        ordered = outcome(lambda m, s, _: induced_order(m, s), *drawn)
+        assert ordered.members == tuple(cls.members for cls in expected.classes)
         # the same job with every certificate refused, so that the rows yield pairs
         with patch.object(_CountTuples, "certificate", lambda self, measure: None):
             pairs = outcome(classify, *drawn)
@@ -252,13 +336,16 @@ class TestInducedOrderMatchesSummary:
             assert ordered is summary
             return
         assert ordered.keys == summary.keys
-        # each class's member list, from the second walk, against the summary's bucket
-        buckets = [summary.buckets[key] for key in summary.keys]
-        assert [(len(m), m[:2]) for m in ordered.members] == [
-            (1, (g,)) if isinstance(g, int) else (g[0], tuple(g[1:])) for g in buckets
-        ]
+        # each class's member list against the summary's size, and the earliest collision
+        assert [len(m) for m in ordered.members] == [summary.sizes[key] for key in summary.keys]
+        assert ordered.collision == summary.collision
         assert len(ordered.excluded) == summary.excluded
         assert (ordered.excluded or (None,))[0] == summary.first_excluded
+        # the members themselves, and so each class's size and first two, against the reference
+        expected = outcome(
+            lambda m, s, _: reference.order_values(reference.labeled_values(s, m)), *drawn)
+        assert ordered.members == tuple(cls.members for cls in expected.classes)
+        assert ordered.excluded == expected.excluded
 
 
 def test_classify_builds_no_record_per_class(monkeypatch):

@@ -13,6 +13,7 @@ from metriclass.values import (
     add,
     exact,
     fmt,
+    fmt_short,
     from_record,
     sub,
     to_record,
@@ -80,6 +81,11 @@ def test_fmt_fraction_and_decimal():
     assert fmt(exact(15)) == "15 (15.000)"
     assert fmt(Approx(1.0)) == "1.000 (~1e-09)"
     assert fmt(exact(-10 ** 400)) == f"{-10 ** 400} (-inf)"  # beyond the float range
+
+
+def test_fmt_short_renders_beyond_the_float_range_as_fmt_does():
+    assert (fmt_short(exact(2, 5)), fmt_short(Approx(1 / 3))) == ("0.400", "0.333")
+    assert (fmt_short(exact(10 ** 400)), fmt_short(exact(-10 ** 400))) == ("inf", "-inf")
 
 
 def test_record_round_trip():
