@@ -29,7 +29,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, count, repeat, starmap
+from itertools import chain, count, groupby, repeat, starmap
 from operator import mul, truediv
 from typing import ClassVar, Iterable, Iterator, Optional
 
@@ -179,13 +179,15 @@ class Domain:
 
         The streams in turn give the measure's raw result (``(num, den)`` or
         a float, see :mod:`metriclass.measures`) on every element, in
-        lexicographic order, with ``None`` where the value is undefined.
+        lexicographic order, or ``None`` where the value is undefined.
         Given ``bound``, the ``certificate(measure)``, an exact result comes
         as the float ``num / den``, certified one-to-one on the values.  In
         an element stream (``runs`` false) each item is one element's
-        result.  In a run stream each item is ``(result, k)``: the result
-        of a settled prefix, shared by the k elements that complete it,
-        which are consecutive.
+        result, and is never ``None``.  In a run stream each item is
+        ``(result, k)``: the result of a settled prefix, shared by the k
+        elements that complete it, which are consecutive; undefined elements
+        always come so, as ``(None, k)``.  Each stream is read to its end
+        before the next is asked for.
         """
         raise NotImplementedError
 
@@ -251,7 +253,7 @@ class _CountTuples(Domain):
         return den if num * den * den < 1 << 52 else None
 
     def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
-        """One element stream, row by row, of the ratio of two affine forms.
+        """Element streams, row by row, of the ratio of two affine forms, split at undefined ones.
 
         ``measure.fn`` is a :class:`~metriclass.measures.Ratio`.  Along a
         row each form is an arithmetic progression, whose step (the form's
@@ -259,30 +261,32 @@ class _CountTuples(Domain):
         results are two ``range``s, zipped into pairs, or divided in C into
         floats where ``bound``, the certificate, vouches that the floats are
         one-to-one on the values.  ``defined`` is a progression too: one
-        ``divmod`` finds its only zero on the row, if any, which is the
-        row's one ``None``; a row on which it is constantly 0 is all ``None``.
+        ``divmod`` finds its only zero on the row, if any, and a row on
+        which it is constantly 0 is all undefined.  The rows' defined pieces
+        are chained into one element stream up to the next undefined
+        element, or row, which comes as one run.
         """
         num, den, defined, _ = measure.fn
-        steps = [sum(map(mul, form[1:], self.delta)) for form in (num, den, defined)]
+        num_step, den_step, defined_step = (sum(map(mul, form[1:], self.delta))
+                                            for form in (num, den, defined))
         pair = zip if bound is None else partial(map, truediv)
-        yield chain.from_iterable(self._results(measure.fn, pair, *steps)), False
 
-    def _results(self, ratio, pair, num_step: int, den_step: int, defined_step: int) -> Iterator:
-        """Per row: the results before its undefined ones, those, and the rest.
+        def pieces():  # per row: the results before its undefined ones, their run, and the rest
+            for first, m in self.rows():
+                n, d, f = (form_value(form, first) for form in (num, den, defined))
+                if defined_step:
+                    zero, rest = divmod(-f, defined_step)
+                    lo, hi = (zero, zero + 1) if not rest and 0 <= zero < m else (m, m)
+                else:
+                    lo, hi = (m, m) if f else (0, m)
+                yield pair(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
+                if lo < hi:
+                    yield ((None, hi - lo),)
+                yield pair(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
 
-        ``pair(nums, dens)`` turns a row's two progressions into its results.
-        """
-        num, den, defined, _ = ratio
-        for first, m in self.rows():
-            n, d, f = form_value(num, first), form_value(den, first), form_value(defined, first)
-            if defined_step:
-                zero, rest = divmod(-f, defined_step)
-                lo, hi = (zero, zero + 1) if not rest and 0 <= zero < m else (m, m)
-            else:
-                lo, hi = (m, m) if f else (0, m)
-            yield pair(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
-            yield repeat(None, hi - lo)
-            yield pair(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
+        # read lazily, so no row is built before its stream is; only an undefined run is a tuple
+        for runs, group in groupby(pieces(), lambda piece: piece.__class__ is tuple):
+            yield chain.from_iterable(group), runs
 
 
 def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
@@ -296,10 +300,6 @@ def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
         return (other + 1) ** tail
     return sum(math.comb(tail, j) * other**j
                for j in range(max(0, least - c), min(tail, most - c) + 1))
-
-
-def _undefined(*_) -> None:
-    return None
 
 
 @dataclass(frozen=True)
@@ -362,21 +362,26 @@ class Rankings(Domain):
     def counts(self, cap: Optional[int] = None) -> Iterator[int]:
         """C(L, k) (g-1)^k rankings of length L with k relevant, g grades."""
         g = self.levels
-        exact_rel = self.exact_relevant
-        most = self.universe.total_relevant if exact_rel is None else exact_rel
+        least, most = self._bounds
         if most == 0:  # one all-nonrelevant ranking per length
             yield len(self.lengths)
             return
         for length in self.lengths:
-            if exact_rel is None and most >= length:
+            if least == 0 and most >= length:
                 yield _power(g, length, cap)  # every ranking of this length
                 continue
-            for k in range(exact_rel or 0, min(length, most) + 1):
+            for k in range(least, min(length, most) + 1):
                 yield _binomial(length, k, cap) * _power(g - 1, k, cap)
 
     @cached_property
     def scheme(self) -> GradeScheme:
         return GradeScheme.equispaced(self.levels)
+
+    @property
+    def _bounds(self) -> tuple[int, int]:
+        """The fewest and most relevant grades a ranking may hold: ``rel=`` for both, or 0 and R."""
+        rel = self.exact_relevant
+        return (0, self.universe.total_relevant) if rel is None else (rel, rel)
 
     def walk(self, length: int, init, step, finish, horizon: Optional[int] = None) -> Iterator:
         """Depth-first walk over the rankings of one length, in lexicographic order.
@@ -399,9 +404,7 @@ class Rankings(Domain):
         """
         ascending = range(self.levels)
         descending = ascending[::-1]  # pushed so that the stack pops them ascending
-        exact_rel = self.exact_relevant
-        most = self.universe.total_relevant if exact_rel is None else exact_rel
-        least = exact_rel or 0
+        least, most = self._bounds
         stop = length if horizon is None else min(horizon, length)
         completions = None  # per relevant count, for a walk that stops short of the length
         if stop < length:
@@ -433,8 +436,7 @@ class Rankings(Domain):
         index: two sums of at most ``length`` terms per depth, no evaluation.
         """
         labels, other = self.scheme.labels, self.levels - 1
-        most = self.universe.total_relevant if self.exact_relevant is None else self.exact_relevant
-        least = self.exact_relevant or 0
+        least, most = self._bounds
         found = []
         for index in indices:
             for length in self.lengths:
@@ -478,17 +480,18 @@ class Rankings(Domain):
         ``measure.fn`` binds the fold to this scheme, universe and length.
         A fold whose horizon is below the length is walked to its horizon
         only, as a run stream; any other fold yields every ranking's
-        result.  A fold that is undefined for a whole length marks every
-        element of that length undefined, as one run per grade at rank 1;
-        any other error propagates.
+        result.  A length whose fold is undefined as a whole is one run
+        of its size, undefined; any other error propagates.
         """
+        least, most = self._bounds
         for length in self.lengths:
-            if self.exact_relevant is not None and self.exact_relevant > length:
+            if least > length:
                 continue  # no element of this length, so its fold is never made
             try:
                 init, step, finish, horizon = measure.fn(self.scheme, self.universe, length)
             except UndefinedValueError:
-                init, step, finish, horizon = None, _undefined, _undefined, 1
+                yield ((None, _completing(self.levels - 1, length, 0, least, most)),), True
+                continue
             yield self.walk(length, init, step, finish, horizon), horizon < length
 
     def element(self, text: str) -> Ranking:

@@ -18,10 +18,11 @@ the quotient-gap route, so the two must always agree.
 Classification needs only the attained values in order, each one's size
 and the earliest collision (``summarize``): one pass buckets values up to
 the first repeat of an exact value, unless a seed shuffles the positions,
-and counts the rest in C; no record is built per class, and undefined
-points are counted apart.  The induced order (``induced_order``) also
-lists the members, for the Hasse export.  A walk may hand over a settled
-prefix as one run of elements sharing one value.  Values are grouped and
+and counts the rest in C, one call per element stream; no record is
+built per class.  The induced order (``induced_order``) also lists the
+members, for the Hasse export.  A walk may hand over a settled prefix as
+one run of elements sharing one value, and hands over undefined points
+only so, as runs, which are counted apart.  Values are grouped and
 ordered by their keys: the reduced ``(num, den)`` of an exact value, the
 float of a real, or, on a contingency or user domain whose certificate
 holds (``Domain.certificate``), the float ``num / den`` of an exact value,
@@ -179,14 +180,14 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool)
     """Bucket raw results by key, one element or run at a time.
 
     ``evaluators`` yields ``(stream, runs)`` as ``Domain.evaluators`` does,
-    ``positions`` each element's position (a ``count`` in lexicographic
-    order, or a seed's).  An exact result is keyed by its pair reduced by
-    one ``gcd``, a float or ``None`` by itself.  A key maps to its
-    element's position while attained once, then to ``[count, earliest,
-    second earliest]``.  Returns the buckets and None; or, where ``early``
-    and a defined key repeats (the earliest collision, when positions
-    ascend and keys are exact), the buckets and ``(key, stream, runs, p)``:
-    the rest of the stream it stopped in, its kind, and the next position.
+    so ``None`` comes in runs only; ``positions`` gives each element's
+    position (a ``count`` in lexicographic order, or a seed's).  An exact
+    result is keyed by its pair reduced by one ``gcd``, a float or ``None``
+    by itself.  A key maps to its element's position while attained once,
+    then to ``[count, earliest, second earliest]``.  Returns the buckets
+    and None; or, where ``early`` and a defined key repeats (the earliest
+    collision, when positions ascend and keys are exact), the buckets and
+    ``(key, stream, runs)``: the rest of the stream it stopped in, and its kind.
     """
     groups: dict[Optional[Key], int | list[int]] = {}
     for stream, runs in evaluators:
@@ -198,7 +199,7 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool)
                 else:
                     earliest = tuple(sorted(islice(positions, k))[:2])
                 if _enter(groups, key := _key(v), k, earliest) and early and key is not None:
-                    return groups, (key, stream, True, next(positions))
+                    return groups, (key, stream, True)
             continue
         # stream first: zip stops on an exhausted stream without taking a position
         for v, position in zip(stream, positions):
@@ -213,8 +214,8 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool)
                 continue
             if g.__class__ is int:
                 groups[key] = [2, g, position] if g < position else [2, position, g]
-                if early and key is not None:
-                    return groups, (key, stream, False, position + 1)
+                if early:
+                    return groups, (key, stream, False)
             else:
                 g[0] += 1
                 if position < g[2]:  # only under a seed do positions arrive out of order
@@ -222,33 +223,25 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool)
     return groups, None
 
 
-def _count(groups: dict, stream, runs: bool, p: int, evaluators, keyed: bool) -> tuple:
+def _count(groups: dict, stream, runs: bool, evaluators, keyed: bool) -> tuple:
     """Sizes over ``_gather``'s buckets and the rest of its walk, and the first ``None``'s position.
 
-    ``Counter.update`` counts element streams (certified floats where ``keyed``,
-    else ``map(_key, ...)`` of pairs), 1,024 at a time until the chunk that
-    brings ``None`` in, scanned for it in C; runs add their lengths.
+    ``Counter.update`` counts each element stream in C (certified floats
+    where ``keyed``, else ``map(_key, ...)`` of pairs); runs add their
+    lengths.  Positions ascend, so the first undefined run after the stop
+    starts at the number of elements counted before it.
     """
     sizes = Counter({key: 1 if g.__class__ is int else g[0] for key, g in groups.items()})
     first = _unpack(groups[None])[1][0] if None in groups else None
     for stream, runs in chain([(stream, runs)], evaluators):
-        if runs:
-            for v, k in stream:
-                key = _key(v)
-                first = p if key is None and first is None else first
-                sizes[key] += k
-                p += k
+        if not runs:
+            sizes.update(stream if keyed else map(_key, stream))
             continue
-        stream = stream if keyed else map(_key, stream)
-        while first is None:
-            sizes.update(chunk := list(islice(stream, 1024)))
-            if None in sizes:
-                first = p + operator.indexOf(chunk, None)
-            p += len(chunk)
-            if len(chunk) < 1024:  # the stream is done
-                break
-        else:
-            sizes.update(stream)
+        for v, k in stream:
+            key = _key(v)
+            if key is None and first is None:
+                first = sum(sizes.values())
+            sizes[key] += k
     return sizes, first
 
 
@@ -329,10 +322,11 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     keeps each value's size and the earliest collision, so memory grows
     with the distinct values, not the elements.  Values are bucketed
     (``_gather``) up to the first repeat of an exact value and counted in
-    C after it (``_count``).  Under a seed, where positions do not ascend,
-    or for reals, where near values join a class without a repeat, every
-    element is bucketed, and near reals fold into their anchors' buckets.
-    Undefined points are counted apart and left out of the quotient.
+    C after it (``_count``), one ``Counter.update`` per element stream.
+    Under a seed, where positions do not ascend, or for reals, where near
+    values join a class without a repeat, every element is bucketed, and
+    near reals fold into their anchors' buckets.  Undefined points, which
+    come as runs, are counted apart and left out of the quotient.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)

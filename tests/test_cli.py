@@ -135,6 +135,11 @@ CLASSIFY_GOLDENS = [
     # domain that certifies its floats and one whose weight is past the bound
     ("utility?alpha=7/3,beta=5,gamma=1/2,delta=11", "contingency:N=300,R=90"),
     ("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2"),
+    # recorded before undefined points came only as runs: the one undefined
+    # point lies in the last row, after the first repeat; and whole lengths
+    # undefined under a seed
+    ("inverse-precision", "contingency:N=80,R=30,n=0..80"),
+    ("rnorm", "binary:L=2..6,R=3,N=9,seed=5"),
 ]
 
 
@@ -252,6 +257,9 @@ HASSE_GOLDENS = [
     ("nxcg@2", "binary:L=5"),  # every class is a union of runs of 8
     # recorded before contingency classes were keyed by certified floats
     ("f-measure", "contingency:N=20,R=6"),
+    # recorded before an undefined length came as one run, not one per grade:
+    # under a seed, the run's positions are scattered among the classes
+    ("rnorm", "binary:L=2..5,R=3,N=9,seed=1"),
 ]
 
 

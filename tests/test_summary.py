@@ -144,9 +144,9 @@ class TestRunsMatchElementWalk:
     @example(("r-precision", "binary:L=2..6,R=2,N=8,rel=1,seed=9", 200))
     @example(("prec@3", "binary:L=2..6,R=2,N=8", 200))  # a ParameterError at length 2
     @example(("sr", "binary:L=3..5,R=0,seed=2", 200))  # each length is one undefined run
-    @example(("f-measure", "contingency:N=7,R=3,n=0..7,seed=6", 200))  # a None per row
-    @example(("novelty-ratio", "user:U=2,A=1..4,seed=1", 200))  # a None in the rows at R_k = 0
-    @example(("precision", "contingency:N=5,R=0,n=0..5", 200))  # n = 0 is a whole None row
+    @example(("f-measure", "contingency:N=7,R=3,n=0..7,seed=6", 200))  # an undefined run per row
+    @example(("novelty-ratio", "user:U=2,A=1..4,seed=1", 200))  # undefined at R_k = 0
+    @example(("precision", "contingency:N=5,R=0,n=0..5", 200))  # n = 0 is a whole undefined row
     @example(("utility?alpha=1/3,beta=5/2,gamma=7/12,delta=2", "contingency:N=6,R=2,seed=8", 200))
     @example(("coverage-ratio", "user:U=1,A=1..1", 200))  # a one-element domain
     @example(("recall", "contingency:N=3,R=0", 200))  # every row is undefined
@@ -172,6 +172,10 @@ class TestRunsMatchElementWalk:
             measure_id, text, _ = drawn
             measure, spec = measure_from_id(measure_id), parse_domain(text)
             assert sum(run_lengths(measure, spec)) == cardinality(spec)
+            # undefined elements come only as runs, with the certificate and without it
+            for bound in (None, spec.certificate(measure)):
+                for stream, runs in spec.evaluators(measure, bound):
+                    assert runs or None not in stream
         expected = outcome(reference.classify, *drawn)
         verdict = outcome(classify, *drawn)
         if not isinstance(expected, Verdict):
@@ -216,7 +220,8 @@ class TestSummaryMatchesReference:
     @example(("ap", "binary:L=2..6,R=2,N=8,seed=5", 200))
     # the one undefined point (n = N) comes after the first repeat, in the C count
     @example(("inverse-precision", "contingency:N=15,R=5,n=0..15", 200))
-    @example(("inverse-precision", "contingency:N=80,R=30,n=0..80", 200))  # in the 2nd chunk
+    # its one undefined point is in the last row, long after the first repeat
+    @example(("inverse-precision", "contingency:N=80,R=30,n=0..80", 200))
     @example(("precision", "contingency:N=15,R=5,n=0..15", 200))  # undefined before it
     @example(("sr", "binary:L=3..5,R=0", 200))  # every element undefined
     def test_sizes_collision_and_undefined_points(self, drawn):
@@ -369,13 +374,25 @@ def test_classify_builds_no_record_per_class(monkeypatch):
     ("rr", "binary:L=14", 16_384, 15),
 ])
 def test_classify_memory_is_bounded_by_distinct_values(measure_id, domain, elements, classes):
+    verdict, peak = traced_classify(measure_id, domain)
+    assert (verdict.elements, verdict.classes) == (elements, classes)
+    assert peak < 256 * 1024, f"classify peaked at {peak} traced bytes"
+
+
+def test_element_streams_are_counted_without_copies():
+    # each element stream goes to one Counter.update, never through a list
+    verdict, peak = traced_classify("rr", "binary:L=14")
+    assert verdict.classes == 15
+    assert peak < 16 * 1024, f"classify peaked at {peak} traced bytes"
+
+
+def traced_classify(measure_id, domain):
+    """A second ``classify`` of the job, and its peak of traced memory in bytes."""
     measure, spec = measure_from_id(measure_id), parse_domain(domain)
     classify(measure, spec)  # warm-up: fills the measures' caches
     tracemalloc.start()
     try:
         verdict = classify(measure, spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        return verdict, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (verdict.elements, verdict.classes) == (elements, classes)
-    assert peak < 256 * 1024, f"classify peaked at {peak} traced bytes"
