@@ -29,8 +29,8 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, count, groupby, repeat, starmap
-from operator import mul, truediv
+from itertools import chain, groupby, repeat, starmap
+from operator import countOf, is_, mul, truediv
 from typing import ClassVar, Iterable, Iterator, Optional
 
 from .errors import ConstraintError, DomainTooLargeError, ParseError, UndefinedValueError
@@ -827,8 +827,9 @@ class ElementOrder:
     Refuses an over-cap domain up front.  Without a seed an element's
     position is its index in lexicographic order.  With one, a compact
     array of the indices is shuffled by ``random.Random(seed)`` (a shuffle
-    depends only on the length), and its inverse maps each index to its
-    position.  ``size`` is the element count.
+    depends only on the length): position p holds the element of index
+    ``indices[p]``.  This is the only code that applies a seed; every stream
+    it hands on is in position order.  ``size`` is the element count.
     """
 
     def __init__(self, spec: Domain, cap: int = DEFAULT_CAP):
@@ -836,27 +837,31 @@ class ElementOrder:
         if size > cap:
             raise DomainTooLargeError(size, cap)
         self.spec = spec
-        self._positions: Optional[array] = None
+        self.indices: Optional[array] = None
         if spec.order_seed is not None:
             typecode = "i" if size < 2**31 else "q"  # 4 bytes per element below the default cap
-            shuffled = array(typecode, range(size))
-            random.Random(spec.order_seed).shuffle(shuffled)
-            self._positions = positions = array(typecode, shuffled)
-            for position, index in enumerate(shuffled):
-                positions[index] = position
-
-    def positions(self) -> Iterator[int]:
-        """The position of each element, in lexicographic order."""
-        return count() if self._positions is None else iter(self._positions)
+            self.indices = array(typecode, range(size))
+            random.Random(spec.order_seed).shuffle(self.indices)
 
     def arrange(self, items: Iterable) -> Iterator:
         """``items``, one per element in lexicographic order, in position order."""
-        if self._positions is None:
-            return iter(items)
-        arranged = [None] * len(self._positions)
-        for position, item in zip(self._positions, items):
-            arranged[position] = item
-        return iter(arranged)
+        return iter(items) if self.indices is None else map(list(items).__getitem__, self.indices)
+
+    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
+        """``spec.evaluators(measure, bound)`` in position order.
+
+        Under a seed every result (a run's once per element) is arranged in
+        one column, and the undefined ones regrouped into runs ``(None, k)``:
+        an element stream still never holds ``None``.
+        """
+        walk = self.spec.evaluators(measure, bound)
+        if self.indices is None:
+            return walk
+        results = self.arrange(chain.from_iterable(
+            chain.from_iterable(starmap(repeat, stream)) if runs else stream
+            for stream, runs in walk))
+        return ((((None, countOf(group, None)),), True) if undefined else (group, False)
+                for undefined, group in groupby(results, partial(is_, None)))
 
     def labels_at(self, *positions: int) -> list[str]:
         """Display forms of the elements at ``positions``.
@@ -866,11 +871,8 @@ class ElementOrder:
         user domains unrank each index, and leveled domains walk their
         labels up to the last one.
         """
-        if self._positions is None:
-            indices = list(positions)
-        else:
-            indices = [self._positions.index(position) for position in positions]
-        return self.spec.labels_at(indices)
+        indices = positions if self.indices is None else map(self.indices.__getitem__, positions)
+        return self.spec.labels_at(list(indices))
 
 
 def element_to_str(element) -> str:

@@ -17,17 +17,17 @@ the quotient-gap route, so the two must always agree.
 
 Classification needs only the attained values in order, each one's size
 and the earliest collision (``summarize``): one pass buckets values up to
-the first repeat of an exact value, unless a seed shuffles the positions,
-and counts the rest in C, one call per element stream; no record is
-built per class.  The induced order (``induced_order``) also lists the
-members, for the Hasse export.  A walk may hand over a settled prefix as
-one run of elements sharing one value, and hands over undefined points
-only so, as runs, which are counted apart.  Values are grouped and
-ordered by their keys: the reduced ``(num, den)`` of an exact value, the
-float of a real, or, on a contingency or user domain whose certificate
-holds (``Domain.certificate``), the float ``num / den`` of an exact value,
-turned back into its pair (``_convergent``) only where a check or a
-report reads the value.
+the first repeat of an exact value and counts the rest in C, one call per
+element stream; no record is built per class.  The induced order
+(``induced_order``) also lists the members, for the Hasse export.  Both
+read ``ElementOrder.evaluators``, in position order under any seed.  A walk
+may hand over a settled prefix as one run of elements sharing one value,
+and hands over undefined points only so, as runs, which are counted
+apart.  Values are grouped and ordered by their keys: the reduced ``(num,
+den)`` of an exact value, the float of a real, or, on a contingency or
+user domain whose certificate holds (``Domain.certificate``), the float
+``num / den`` of an exact value, turned back into its pair
+(``_convergent``) only where a check or a report reads the value.
 """
 
 from __future__ import annotations
@@ -176,28 +176,26 @@ def _unpack(g: int | list[int]) -> tuple[int, tuple[int, ...]]:
     return (1, (g,)) if g.__class__ is int else (g[0], (g[1], g[2]))
 
 
-def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool) -> tuple:
+def _gather(evaluators: Iterable[tuple[Iterable, bool]], early: bool) -> tuple:
     """Bucket raw results by key, one element or run at a time.
 
-    ``evaluators`` yields ``(stream, runs)`` as ``Domain.evaluators`` does,
-    so ``None`` comes in runs only; ``positions`` gives each element's
-    position (a ``count`` in lexicographic order, or a seed's).  An exact
-    result is keyed by its pair reduced by one ``gcd``, a float or ``None``
-    by itself.  A key maps to its element's position while attained once,
-    then to ``[count, earliest, second earliest]``.  Returns the buckets
-    and None; or, where ``early`` and a defined key repeats (the earliest
-    collision, when positions ascend and keys are exact), the buckets and
-    ``(key, stream, runs)``: the rest of the stream it stopped in, and its kind.
+    ``evaluators`` yields ``(stream, runs)`` in position order, as
+    ``ElementOrder.evaluators`` does, so ``None`` comes in runs only, and
+    positions are counted from 0.  An exact result is keyed by its pair
+    reduced by one ``gcd``, a float or ``None`` by itself.  A key maps to
+    its element's position while attained once, then to ``[count,
+    earliest, second earliest]``.  Returns the buckets and None; or, where
+    ``early`` and a defined key repeats (the earliest collision, when keys
+    are exact), the buckets and ``(key, stream, runs)``: the rest of the
+    stream it stopped in, and its kind.
     """
     groups: dict[Optional[Key], int | list[int]] = {}
+    positions = count()
     for stream, runs in evaluators:
         if runs:
-            for v, k in stream:
-                if positions.__class__ is count:  # lexicographic: the run holds p..p+k-1
-                    p = next(positions)
-                    earliest, positions = (p, p + 1)[:k], count(p + k)
-                else:
-                    earliest = tuple(sorted(islice(positions, k))[:2])
+            for v, k in stream:  # the run holds p..p+k-1
+                p = next(positions)
+                earliest, positions = (p, p + 1)[:k], count(p + k)
                 if _enter(groups, key := _key(v), k, earliest) and early and key is not None:
                     return groups, (key, stream, True)
             continue
@@ -213,13 +211,11 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], positions, early: bool)
             if g is position:  # a new key
                 continue
             if g.__class__ is int:
-                groups[key] = [2, g, position] if g < position else [2, position, g]
+                groups[key] = [2, g, position]
                 if early:
                     return groups, (key, stream, False)
             else:
                 g[0] += 1
-                if position < g[2]:  # only under a seed do positions arrive out of order
-                    g[1:] = sorted((g[1], position))
     return groups, None
 
 
@@ -323,17 +319,16 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     with the distinct values, not the elements.  Values are bucketed
     (``_gather``) up to the first repeat of an exact value and counted in
     C after it (``_count``), one ``Counter.update`` per element stream.
-    Under a seed, where positions do not ascend, or for reals, where near
-    values join a class without a repeat, every element is bucketed, and
-    near reals fold into their anchors' buckets.  Undefined points, which
-    come as runs, are counted apart and left out of the quotient.
+    The streams arrive in position order, seeded or not.  For reals, where
+    near values join a class without a repeat, every element is bucketed,
+    and near reals fold into their anchors' buckets.  Undefined points,
+    which come as runs, are counted apart and left out of the quotient.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     bound = spec.certificate(measure)
-    evaluators = spec.evaluators(measure, bound)
-    groups, stop = _gather(evaluators, order.positions(),
-                           spec.order_seed is None and measure.backend == "exact")
+    evaluators = order.evaluators(measure, bound)
+    groups, stop = _gather(evaluators, measure.backend == "exact")
     if stop is None:
         excluded, (first, *_) = _unpack(groups.pop(None)) if None in groups else (0, (None,))
         keys = _quotient(groups, bound is not None, excluded)
@@ -353,16 +348,17 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     return ValueSummary(keys, sizes, collision, order.size, excluded, first, order, bound=bound)
 
 
-def _ordered(walk: Iterable, positions: Iterable[int], labels: Iterable[str],
-             bound: Optional[int] = None) -> OrderedDomain:
+def _ordered(walk: Iterable, labels: Iterable[str], bound: Optional[int] = None) -> OrderedDomain:
     """``summarize``'s quotient of a walk, every member listed, from one pass over it.
 
-    ``walk`` and ``positions`` are ``_gather``'s arguments, ``labels`` are
-    in position order, and ``bound`` certifies the walk's floats, if any.
-    Each position goes to a list under its element's key; ``None``'s holds
-    the undefined points, and a real joins the greatest anchor below it.
+    ``walk`` is ``_gather``'s, ``labels`` are in position order, and
+    ``bound`` certifies the walk's floats, if any.  Each position goes to
+    an ascending list under its element's key; ``None``'s holds the
+    undefined points, and a real joins the greatest anchor below it, whose
+    list is then sorted.
     """
     lists: dict[Optional[Key], list[int]] = {}
+    positions = count()
     for stream, runs in walk:
         if runs:
             for v, k in stream:
@@ -370,14 +366,14 @@ def _ordered(walk: Iterable, positions: Iterable[int], labels: Iterable[str],
             continue
         for v, position in zip(stream, positions):
             lists.setdefault(_key(v), []).append(position)
-    excluded = tuple(sorted(lists.pop(None, ())))
+    excluded = tuple(lists.pop(None, ()))
     keys = _quotient(lists, bound is not None, len(excluded))
     if len(keys) < len(lists):  # near reals: each joins the greatest anchor below it
         folded: dict[Key, list[int]] = {key: [] for key in keys}
         for key, members in lists.items():
             folded[keys[bisect_right(keys, key) - 1]] += members
-        lists = folded
-    members = tuple(tuple(sorted(lists[key])) for key in keys)
+        lists = {key: sorted(members) for key, members in folded.items()}
+    members = tuple(map(tuple, map(lists.__getitem__, keys)))
     collision = min(((key, *m[:2]) for key, m in zip(keys, members) if len(m) > 1),
                     key=itemgetter(2), default=None)
     return OrderedDomain(tuple(labels), keys, members, excluded, collision, bound=bound)
@@ -392,8 +388,7 @@ def _raw(value: Optional[Value]) -> Optional[Key]:
 
 def order_values(pairs: Sequence[tuple[str, Optional[Value]]]) -> OrderedDomain:
     """The induced order of (label, value) pairs, grouped as a walk is; None is excluded."""
-    return _ordered([(map(_raw, (v for _, v in pairs)), False)], count(),
-                    (label for label, _ in pairs))
+    return _ordered([(map(_raw, (v for _, v in pairs)), False)], (label for label, _ in pairs))
 
 
 def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> OrderedDomain:
@@ -406,8 +401,7 @@ def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> Ord
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     bound = spec.certificate(measure)
-    return _ordered(spec.evaluators(measure, bound), order.positions(),
-                    order.arrange(spec.labels()), bound)
+    return _ordered(order.evaluators(measure, bound), order.arrange(spec.labels()), bound)
 
 
 def distance(measure: Measure, a, b, universe=None) -> Value:

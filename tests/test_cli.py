@@ -663,9 +663,24 @@ def elements(draw, family):
 
 @st.composite
 def argvs(draw):
-    """One well-formed or malformed call of classify, witness, hasse or evaluate."""
-    verb = draw(st.sampled_from(["classify", "witness", "hasse", "evaluate"]))
-    if verb == "evaluate":
+    """One well-formed or malformed call of a verb other than list-measures."""
+    verb = draw(st.sampled_from(["classify", "witness", "hasse", "evaluate", "table",
+                                 "ingest-eval"]))
+    if verb == "table":
+        argv = [verb, "--suite", "paper", *draw(st.sampled_from([[], ["--json"]])),
+                *draw(st.sampled_from([[], ["--format", "csv"], ["--format", "text"],
+                                       ["--format", "markdown"], ["--format", "html"]]))]
+    elif verb == "ingest-eval":  # the small TREC pair, or a path that does not exist
+        qrels = draw(st.sampled_from([str(DATA / "qrels.txt")] * 5 + ["{out}/missing.txt"]))
+        run_file = draw(st.sampled_from([str(DATA / "run.txt")] * 5 + ["{out}/missing.txt"]))
+        argv = [verb, "--qrels", qrels, "--run", run_file,
+                "--measure", draw(measure_for("ranking")),
+                "--depth", draw(st.sampled_from(["3", "6", "1", "0", "-1", "x"])),
+                "--scheme", draw(st.sampled_from(["binary", "graded:levels=3", "ternary"])),
+                *draw(st.sampled_from([[], [], ["--aggregate", "mean"], ["--aggregate", "gmean"],
+                                       ["--aggregate", "median"]])),
+                *draw(st.sampled_from([[], ["--json"]]))]
+    elif verb == "evaluate":
         family = draw(st.sampled_from(sorted(MEASURES)))
         argv = [verb, "--measure", draw(measure_for(family)),
                 *draw(elements(draw(st.sampled_from([family, family, *MEASURES]))))]

@@ -127,11 +127,11 @@ def element_by_element(measure, spec):
     yield map(raw, spec.elements()), False
 
 
-def run_lengths(measure, spec):
-    """How many elements each item of the domain's walk stands for."""
-    for stream, runs in spec.evaluators(measure):
-        for _, k in stream if runs else zip(stream, repeat(1)):
-            yield k
+def expand(walk):
+    """Each element's raw result, in the walk's order: a run's once per element."""
+    for stream, runs in walk:
+        for v, k in stream if runs else zip(stream, repeat(1)):
+            yield from repeat(v, k)
 
 
 class TestRunsMatchElementWalk:
@@ -153,8 +153,8 @@ class TestRunsMatchElementWalk:
     def test_buckets_run_lengths_and_verdict(self, drawn):
         def gather(walk):
             def split(m, s, _):  # the undefined points' bucket: its size and earliest positions
-                # every element bucketed, as under a seed or for reals
-                groups, _ = _gather(walk(m, s), ElementOrder(s).positions(), False)
+                # every element bucketed, as for reals
+                groups, _ = _gather(walk(m, s), False)
                 undefined = groups.pop(None, None)
                 return groups, (0, ()) if undefined is None else _unpack(undefined)
             return split
@@ -171,11 +171,16 @@ class TestRunsMatchElementWalk:
         if isinstance(got, tuple):
             measure_id, text, _ = drawn
             measure, spec = measure_from_id(measure_id), parse_domain(text)
-            assert sum(run_lengths(measure, spec)) == cardinality(spec)
-            # undefined elements come only as runs, with the certificate and without it
+            order = ElementOrder(spec)
+            # undefined elements come only as runs, with the certificate and without it,
+            # and the walk covers every element, in lexicographic order and as arranged
             for bound in (None, spec.certificate(measure)):
-                for stream, runs in spec.evaluators(measure, bound):
-                    assert runs or None not in stream
+                for evaluators in (spec.evaluators, order.evaluators):
+                    walk = [(list(stream), runs) for stream, runs in evaluators(measure, bound)]
+                    assert not any(None in stream for stream, runs in walk if not runs)
+                    results = list(expand(walk))  # run lengths plus element counts
+                    assert len(results) == cardinality(spec)
+                assert results == list(order.arrange(expand(spec.evaluators(measure, bound))))
         expected = outcome(reference.classify, *drawn)
         verdict = outcome(classify, *drawn)
         if not isinstance(expected, Verdict):
@@ -244,17 +249,16 @@ class TestSummaryMatchesReference:
     ("ap", "binary:L=2..6,R=2,N=8", True),
     ("inverse-precision", "contingency:N=15,R=5,n=0..15", True),
     ("esl", "leveled:docs=8,s=1", True),
-    ("ap", "binary:L=2..6,R=2,N=8,seed=5", False),  # positions do not ascend
-    ("inverse-precision", "contingency:N=15,R=5,n=0..15,seed=2", False),
+    ("ap", "binary:L=2..6,R=2,N=8,seed=5", True),  # the seed arranges the streams
+    ("inverse-precision", "contingency:N=15,R=5,n=0..15,seed=2", True),
     ("dcg?b=2", "binary:L=6", False),  # reals: near values join without a repeat
     ("pnorm", "binary:L=10,R=2,N=12", False),
 ])
-def test_stops_at_the_first_repeat_for_exact_keys_without_a_seed_only(
-        monkeypatch, measure_id, domain, early):
+def test_stops_at_the_first_repeat_for_exact_keys_only(monkeypatch, measure_id, domain, early):
     gather, stops = intrinsic._gather, []
 
-    def spy(evaluators, positions, early):
-        groups, stop = gather(evaluators, positions, early)
+    def spy(evaluators, early):
+        groups, stop = gather(evaluators, early)
         stops.append((early, stop is not None))
         return groups, stop
 
