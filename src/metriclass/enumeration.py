@@ -43,7 +43,7 @@ from .model import (
     UserContext,
     ranking_label,
 )
-from .measures import form_value
+from .measures import Kernel, columns, form_value
 
 #: Refuse to enumerate domains larger than this (overridable per call).
 DEFAULT_CAP = 10_000_000
@@ -181,7 +181,8 @@ class Domain:
         a float, see :mod:`metriclass.measures`) on every element, in
         lexicographic order, or ``None`` where the value is undefined.
         Given ``bound``, the ``certificate(measure)``, an exact result comes
-        as the float ``num / den``, certified one-to-one on the values.  In
+        as the float ``num / den``, certified one-to-one on the values, or on
+        a rankings domain as the integer numerator over ``bound``.  In
         an element stream (``runs`` false) each item is one element's
         result, and is never ``None``.  In a run stream each item is
         ``(result, k)``: the result of a settled prefix, shared by the k
@@ -193,8 +194,9 @@ class Domain:
 
     def certificate(self, measure) -> Optional[int]:
         """A bound D on the denominators of the measure's values if its
-        evaluators yield them as certified floats, else None (they yield
-        ``(num, den)`` pairs or reals); see ``_CountTuples.certificate``."""
+        evaluators yield them as certified floats (``_CountTuples.certificate``)
+        or as integer numerators over D (``Rankings.certificate``), else None
+        (they yield ``(num, den)`` pairs or reals)."""
         return None
 
 
@@ -287,6 +289,10 @@ class _CountTuples(Domain):
         # read lazily, so no row is built before its stream is; only an undefined run is a tuple
         for runs, group in groupby(pieces(), lambda piece: piece.__class__ is tuple):
             yield chain.from_iterable(group), runs
+
+
+def _pair(den: int, num: int) -> tuple[int, int]:
+    return num, den
 
 
 def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
@@ -383,50 +389,33 @@ class Rankings(Domain):
         rel = self.exact_relevant
         return (0, self.universe.total_relevant) if rel is None else (rel, rel)
 
-    def walk(self, length: int, init, step, finish, horizon: Optional[int] = None) -> Iterator:
-        """Depth-first walk over the rankings of one length, in lexicographic order.
+    def walk(self, length: int, kernel: Kernel) -> Iterator[tuple[Iterator, bool]]:
+        """The fold's results on the rankings of one length, as ``evaluators`` yields them.
 
-        Steps ``init`` through ``step(state, rank, grade index)`` along each
-        ranking's grades, with ranks counted from 1 (the depth the walk is
-        at), so a fold's state need not carry the rank.  Each prefix is
-        stepped once and its state shared by every extension.  Prefixes
-        whose relevant count cannot end within R (or at ``rel=``) are
-        pruned, so every node visited lies on the path to some element and
-        the walk costs at most ``length`` steps per element.
-
-        Without a ``horizon`` below ``length`` it yields, per ranking,
-        ``finish`` of the final state.  With one it stops at that depth and
-        yields, per prefix of that length, ``(finish(state), k)``: of the
-        prefix's state, and the number of rankings that complete it, which
-        are consecutive.  The two share one loop, which pops a prefix and
-        steps its children: it pushes them, or yields them at the stop depth.
-        A ``horizon`` is at least 1.
+        Stepped a level at a time (``measures.columns``), pruned to R or
+        ``rel=``, and stopped at the horizon, whose prefixes come as runs with
+        their completions.  A ``"first"`` fold settles at the first relevant
+        grade, so it yields one run per rank, the deepest first, unwalked.
         """
-        ascending = range(self.levels)
-        descending = ascending[::-1]  # pushed so that the stack pops them ascending
         least, most = self._bounds
-        stop = length if horizon is None else min(horizon, length)
-        completions = None  # per relevant count, for a walk that stops short of the length
-        if stop < length:
-            completions = [_completing(self.levels - 1, length - stop, c, least, most)
-                           for c in range(min(stop, most) + 1)]
-        stack = [(0, 0, init)]  # (depth, relevant count, state) of a prefix
-        push, pop = stack.append, stack.pop
-        while stack:
-            depth, rel, state = pop()
-            depth += 1  # the children's
-            fewest = least - (length - depth)  # relevant grades a child needs to reach least
-            yields = depth == stop  # the children are yielded, not pushed
-            for g in ascending if yields else descending:
-                count = rel + (g > 0)
-                if fewest <= count <= most:
-                    child = step(state, depth, g)
-                    if not yields:
-                        push((depth, count, child))
-                    elif completions is None:
-                        yield finish(child)
-                    else:
-                        yield finish(child), completions[count]
+        other = self.levels - 1
+        if kernel.kind == "first":
+            ranks = ((r, other * _completing(other, length - r, 1, least, most))
+                     for r in range(length, 0, -1))
+            yield chain([(kernel.per_rank[0], 1)] if least == 0 else (),
+                        ((kernel.per_rank[r], k) for r, k in ranks if k)), True
+            return
+        stop, finish = min(kernel.horizon, length), kernel.finish
+        pruned = least > 0 or most < length
+        completions = [_completing(other, length - stop, c, least, most)
+                       for c in range(stop + 1 if stop < length else 0)]
+        for block in columns(kernel, self.levels, length, self._bounds if pruned else None, stop):
+            keys = block[0] if finish.__class__ is int else map(finish, block[0])
+            if stop == length:
+                yield iter(keys), False
+            else:  # unpruned, every prefix has completions[0]
+                counts = block[-1] if pruned else repeat(0)
+                yield zip(keys, map(completions.__getitem__, counts)), True
 
     def labels_at(self, indices: list[int]) -> list[str]:
         """Display forms at lexicographic ``indices``, each unranked, not walked to.
@@ -459,14 +448,12 @@ class Rankings(Domain):
         return found
 
     def _items(self, finish) -> Iterator:
-        """``finish`` of each ranking's grade labels, in lexicographic order."""
-        labels = self.scheme.labels
-
-        def push(items, r, g):
-            return items + (labels[g],)
-
+        """``finish`` of each ranking's grade labels, walked as a fold of tuple sums."""
+        terms = tuple((label,) for label in self.scheme.labels)
         for length in self.lengths:
-            yield from self.walk(length, (), push, finish)
+            for stream, _ in self.walk(length, Kernel("sum", None, [terms] * (length + 1), (),
+                                                      finish, length)):
+                yield from stream
 
     def elements(self) -> Iterator[Ranking]:
         return self._items(partial(Ranking, self.scheme))
@@ -474,25 +461,36 @@ class Rankings(Domain):
     def labels(self) -> Iterator[str]:
         return self._items(ranking_label)
 
-    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
-        """One pruned walk per length over the measure's fold, into its ``finish``.
-
-        ``measure.fn`` binds the fold to this scheme, universe and length.
-        A fold whose horizon is below the length is walked to its horizon
-        only, as a run stream; any other fold yields every ranking's
-        result.  A length whose fold is undefined as a whole is one run
-        of its size, undefined; any other error propagates.
-        """
-        least, most = self._bounds
+    def _kernels(self, measure) -> Iterator[tuple[int, Optional[Kernel]]]:
+        """``(length, kernel)`` per length that has elements, with no kernel (None) where the
+        fold is undefined as a whole; any other error of the binder propagates."""
+        least = self._bounds[0]
         for length in self.lengths:
-            if least > length:
-                continue  # no element of this length, so its fold is never made
-            try:
-                init, step, finish, horizon = measure.fn(self.scheme, self.universe, length)
-            except UndefinedValueError:
+            if least <= length:  # else no element of this length, so its fold is never made
+                try:
+                    yield length, measure.bind(self.scheme, self.universe, length)
+                except UndefinedValueError:
+                    yield length, None
+
+    def certificate(self, measure) -> Optional[int]:
+        """For an exact measure, the lcm D of its folds' denominators over the lengths, else
+        None: each result is an integer numerator over D, which sorts as the values do."""
+        if measure.backend != "exact":
+            return None
+        return math.lcm(*(kernel.den for _, kernel in self._kernels(measure) if kernel))
+
+    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
+        """One walk per length of the measure's fold, an exact result as its numerator over
+        ``bound``, the certificate, else as ``(num, den)``; an undefined length is one run."""
+        least, most = self._bounds
+        for length, kernel in self._kernels(measure):
+            if kernel is None:
                 yield ((None, _completing(self.levels - 1, length, 0, least, most)),), True
                 continue
-            yield self.walk(length, init, step, finish, horizon), horizon < length
+            if measure.backend == "exact":  # else its finish gives a float
+                kernel = kernel.over(bound) if bound else kernel._replace(
+                    finish=partial(_pair, kernel.finish))
+            yield from self.walk(length, kernel)
 
     def element(self, text: str) -> Ranking:
         if not (text.startswith("<") and text.endswith(">")):

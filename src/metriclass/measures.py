@@ -19,39 +19,25 @@ contingency or user walk (``enumeration.Contingency.evaluators``) reads
 the forms instead: along a row of its elements every form is an
 arithmetic progression, so a row is evaluated as ``range``s.
 
-Rank-based measures are folds over ranks.  A measure's ``fn`` is its
-binder: ``fn(scheme, universe, length)`` checks the measure's parameters
-against the universe and the ranking length and returns a
-:class:`Kernel`: an ``init`` state, ``step(state, r, g)`` for the grade
-index ``g`` at rank ``r`` (the caller passes the rank, so no state holds
-it), and ``finish(state)``, called after exactly ``length`` steps, which
-gives the result, and a ``horizon``: the last rank whose step can change
-the state.  A fold's state at its horizon is its final state, so every
-ranking that shares a prefix that long shares the result.  Thirteen
-measures are additive: a sum over ranks of a per-grade term times a
-per-rank weight, whose state is the running sum, and whose horizon is
-the last rank of nonzero weight (below the length for the cutoff
-measures and for the R-family when R < L).
-``ap``, ``awp`` and ``q-measure`` are cumulative: a sum over relevant
-ranks of a per-rank weight times the running sum of a per-grade term,
-whose state is the pair of sums.  Gains are integer numerators over the
-scheme's common gain denominator, and rational per-rank weights are
-integers over one denominator per length, so ``finish`` of an exact fold
-returns ``(num, den)`` without any ``Fraction``.  ``bpref`` keeps a
-count and a sum, and ``rr`` the rank of the first relevant document.
-``dcg`` and ``pnorm`` add their float terms rank by rank in rank order
-and finish with the float.  Every fold that is not additive has its
-length as its horizon.  Only the binder raises, never ``finish``: a
-value that does not exist for the universe and length (a zero
-denominator for every ranking) raises ``UndefinedValueError``, a bad
-parameter ``ParameterError`` and a cutoff padded past N
-``ConstraintError``.  ``Measure.evaluate`` checks that the ranking fits
-the universe, then runs the fold over it (and calls a set or user
-measure's ``Ratio`` on its element's counts); formulas raise
+Rank-based measures are folds over ranks, given as data.  A measure's
+``fn`` is its binder: ``fn(scheme, universe, length)`` checks the
+measure's parameters against the universe and the ranking length and
+returns a :class:`Kernel`.  Thirteen measures are sums of a per-grade term
+times a per-rank weight; ``ap``, ``awp``, ``q-measure`` and ``bpref`` are
+cumulative; ``rr`` is the first relevant rank's.  Gains are integer
+numerators over the scheme's common gain denominator, and rational
+weights integers over one denominator per length, so an exact fold's
+result is an integer sum over one denominator, with no ``Fraction``.
+``dcg`` and ``pnorm`` add their float terms in rank order.
+Only the binder raises: a value that does not exist for the universe and
+length (a zero denominator for every ranking) raises
+``UndefinedValueError``, a bad parameter ``ParameterError`` and a cutoff
+padded past N ``ConstraintError``.  ``Measure.evaluate`` checks that the
+ranking fits the universe and runs the fold over it (``fold``), or calls
+a set or user measure's ``Ratio`` on its element's counts; formulas raise
 ``UndefinedValueError`` with a reason only, and ``evaluate`` names the
-measure and the element.  A domain walk (``enumeration.Rankings.evaluators``) steps the fold once
-per prefix, so rankings that share a prefix share its state, and stops
-at the horizon.
+measure and the element.  A domain walk (``enumeration.Rankings.walk``)
+runs the same kernel over a whole level of prefixes at a time (``columns``).
 
 ``esl`` is a fold over the levels of a leveled output, bound to the
 need (:class:`LevelFold`).  It settles at the first level that meets the
@@ -72,8 +58,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
-from typing import Callable, NamedTuple, Optional
+from itertools import accumulate, compress, repeat
+from operator import add as plus, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ConstraintError, ParameterError, ParseError, UndefinedValueError
 from .model import GradeScheme, Universe, check_consistent
@@ -135,24 +122,147 @@ _user = partial(_ratio, ("u", "rk", "ru", "a"))
 
 
 class Kernel(NamedTuple):
-    """A rank measure's fold, bound to one grade scheme, universe and length.
+    """A rank measure's fold as data, bound to one grade scheme, universe and length.
 
-    ``step(state, r, g)`` consumes the grade index ``g`` at rank ``r``; the
-    caller counts the ranks, from 1, so no state holds the rank.  States are
-    immutable: the running sum of an additive fold (an int; a float for
-    ``pnorm`` and ``dcg``), the pair of sums of a cumulative fold or of
-    ``bpref``, or a first relevant rank, so one prefix state can be
-    extended by every sibling grade.  ``finish`` is called after exactly
-    ``length`` steps and does not raise.  ``horizon``, at least 1, is the
-    last rank at which ``step`` can change a state; every later step
-    returns its state unchanged, so ``finish`` of the state at the horizon
-    is the result of every ranking with that prefix.
+    The state is a sum over ranks, from ``init``, to which every measure's
+    lowest grade adds nothing.  ``kind`` says what a grade index g at rank r
+    (from 1) adds:
+
+    * ``"sum"``: ``per_rank[r][g]``;
+    * ``"cumulative"``: a running sum of ``per_grade[g]`` is kept, and a grade
+      above the lowest adds ``w * running + b``, with ``(w, b) = per_rank[r]``
+      and the running sum taken after it;
+    * ``"first"``: nothing; the result is ``per_rank[r]`` for the rank r of
+      the first grade above the lowest, or ``per_rank[0]`` if there is none.
+
+    ``finish`` gives the result from the final sum: for an exact fold it is
+    the one denominator ``den``, and the result is ``(sum, den)``; for a
+    float fold it is a function of the sum.  ``horizon``, at least 1, is the
+    last rank whose grade can change the state, so every ranking that shares
+    a prefix that long shares the result.  ``fold`` runs a kernel over one
+    ranking, and ``columns`` over every prefix of a level at once.
     """
 
+    kind: str
+    per_grade: Optional[tuple[int, ...]]
+    per_rank: list
     init: object
-    step: Callable[[object, int, int], object]
-    finish: Callable[[object], tuple[int, int] | float]  # (num, den), or a float
+    finish: object  # an exact fold's denominator, a float fold's function; None for "first"
     horizon: int
+
+    @property
+    def den(self) -> int:
+        """An exact fold's one denominator: ``finish``, or the lcm of a ``"first"`` fold's."""
+        if self.kind == "first":
+            return math.lcm(*(den for _, den in self.per_rank))
+        return self.finish
+
+    def over(self, den: int) -> Kernel:
+        """The exact fold whose sums are its results' numerators over ``den``, a multiple of
+        ``self.den``; a ``"first"`` fold's results become those numerators."""
+        kind, per_grade, per_rank, init, finish, horizon = self
+        if kind == "first":
+            return self._replace(per_rank=[num * (den // d) for num, d in per_rank])
+        factor = den // finish
+        if factor == 1:
+            return self
+        if kind == "sum":
+            per_rank = [tuple(term * factor for term in terms) for terms in per_rank]
+        else:
+            per_rank = [(w * factor, b * factor) for w, b in per_rank]
+        return Kernel(kind, per_grade, per_rank, init * factor, den, horizon)
+
+
+def fold(kernel: Kernel, grades: Iterable[int]) -> tuple[int, int] | float:
+    """The kernel's result on one ranking, given by its grade indices in rank order."""
+    kind, per_grade, per_rank, total, finish, _ = kernel
+    if kind == "first":
+        return per_rank[next((r for r, g in enumerate(grades, 1) if g), 0)]
+    running = 0
+    for r, g in enumerate(grades, 1):
+        if kind == "sum":
+            total += per_rank[r][g]
+        elif g:
+            running += per_grade[g]
+            w, b = per_rank[r]
+            total += w * running + b
+    return (total, finish) if finish.__class__ is int else finish(total)
+
+
+#: The widest level of prefixes ``columns`` steps at once; a wider one is
+#: split into blocks, stepped one after the other.
+BLOCK = 1 << 14
+
+
+def columns(kernel: Kernel, g: int, length: int, bounds: Optional[tuple[int, int]],
+            stop: int) -> Iterator[list]:
+    """The fold's state at every prefix of ``stop`` grades of the rankings of ``length``.
+
+    Rankings are over g grades, and, where ``bounds`` is ``(least, most)``,
+    hold that many relevant ones.  Yields in lexicographic order, a block at
+    a time, a column per part of the state: the sum, a cumulative fold's
+    running sum and, given bounds, the relevant count.  A level is stepped
+    a grade at a time by ``map`` over the columns, in C (``_level``), and a
+    level wider than ``BLOCK`` is split into blocks stepped one after the
+    other, which bounds the columns' memory.
+    """
+    state = [[kernel.init]] if kernel.kind == "sum" else [[kernel.init], [0]]
+    return _descend(kernel, g, length, bounds, state + [[0]] * (bounds is not None), 0, stop)
+
+
+def _descend(kernel, g, length, bounds, state: list, depth: int, stop: int) -> Iterator[list]:
+    size = max(1, BLOCK // g)
+    while depth < stop and state[0]:
+        if len(state[0]) > size:
+            for i in range(0, len(state[0]), size):
+                yield from _descend(kernel, g, length, bounds, [c[i:i + size] for c in state],
+                                    depth, stop)
+            return
+        depth += 1
+        state = _level(kernel, g, length, bounds, state, depth)
+    yield state
+
+
+def _level(kernel, g, length, bounds, state: list, r: int) -> list:
+    """The children at rank ``r`` of a level of prefixes, in lexicographic order.
+
+    Each column is stepped per grade by ``map``, and the grades' columns
+    are interleaved, so that the children of a prefix are consecutive.
+    Children whose relevant count can no longer end within the bounds are
+    dropped by a ``compress`` mask, interleaved the same way.
+    """
+    kind, per_grade, per_rank = kernel[:3]
+    if kind == "sum":
+        children = [[map(plus, state[0], repeat(t)) if t else state[0] for t in per_rank[r]]]
+    else:
+        total, running = state[:2]
+        w, b = per_rank[r]
+        runs = [list(map(plus, running, repeat(per_grade[x]))) for x in range(1, g)]
+        totals = [map(plus, total, map(mul, run, repeat(w))) for run in runs]
+        if b:
+            totals = [map(plus, t, repeat(b)) for t in totals]
+        children = [[total, *totals], [running, *runs]]
+    masked = False
+    if bounds is not None:
+        least, most = bounds
+        fewest = least - (length - r)  # the relevant grades a child needs to reach least
+        count = state[-1]
+        children.append([count, *[list(map(plus, count, repeat(1)))] * (g - 1)])
+        masked = fewest > 0 or most < r
+        if masked:  # which children to keep: the lowest grade's, then the others'
+            relevant = list(map(range(fewest - 1, most).__contains__, count))
+            children.append([map(range(fewest, most + 1).__contains__, count),
+                             *[relevant] * (g - 1)])
+    level = []
+    for grades in children:
+        column = [None] * (g * len(state[0]))
+        for x, child in enumerate(grades):
+            column[x::g] = child
+        level.append(column)
+    if masked:
+        mask = level.pop()
+        level = [list(compress(column, mask)) for column in level]
+    return level
 
 
 @lru_cache(maxsize=64)
@@ -184,34 +294,23 @@ def _upto(cutoff: int, length: int) -> list[int]:
     return [int(0 < r <= cutoff) for r in range(length + 1)]
 
 
-def _additive(per_grade, per_rank, finish) -> Kernel:
-    """The fold of ``sum_r per_grade[g_r] * per_rank[r]``; its state is the running sum.
+def _additive(per_grade, per_rank, finish, scale=1, init=0) -> Kernel:
+    """The fold of ``init + scale * sum_r per_grade[g_r] * per_rank[r]``.
 
     Its horizon is the last rank whose weight is not 0, or rank 1.
     """
-
-    def step(total, r, g):
-        return total + per_grade[g] * per_rank[r]
-
     horizon = len(per_rank) - 1
     while horizon > 1 and not per_rank[horizon]:
         horizon -= 1
-    return Kernel(0, step, finish, horizon)
+    terms = [tuple(scale * w * x for x in per_grade) for w in per_rank]
+    return Kernel("sum", None, terms, init, finish, horizon)
 
 
-def _cumulative(per_grade, per_rank, finish) -> Kernel:
-    """Sum over relevant ranks r of ``per_rank[r]`` times the running ``per_grade`` sum.
-
-    Its state is ``(running, total)``; the lowest grade leaves it unchanged.
-    """
-
-    def step(s, r, g):
-        if not g:
-            return s
-        running = s[0] + per_grade[g]
-        return running, s[1] + running * per_rank[r]
-
-    return Kernel((0, 0), step, finish, len(per_rank) - 1)
+def _cumulative(per_grade, per_rank, den, shift=None) -> Kernel:
+    """Sum over relevant ranks r of ``per_rank[r]`` times the running ``per_grade`` sum,
+    plus ``shift[r]`` if given."""
+    return Kernel("cumulative", tuple(per_grade), list(zip(per_rank, shift or repeat(0))), 0,
+                  den, len(per_rank) - 1)
 
 
 def _total_relevant(universe: Universe, reason: str) -> int:
@@ -240,7 +339,7 @@ def _prec_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) 
     """cg(r) / r at the cutoff rank."""
     _check_cutoff(cutoff, length)
     den, gains = _gain_numerators(scheme)
-    return _additive(gains, _upto(cutoff, length), lambda s: (s, den * cutoff))
+    return _additive(gains, _upto(cutoff, length), den * cutoff)
 
 
 def _recall_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -257,7 +356,7 @@ def _gain_over_ideal(cutoff, most, scheme, universe, length) -> Kernel:
     """
     _, gains = _gain_numerators(scheme)
     ideal = gains[-1] * min(most, _total_relevant(universe, "no relevant in universe"))
-    return _additive(gains, _upto(cutoff, length), lambda s: (s, ideal))
+    return _additive(gains, _upto(cutoff, length), ideal)
 
 
 def _r_family(term):
@@ -272,7 +371,7 @@ def _r_family(term):
         den, gains = _gain_numerators(scheme)
         per_grade = [term(x, den) for x in gains]
         ideal = per_grade[-1] * r_total
-        return _additive(per_grade, _upto(r_total, length), lambda s: (s, ideal))
+        return _additive(per_grade, _upto(r_total, length), ideal)
 
     return bind
 
@@ -297,7 +396,7 @@ def _msr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
     harmonic = sum((Fraction(1, r) for r in range(1, min(length, r_total) + 1)), Fraction(0))
     ideal = gains[-1] * harmonic  # sum ig(r)/r, over the same gain denominator
-    return _additive(gains, weight, lambda s: (s * ideal.denominator, den * ideal.numerator))
+    return _additive(gains, weight, den * ideal.numerator, scale=ideal.denominator)
 
 
 def _check_rocchio(universe: Universe, length: int) -> int:
@@ -312,7 +411,7 @@ def _rnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     r_total = _check_rocchio(universe, length)
     span = r_total * (length - r_total)
     best = r_total * (r_total + 1) // 2
-    return _additive(_relevant(scheme), range(length + 1), lambda s: (span - s + best, span))
+    return _additive(_relevant(scheme), range(length + 1), span, scale=-1, init=span + best)
 
 
 def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -321,9 +420,9 @@ def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     logs = [0.0] + [math.log(k) for k in range(1, length + 1)]
     best = sum(math.log(k) for k in range(1, r_total + 1))
     den = math.log(math.comb(length, r_total))
-    # each relevant rank adds 1 * log r and each other one 0.0, so the sum
-    # has the bits of the relevant ranks' logs added in rank order
-    return _additive(_relevant(scheme), logs, lambda s: 1 - (s - best) / den)
+    # each relevant rank adds 1 * log r, so the sum has the bits of the
+    # relevant ranks' logs added in rank order
+    return _additive(_relevant(scheme), logs, lambda s: 1 - (s - best) / den, init=0.0)
 
 
 def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -331,7 +430,7 @@ def _ap(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     r_total = _total_relevant(universe, "R = 0")
     weight, den = _weights(Fraction(1, r) for r in range(1, length + 1))
     total = den * r_total
-    return _cumulative(_relevant(scheme), weight, lambda s: (s[1], total))
+    return _cumulative(_relevant(scheme), weight, total)
 
 
 def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -341,7 +440,7 @@ def _awp(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     # cig(r) = top * min(r, R), with top in the total
     weight, den = _weights(Fraction(1, min(r, r_total)) for r in range(1, length + 1))
     total = den * gains[-1]
-    return _cumulative(gains, weight, lambda s: (s[1], total))
+    return _cumulative(gains, weight, total)
 
 
 def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -354,14 +453,13 @@ def _q_measure(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
         Fraction(1, gains[-1] * min(r, r_total) + den * r) for r in range(1, length + 1)
     )
     total = wden * r_total
-    return _cumulative(per_grade, weight, lambda s: (s[1], total))
+    return _cumulative(per_grade, weight, total)
 
 
 def _rr(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """1 over the rank of the first relevant document, 0 if none."""
-    values = [(0, 1)] + [(1, r) for r in range(1, length + 1)]
-    # the state is the rank of the first relevant document, 0 until there is one
-    return Kernel(0, lambda first, r, g: first or (r if g else 0), lambda s: values[s], length)
+    return Kernel("first", None, [(0, 1)] + [(1, r) for r in range(1, length + 1)], 0, None,
+                  length)
 
 
 def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -372,7 +470,8 @@ def _dcg(base: float, scheme: GradeScheme, universe: Universe, length: int) -> K
         for r in range(1, length + 1)
     ]
     # divided, not multiplied by 1/discount, which would change the float bits
-    return Kernel(0.0, lambda total, r, g: total + gains[g] / discounts[r], lambda s: s, length)
+    return Kernel("sum", None, [tuple(g / d for g in gains) for d in discounts], 0.0, float,
+                  length)
 
 
 def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -381,20 +480,15 @@ def _rbp(p: Fraction, scheme: GradeScheme, universe: Universe, length: int) -> K
     weight, den = _weights(p ** (r - 1) for r in range(1, length + 1))
     # (1-p)/top * A/(D * den) with top = gains[-1]/D
     factor = (1 - p) / (gains[-1] * den)
-    return _additive(gains, weight, lambda s: (s * factor.numerator, factor.denominator))
+    return _additive(gains, weight, factor.denominator, scale=factor.numerator)
 
 
 def _bpref(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """(1/R) * sum over relevant ranks of 1 - (r - count(r))/R."""
     r_total = _total_relevant(universe, "R = 0")
-
-    def step(s, r, g):
-        if not g:
-            return s
-        c = s[0] + 1
-        return c, s[1] + r_total - r + c
-
-    return Kernel((0, 0), step, lambda s: (s[1], r_total * r_total), length)
+    # each relevant rank adds the count so far plus R - r
+    return _cumulative(_relevant(scheme), [1] * (length + 1), r_total * r_total,
+                       (r_total - r for r in range(length + 1)))
 
 
 def _nxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -418,7 +512,7 @@ def _manxcg_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int
     suffix = list(accumulate(reversed(inverse[1:])))[::-1]  # suffix[r - 1]: j from r to cutoff
     weight = [0] + suffix[:length] + [0] * (length - cutoff)
     total = den * gains[-1] * cutoff
-    return _additive(gains, weight, lambda s: (s, total))
+    return _additive(gains, weight, total)
 
 
 def _gr_at(cutoff: int, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
@@ -570,12 +664,8 @@ class Measure:
                 if universe is None:
                     raise ParameterError(f"measures: {self.id} needs a universe")
                 check_consistent(element, universe)
-                state, step, finish, _ = _bound(self.fn, element.scheme, universe,
-                                                element.length)
-                index = element.scheme.labels.index
-                for r, label in enumerate(element.items, 1):
-                    state = step(state, r, index(label))
-                result = finish(state)
+                kernel = self.bind(element.scheme, universe, element.length)
+                result = fold(kernel, map(element.scheme.labels.index, element.items))
             elif self.family == "leveled":
                 element.require_satisfiable()  # so the fold settles at some level
                 state, step = self.fn(element.need)
@@ -589,6 +679,10 @@ class Measure:
         except UndefinedValueError as exc:
             raise UndefinedValueError(self.id, element.display(), exc.reason) from None
         return as_value(result)
+
+    def bind(self, scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
+        """A rank measure's :class:`Kernel` for rankings of ``length``, from a cache."""
+        return _bound(self.fn, scheme, universe, length)
 
     @property
     def eps(self) -> float | None:

@@ -140,6 +140,12 @@ CLASSIFY_GOLDENS = [
     # undefined under a seed
     ("inverse-precision", "contingency:N=80,R=30,n=0..80"),
     ("rnorm", "binary:L=2..6,R=3,N=9,seed=5"),
+    # recorded before rankings domains were walked a level at a time: rr's
+    # settled prefixes under rel=, horizon runs over several lengths with
+    # R < L, and float sums with pnorm's tie at P = 168
+    ("rr", "graded:levels=3,L=8,rel=2"),
+    ("nxcg@4", "binary:L=3..9,R=3,N=12"),
+    ("pnorm", "binary:L=8,R=3,N=11,rel=3"),
 ]
 
 
@@ -260,6 +266,9 @@ HASSE_GOLDENS = [
     # recorded before an undefined length came as one run, not one per grade:
     # under a seed, the run's positions are scattered among the classes
     ("rnorm", "binary:L=2..5,R=3,N=9,seed=1"),
+    # recorded before rankings domains were walked a level at a time: the
+    # labels come from the same column walk as the values
+    ("rbp?p=1/2", "graded:levels=3,L=4"),
 ]
 
 

@@ -21,7 +21,7 @@ import summary_reference
 from metriclass.enumeration import ElementOrder, element_to_str, enumerate_domain, parse_domain
 from metriclass.errors import ConstraintError, ParameterError, UndefinedValueError
 from metriclass.intrinsic import classify, induced_order, order_values
-from metriclass.measures import measure_from_id
+from metriclass.measures import fold, measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.values import Exact, as_value
 
@@ -203,15 +203,17 @@ def test_finish_never_raises_and_no_step_past_the_horizon_changes_the_state(meas
         spec = parse_domain(text)
         for ranking in enumerate_domain(spec):
             try:
-                state, step, finish, horizon = bind(ranking.scheme, spec.universe,
-                                                    ranking.length)
+                kernel = bind(ranking.scheme, spec.universe, ranking.length)
             except (ParameterError, UndefinedValueError):
                 continue  # a cutoff past L, or R >= L for rnorm and pnorm
-            for r, label in enumerate(ranking.items, 1):
-                after = step(state, r, ranking.scheme.labels.index(label))
-                assert r <= horizon or after == state, (measure_id, ranking.items, r)
-                state = after
-            finish(state)
+            grades = list(map(ranking.scheme.labels.index, ranking.items))
+            result = fold(kernel, grades)
+            for r in range(kernel.horizon, ranking.length):  # any grades past the horizon
+                for g in range(ranking.scheme.size):
+                    changed = grades[:r] + [g] * (ranking.length - r)
+                    assert fold(kernel, changed) == result, (measure_id, ranking.items, r)
+            if kernel.kind == "sum" and kernel.finish.__class__ is int:
+                assert not any(map(any, kernel.per_rank[kernel.horizon + 1:]))
 
 
 @pytest.mark.parametrize("measure_id, horizon", [

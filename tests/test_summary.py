@@ -28,8 +28,8 @@ import summary_reference as reference
 from metriclass import intrinsic
 from metriclass.enumeration import ElementOrder, _CountTuples, cardinality, parse_domain
 from metriclass.errors import MetriclassError, UndefinedValueError
-from metriclass.intrinsic import (Verdict, _convergent, _gather, _raw, _unpack, classify,
-                                  induced_order, summarize)
+from metriclass.intrinsic import (Verdict, _convergent, _gather, _Keyed, _raw, _unpack,
+                                  classify, induced_order, summarize)
 from metriclass.measures import list_measure_ids, measure_from_id
 from metriclass.report import emit_verdict_json
 
@@ -159,11 +159,11 @@ class TestRunsMatchElementWalk:
                 return groups, (0, ()) if undefined is None else _unpack(undefined)
             return split
 
-        def walked(m, s, _):  # certified floats turned back into their pairs
+        def walked(m, s, _):  # integer and certified float keys turned back into their pairs
             bound = s.certificate(m)
             groups, undefined = gather(lambda m, s: s.evaluators(m, bound))(m, s, _)
             if bound is not None:
-                groups = {_convergent(key, bound): g for key, g in groups.items()}
+                groups = {_Keyed(bound=bound).result(key): g for key, g in groups.items()}
             return groups, undefined
 
         got = outcome(walked, *drawn)
