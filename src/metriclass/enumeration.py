@@ -153,10 +153,9 @@ class Domain:
     of the enumeration (a part that passes ``cap`` alone may be a lower
     bound above it); ``elements()`` iterates in lexicographic order,
     ``labels()`` gives their display forms and ``labels_at(indices)`` those
-    at some lexicographic indices, ``evaluators(measure)`` how to get the
-    measure's raw results on them, ``certificate(measure)`` whether those
-    stand for exact values as floats, and ``element(text)`` parses a
-    display form.
+    at some lexicographic indices, ``evaluators(measure)`` walks the
+    measure's keys on them, ``certificate(measure)`` says what those keys
+    stand for, and ``element(text)`` parses a display form.
     """
 
     kind: ClassVar[str]
@@ -174,29 +173,31 @@ class Domain:
                 found[index] = label
         return [found[index] for index in indices]
 
-    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """``(stream, runs)`` pairs covering the elements in order.
 
-        The streams in turn give the measure's raw result (``(num, den)`` or
-        a float, see :mod:`metriclass.measures`) on every element, in
-        lexicographic order, or ``None`` where the value is undefined.
-        Given ``bound``, the ``certificate(measure)``, an exact result comes
-        as the float ``num / den``, certified one-to-one on the values, or on
-        a rankings domain as the integer numerator over ``bound``.  In
-        an element stream (``runs`` false) each item is one element's
-        result, and is never ``None``.  In a run stream each item is
-        ``(result, k)``: the result of a settled prefix, shared by the k
-        elements that complete it, which are consecutive; undefined elements
-        always come so, as ``(None, k)``.  Each stream is read to its end
-        before the next is asked for.
+        The streams in turn give the measure's key on every element, in
+        lexicographic order, or ``None`` where the value is undefined.  A
+        key is finished: equal keys stand for equal values, and nothing
+        downstream reduces or converts one.  Under ``certificate(measure)``
+        an exact value comes as the integer numerator over it (rankings) or
+        as the float ``num / den``, certified one-to-one on the values
+        (contingency and user); else as ``(num, den)`` in lowest terms,
+        reduced once where the walk makes it.  A real comes as its float.
+        In an element stream (``runs`` false) each item is one element's
+        key, and is never ``None``.  In a run stream each item is ``(key,
+        k)``: the key of a settled prefix, shared by the k elements that
+        complete it, which are consecutive; undefined elements always come
+        so, as ``(None, k)``.  Each stream is read to its end before the
+        next is asked for.
         """
         raise NotImplementedError
 
     def certificate(self, measure) -> Optional[int]:
         """A bound D on the denominators of the measure's values if its
-        evaluators yield them as certified floats (``_CountTuples.certificate``)
+        evaluators key them as certified floats (``_CountTuples.certificate``)
         or as integer numerators over D (``Rankings.certificate``), else None
-        (they yield ``(num, den)`` pairs or reals)."""
+        (they key them as reduced ``(num, den)`` pairs or reals)."""
         return None
 
 
@@ -207,19 +208,28 @@ def _progression(start: int, step: int, lo: int, hi: int) -> Iterable[int]:
     return repeat(start, hi - lo)
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """``(num, den)`` in lowest terms; ``den`` is positive."""
+    d = math.gcd(num, den)
+    return num // d, den // d
+
+
 class _CountTuples(Domain):
     """A domain of four-count elements, ordered as rows of counts.
 
     ``rows()`` yields ``(first, m)``: the row's first counts and its
-    length; its i-th element is ``first + i * delta``.  ``count_tuples()``
-    lists the same elements one by one, and ``largest()`` bounds each count.
+    length; its i-th element is ``first + i * delta``.  ``largest()``
+    bounds each count.
     """
 
     element_type: ClassVar[type]
     delta: ClassVar[tuple[int, int, int, int]]
 
     def elements(self) -> Iterator:
-        return starmap(self.element_type, self.count_tuples())
+        """The rows expanded by ``delta``, each count a progression along its row."""
+        rows = (zip(*map(_progression, first, self.delta, repeat(0), repeat(m)))
+                for first, m in self.rows())
+        return starmap(self.element_type, chain.from_iterable(rows))
 
     def labels_at(self, indices: list[int]) -> list[str]:
         """Display forms at lexicographic ``indices``, unranked: whole rows
@@ -254,26 +264,27 @@ class _CountTuples(Domain):
         den = max(den, 1)
         return den if num * den * den < 1 << 52 else None
 
-    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """Element streams, row by row, of the ratio of two affine forms, split at undefined ones.
 
         ``measure.fn`` is a :class:`~metriclass.measures.Ratio`.  Along a
         row each form is an arithmetic progression, whose step (the form's
         dot product with ``delta``) is the same for every row, so a row's
-        results are two ``range``s, zipped into pairs, or divided in C into
-        floats where ``bound``, the certificate, vouches that the floats are
-        one-to-one on the values.  ``defined`` is a progression too: one
-        ``divmod`` finds its only zero on the row, if any, and a row on
-        which it is constantly 0 is all undefined.  The rows' defined pieces
-        are chained into one element stream up to the next undefined
-        element, or row, which comes as one run.
+        results are two ``range``s, divided in C into floats where the
+        certificate vouches that the floats are one-to-one on the values,
+        else reduced into pairs (``_reduced``), once per element, as the row
+        makes them.  ``defined`` is a progression too: one ``divmod`` finds
+        its only zero on the row, if any, and a row on which it is
+        constantly 0 is all undefined.  The rows' defined pieces are chained
+        into one element stream up to the next undefined element, or row,
+        which comes as one run.
         """
         num, den, defined, _ = measure.fn
         num_step, den_step, defined_step = (sum(map(mul, form[1:], self.delta))
                                             for form in (num, den, defined))
-        pair = zip if bound is None else partial(map, truediv)
+        keys = partial(map, _reduced if self.certificate(measure) is None else truediv)
 
-        def pieces():  # per row: the results before its undefined ones, their run, and the rest
+        def pieces():  # per row: the keys before its undefined ones, their run, and the rest
             for first, m in self.rows():
                 n, d, f = (form_value(form, first) for form in (num, den, defined))
                 if defined_step:
@@ -281,18 +292,14 @@ class _CountTuples(Domain):
                     lo, hi = (zero, zero + 1) if not rest and 0 <= zero < m else (m, m)
                 else:
                     lo, hi = (m, m) if f else (0, m)
-                yield pair(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
+                yield keys(_progression(n, num_step, 0, lo), _progression(d, den_step, 0, lo))
                 if lo < hi:
                     yield ((None, hi - lo),)
-                yield pair(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
+                yield keys(_progression(n, num_step, hi, m), _progression(d, den_step, hi, m))
 
         # read lazily, so no row is built before its stream is; only an undefined run is a tuple
         for runs, group in groupby(pieces(), lambda piece: piece.__class__ is tuple):
             yield chain.from_iterable(group), runs
-
-
-def _pair(den: int, num: int) -> tuple[int, int]:
-    return num, den
 
 
 def _completing(other: int, tail: int, c: int, least: int, most: int) -> int:
@@ -479,18 +486,16 @@ class Rankings(Domain):
             return None
         return math.lcm(*(kernel.den for _, kernel in self._kernels(measure) if kernel))
 
-    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """One walk per length of the measure's fold, an exact result as its numerator over
-        ``bound``, the certificate, else as ``(num, den)``; an undefined length is one run."""
+        the certificate, a real as its float; an undefined length is one run."""
         least, most = self._bounds
+        bound = self.certificate(measure)
         for length, kernel in self._kernels(measure):
             if kernel is None:
                 yield ((None, _completing(self.levels - 1, length, 0, least, most)),), True
                 continue
-            if measure.backend == "exact":  # else its finish gives a float
-                kernel = kernel.over(bound) if bound else kernel._replace(
-                    finish=partial(_pair, kernel.finish))
-            yield from self.walk(length, kernel)
+            yield from self.walk(length, kernel if bound is None else kernel.over(bound))
 
     def element(self, text: str) -> Ranking:
         if not (text.startswith("<") and text.endswith(">")):
@@ -548,16 +553,6 @@ class Contingency(_CountTuples):
             return over * (over + 1) // 2
 
         yield (hi - lo + 1) + capped(hi) - capped(lo - 1) - excess(hi) + excess(lo - 1)
-
-    def count_tuples(self) -> Iterator[tuple[int, int, int, int]]:
-        """(tp, fp, fn, tn) by retrieved size n, then by tp."""
-        lo, hi = self.retrieved
-        relevant = self.relevant
-        nonrel = self.collection - relevant
-        for n in range(lo, hi + 1):
-            for tp in range(max(0, n - nonrel), min(relevant, n) + 1):
-                fp = n - tp
-                yield tp, fp, relevant - tp, nonrel - fp
 
     def rows(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """One row per retrieved size n: its table of least tp, and how many tp it takes."""
@@ -624,14 +619,6 @@ class User(_CountTuples):
             total += (known + 1) * shifted - above * known * (known + 1) // 2
         yield total
 
-    def count_tuples(self) -> Iterator[tuple[int, int, int, int]]:
-        """(U, R_k, R_u, A) by A, then by R_k, then by R_u."""
-        known = self.known
-        for a in range(1, self.max_retrieved + 1):
-            for rk in range(0, min(known, a) + 1):
-                for ru in range(0, a - rk + 1):
-                    yield known, rk, ru, a
-
     def rows(self) -> Iterator[tuple[tuple[int, int, int, int], int]]:
         """One row per A and R_k: the context with R_u = 0, and A - R_k + 1 of them."""
         known = self.known
@@ -654,9 +641,10 @@ class User(_CountTuples):
 class Leveled(Domain):
     """Leveled outputs of 1..docs documents holding at least s relevant ones.
 
-    ``elements()`` lists every output.  ``evaluators`` walks ``esl``'s
-    level fold instead and stops at the first level that meets the need,
-    so it pays per settled prefix, not per output.
+    ``walk`` is the one traversal.  ``elements()`` runs it with a fold
+    that keeps every level and never settles; ``evaluators`` runs ``esl``'s
+    level fold, which settles at the first level that meets the need, so
+    it pays per settled prefix, not per output.
     """
 
     kind: ClassVar[str] = "leveled"
@@ -707,34 +695,23 @@ class Leveled(Domain):
             yield ways[0][s] + ways[1][s]
 
     def elements(self) -> Iterator[LeveledOutput]:
-        need = self.need
-
-        def rec(remaining: int, have: int, acc: list[tuple[int, int]]):
-            if remaining == 0:
-                yield LeveledOutput(tuple(acc), need)
-                return
-            for size in range(1, remaining + 1):
-                for rel in range(0, size + 1):
-                    if have + rel + remaining - size < need:
-                        continue  # the need is out of reach even if the rest is relevant
-                    acc.append((rel, size - rel))
-                    yield from rec(remaining - size, have + rel, acc)
-                    acc.pop()
-
-        # smaller outputs first, lexicographic level structure within one total
-        for total in range(1, self.max_docs + 1):
-            yield from rec(total, 0, [])
+        """Every output, from ``walk`` with a fold that keeps each level and never settles."""
+        outputs = self.walk((), lambda kept, rel, non: (False, (*kept, (rel, non))))
+        return (LeveledOutput(levels, self.need) for levels, _ in outputs)
 
     def walk(self, init, step) -> Iterator[tuple[object, int]]:
-        """Level prefixes in ``elements()`` order, up to the level that settles the fold.
+        """Level prefixes in lexicographic order, each up to the level that settles the fold.
 
-        ``step`` is a :class:`~metriclass.measures.LevelFold`'s.  Yields
-        ``(result, k)`` per prefix whose last level settles the fold, with
-        k the outputs that complete it, which are consecutive.  A prefix
-        holding m fewer documents than its output's total is completed in
-        c(m) ways, whatever their relevance: c(0) = 1 and c(m) is the sum
-        over the size s of the next level of (s+1) c(m-s), as that level
-        can hold 0..s relevant documents.  Prunes as ``elements()`` does.
+        Smaller outputs come first, then by level structure.  ``step`` is
+        a :class:`~metriclass.measures.LevelFold`'s.  Yields ``(state, k)``
+        per prefix whose last level settles the fold or completes its
+        output, with k the outputs that complete it, which are consecutive.
+        A prefix holding m fewer documents than its output's total is
+        completed in c(m) ways, whatever their relevance: c(0) = 1 and c(m)
+        is the sum over the size s of the next level of (s+1) c(m-s), as
+        that level can hold 0..s relevant documents.  A level past which the
+        need is out of reach even if the rest is relevant is pruned, so
+        ``esl`` settles by the time its output is complete.
         """
         need = self.need
         completions = [1]
@@ -748,7 +725,7 @@ class Leveled(Domain):
                     if have + rel + rest < need:
                         continue  # the need is out of reach even if the rest is relevant
                     settled, after = step(state, rel, size - rel)
-                    if settled:
+                    if settled or not rest:
                         yield after, completions[rest]
                     else:
                         yield from rec(rest, have + rel, after)
@@ -756,10 +733,10 @@ class Leveled(Domain):
         for total in range(1, self.max_docs + 1):
             yield from rec(total, 0, init)
 
-    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
-        """One run stream: the level fold's settled prefixes, each with its result."""
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+        """One run stream: the level fold's settled prefixes, each with its result reduced once."""
         init, step = measure.fn(self.need)
-        yield self.walk(init, step), True
+        yield ((_reduced(*result), k) for result, k in self.walk(init, step)), True
 
     @staticmethod
     def element(text: str) -> LeveledOutput:
@@ -845,14 +822,14 @@ class ElementOrder:
         """``items``, one per element in lexicographic order, in position order."""
         return iter(items) if self.indices is None else map(list(items).__getitem__, self.indices)
 
-    def evaluators(self, measure, bound: Optional[int] = None) -> Iterator[tuple[Iterator, bool]]:
-        """``spec.evaluators(measure, bound)`` in position order.
+    def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
+        """``spec.evaluators(measure)`` in position order.
 
-        Under a seed every result (a run's once per element) is arranged in
+        Under a seed every key (a run's once per element) is arranged in
         one column, and the undefined ones regrouped into runs ``(None, k)``:
         an element stream still never holds ``None``.
         """
-        walk = self.spec.evaluators(measure, bound)
+        walk = self.spec.evaluators(measure)
         if self.indices is None:
             return walk
         results = self.arrange(chain.from_iterable(

@@ -23,16 +23,17 @@ element stream; no record is built per class.  The induced order
 read ``ElementOrder.evaluators``, in position order under any seed.  A walk
 may hand over a settled prefix as one run of elements sharing one value,
 and hands over undefined points only so, as runs, which are counted
-apart.  Values are grouped and ordered by their keys, and a key is
-turned back into its value's pair only where a check or a report reads
-it.  An exact value's key is, on a rankings domain, its integer numerator
-over the domain's one denominator (``Domain.certificate``); on a
-contingency or user domain whose certificate holds, the float ``num /
-den``, recovered by ``_convergent``; else its reduced ``(num, den)``.  A
-real's key is its float.  Rank values stay integers, not certified
-floats: many are dyadic (``rbp?p=1/2``), and a float k/2^m hashes with
-its low bits zero, so ``Counter`` over the 2^18 floats k/2^18 took 200 ms
-against 18 ms over the ints k.
+apart.  A walk hands over finished keys, so this module only counts and
+sorts them; a key is turned back into its value's pair only where a check
+or a report reads it, through the domain's certificate.  An exact value's
+key is, on a rankings domain, its integer numerator over the domain's one
+denominator (``Domain.certificate``); on a contingency or user domain
+whose certificate holds, the float ``num / den``, recovered by
+``_convergent``; else its ``(num, den)`` in lowest terms, reduced by the
+walk where it makes the pair.  A real's key is its float.  Rank values
+stay integers, not certified floats: many are dyadic (``rbp?p=1/2``),
+and a float k/2^m hashes with its low bits zero, so ``Counter`` over the
+2^18 floats k/2^18 took 200 ms against 18 ms over the ints k.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ from .values import DEFAULT_EPS, Exact, Value, absdiff, add, as_value, exact, fm
 #: Above this many quotient classes the definitional oracle is skipped.
 DEFAULT_ORACLE_CAP = 200
 
-#: How classes are grouped and sorted: an exact value's reduced (num, den), its
-#: numerator over a rankings domain's one denominator, or its certified float
-#: (``Domain.certificate``), or a real's float.
+#: How classes are grouped and sorted, as ``Domain.evaluators`` hands them over
+#: finished: an exact value's numerator over a rankings domain's one
+#: denominator, its certified float (``Domain.certificate``), or its (num,
+#: den) in lowest terms, reduced by the walk; or a real's float.
 Key = tuple[int, int] | int | float
 
 
@@ -188,31 +190,29 @@ def _unpack(g: int | list[int]) -> tuple[int, tuple[int, ...]]:
 
 
 def _gather(evaluators: Iterable[tuple[Iterable, bool]], early: bool) -> tuple:
-    """Bucket raw results by key, one element or run at a time.
+    """Bucket keys, one element or run at a time.
 
-    ``evaluators`` yields ``(stream, runs)`` in position order, as
-    ``ElementOrder.evaluators`` does, so ``None`` comes in runs only, and
-    positions are counted from 0.  A pair is keyed by its reduced pair
-    (``_key``), an int, a float or ``None`` by itself.  A key maps to
-    its element's position while attained once, then to ``[count,
-    earliest, second earliest]``.  Returns the buckets and None; or, where
-    ``early`` and a defined key repeats (the earliest collision, when keys
-    are exact), the buckets and ``(key, stream, runs)``: the rest of the
-    stream it stopped in, and its kind.
+    ``evaluators`` yields ``(stream, runs)`` of finished keys in position
+    order, as ``ElementOrder.evaluators`` does, so ``None`` comes in runs
+    only, and positions are counted from 0.  A key maps to its element's
+    position while attained once, then to ``[count, earliest, second
+    earliest]``.  Returns the buckets and None; or, where ``early`` and a
+    defined key repeats (the earliest collision, when keys are exact), the
+    buckets and ``(key, stream, runs)``: the rest of the stream it stopped
+    in, and its kind.
     """
     groups: dict[Optional[Key], int | list[int]] = {}
     positions = count()
     for stream, runs in evaluators:
         if runs:
-            for v, k in stream:  # the run holds p..p+k-1
+            for key, k in stream:  # the run holds p..p+k-1
                 p = next(positions)
                 earliest, positions = (p, p + 1)[:k], count(p + k)
-                if _enter(groups, key := _key(v), k, earliest) and early and key is not None:
+                if _enter(groups, key, k, earliest) and early and key is not None:
                     return groups, (key, stream, True)
             continue
         # stream first: zip stops on an exhausted stream without taking a position
-        for v, position in zip(stream, positions):
-            key = _key(v) if v.__class__ is tuple else v
+        for key, position in zip(stream, positions):
             g = groups.setdefault(key, position)
             if g is position:  # a new key
                 continue
@@ -225,35 +225,24 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], early: bool) -> tuple:
     return groups, None
 
 
-def _count(groups: dict, stream, runs: bool, evaluators, keyed: bool) -> tuple:
+def _count(groups: dict, stream, runs: bool, evaluators) -> tuple:
     """Sizes over ``_gather``'s buckets and the rest of its walk, and the first ``None``'s position.
 
-    ``Counter.update`` counts each element stream in C (integer or certified
-    float keys where ``keyed``, else ``map(_key, ...)`` of pairs); runs add their
-    lengths.  Positions ascend, so the first undefined run after the stop
-    starts at the number of elements counted before it.
+    ``Counter.update`` counts each element stream's keys in C; runs add
+    their lengths.  Positions ascend, so the first undefined run after the
+    stop starts at the number of elements counted before it.
     """
     sizes = Counter({key: 1 if g.__class__ is int else g[0] for key, g in groups.items()})
     first = _unpack(groups[None])[1][0] if None in groups else None
     for stream, runs in chain([(stream, runs)], evaluators):
         if not runs:
-            sizes.update(stream if keyed else map(_key, stream))
+            sizes.update(stream)
             continue
-        for v, k in stream:
-            key = _key(v)
+        for key, k in stream:
             if key is None and first is None:
                 first = sum(sizes.values())
             sizes[key] += k
     return sizes, first
-
-
-def _key(v) -> Optional[Key]:
-    """The key ``_gather`` gives a raw result."""
-    if v.__class__ is not tuple:
-        return v
-    num, den = v
-    d = gcd(num, den)
-    return num // d, den // d
 
 
 def _enter(groups: dict, key: Optional[Key], size: int, earliest: tuple[int, ...]) -> bool:
@@ -319,9 +308,9 @@ def _check_family(measure: Measure, spec: Domain) -> None:
 def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSummary:
     """Evaluate the measure over the domain into a summary of its attained values.
 
-    One pass over ``Domain.evaluators`` (level-at-a-time walks keyed by
-    integers that yield settled prefixes as runs, or affine rows keyed by
-    certified floats)
+    One pass over the finished keys of ``Domain.evaluators``
+    (level-at-a-time walks keyed by integers that yield settled prefixes as
+    runs, or affine rows keyed by certified floats or reduced pairs)
     keeps each value's size and the earliest collision, so memory grows
     with the distinct values, not the elements.  Values are bucketed
     (``_gather``) up to the first repeat of an exact value and counted in
@@ -334,7 +323,7 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     bound = spec.certificate(measure)
-    evaluators = order.evaluators(measure, bound)
+    evaluators = order.evaluators(measure)
     groups, stop = _gather(evaluators, measure.backend == "exact")
     if stop is None:
         excluded, (first, *_) = _unpack(groups.pop(None)) if None in groups else (0, (None,))
@@ -349,7 +338,7 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
         sizes.update(zip(collided, map(itemgetter(0), collided.values())))
     else:
         collision = (stop[0], *groups[stop[0]][1:])
-        sizes, first = _count(groups, *stop[1:], evaluators, bound is not None)
+        sizes, first = _count(groups, *stop[1:], evaluators)
         excluded = sizes.pop(None, 0)
         keys = _quotient(sizes, bound is not None, excluded)
     return ValueSummary(keys, sizes, collision, order.size, excluded, first, order, bound=bound)
@@ -358,21 +347,21 @@ def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSu
 def _ordered(walk: Iterable, labels: Iterable[str], bound: Optional[int] = None) -> OrderedDomain:
     """``summarize``'s quotient of a walk, every member listed, from one pass over it.
 
-    ``walk`` is ``_gather``'s, ``labels`` are in position order, and
-    ``bound`` certifies the walk's floats, if any.  Each position goes to
-    an ascending list under its element's key; ``None``'s holds the
-    undefined points, and a real joins the greatest anchor below it, whose
-    list is then sorted.
+    ``walk`` is ``_gather``'s, a walk of finished keys, ``labels`` are in
+    position order, and ``bound`` certifies the walk's floats, if any.
+    Each position goes to an ascending list under its element's key;
+    ``None``'s holds the undefined points, and a real joins the greatest
+    anchor below it, whose list is then sorted.
     """
     lists: dict[Optional[Key], list[int]] = {}
     positions = count()
     for stream, runs in walk:
         if runs:
-            for v, k in stream:
-                lists.setdefault(_key(v), []).extend(islice(positions, k))
+            for key, k in stream:
+                lists.setdefault(key, []).extend(islice(positions, k))
             continue
-        for v, position in zip(stream, positions):
-            lists.setdefault(_key(v), []).append(position)
+        for key, position in zip(stream, positions):
+            lists.setdefault(key, []).append(position)
     excluded = tuple(lists.pop(None, ()))
     keys = _quotient(lists, bound is not None, len(excluded))
     if len(keys) < len(lists):  # near reals: each joins the greatest anchor below it
@@ -387,7 +376,7 @@ def _ordered(walk: Iterable, labels: Iterable[str], bound: Optional[int] = None)
 
 
 def _raw(value: Optional[Value]) -> Optional[Key]:
-    """The raw result a value wraps, or None for None."""
+    """A value's key: the reduced pair or the float it wraps, or None for None."""
     if value is None:
         return None
     return value.rational.as_integer_ratio() if value.__class__ is Exact else value.real
@@ -407,8 +396,8 @@ def induced_order(measure: Measure, spec: Domain, cap: int | None = None) -> Ord
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
-    bound = spec.certificate(measure)
-    return _ordered(order.evaluators(measure, bound), order.arrange(spec.labels()), bound)
+    return _ordered(order.evaluators(measure), order.arrange(spec.labels()),
+                    spec.certificate(measure))
 
 
 def distance(measure: Measure, a, b, universe=None) -> Value:

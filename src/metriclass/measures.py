@@ -6,8 +6,9 @@ rational-formula measures (the exact backend) give the integers
 in lowest terms, and only the log-bearing ones (discounted gain,
 normalized log precision) give a float, compared with the default
 tolerance from :mod:`metriclass.values`.  ``Measure.evaluate`` wraps the
-result into an ``Exact`` or ``Approx`` value; classification keys on the
-raw result and builds a value only for what it reports.
+result into an ``Exact`` or ``Approx`` value; a domain walk hands the
+results to classification as finished keys (``enumeration.Domain.evaluators``),
+which builds a value only for what it reports.
 
 Set-based and user measures are ratios of two affine integer forms in
 four counts, ``(tp, fp, fn, tn)`` for set rows and ``(U, R_k, R_u, A)``
@@ -801,8 +802,13 @@ def _parse_params(text: str) -> dict[str, str]:
     return params
 
 
+@lru_cache(maxsize=256)
 def measure_from_id(measure_id: str) -> Measure:
-    """Resolve a measure id string to a bound Measure."""
+    """Resolve a measure id string to a bound Measure.
+
+    Cached, so a repeated id gets the same frozen ``Measure``, whose ``fn``
+    then hits ``_bound``'s cache of kernels; a bad id raises on every call.
+    """
     head, query, param_text = measure_id.partition("?")
     base, at, cutoff_text = head.partition("@")
     key = base + at + query

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from metriclass import cli
 from metriclass.cli import run
+from metriclass.errors import ParameterError, ParseError
+from metriclass.measures import _bound, measure_from_id
 
 DATA = Path(__file__).parent / "data"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -146,6 +148,9 @@ CLASSIFY_GOLDENS = [
     ("rr", "graded:levels=3,L=8,rel=2"),
     ("nxcg@4", "binary:L=3..9,R=3,N=12"),
     ("pnorm", "binary:L=8,R=3,N=11,rel=3"),
+    # recorded before leveled elements came from the level walk: witness labels
+    # of outputs that hold s > 1 relevant documents
+    ("esl", "leveled:docs=10,s=3"),
 ]
 
 
@@ -188,6 +193,32 @@ class TestParserReuse:
                                capture_output=True, env=dict(os.environ), check=True)
         assert fresh.stdout == after[1].encode("utf-8")
         assert fresh.stdout == (DATA / "classify" / "msr-binary-L-11-seed-4.json").read_bytes()
+
+
+class TestMeasureReuse:
+    CLASSIFY = ("classify", "--measure", "nxcg@4", "--domain", "binary:L=3..9,R=3,N=12")
+    TABLE = ("table", "--suite", "paper")
+
+    def test_repeat_calls_bind_no_new_kernel(self):
+        for argv in (self.CLASSIFY, self.TABLE):
+            assert invoke(*argv)[0] == 0
+        misses = _bound.cache_info().misses
+        for argv in (self.CLASSIFY, self.CLASSIFY, self.TABLE):
+            assert invoke(*argv)[0] == 0
+            assert _bound.cache_info().misses == misses, argv
+
+    @pytest.mark.parametrize("measure_id, error", [
+        ("no-such-measure", ParseError), ("prec@0", ParameterError), ("rbp?p=2", ParameterError),
+    ])
+    def test_a_bad_id_raises_on_every_call(self, measure_id, error):
+        calls = []
+        for _ in range(3):
+            with pytest.raises(error):
+                measure_from_id(measure_id)
+            calls.append(invoke("classify", "--measure", measure_id, "--domain", "binary:L=3"))
+        code, out, err = calls[0]
+        assert code in (1, 2) and not out and "Traceback" not in err
+        assert calls == [calls[0]] * 3
 
 
 class TestClassifyGoldens:
@@ -269,6 +300,9 @@ HASSE_GOLDENS = [
     # recorded before rankings domains were walked a level at a time: the
     # labels come from the same column walk as the values
     ("rbp?p=1/2", "graded:levels=3,L=4"),
+    # recorded before walks handed over finished keys: uncertified pairs, each
+    # reduced where its row makes it
+    ("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2"),
 ]
 
 

@@ -18,6 +18,7 @@ from metriclass.enumeration import (
     parse_domain,
 )
 from metriclass.errors import DomainTooLargeError, ParseError
+from metriclass.model import LeveledOutput
 
 SPEC_STRINGS = [
     "binary:L=4,R=4,N=8",
@@ -63,22 +64,28 @@ class TestCardinality:
 
     def test_leveled_brute_force(self):
         # independent recursive generator over level compositions
-        def gen(remaining, acc, out):
+        def gen(remaining, acc, out, need):
             if remaining == 0:
-                if sum(r for r, _ in acc) >= 1:
+                if sum(r for r, _ in acc) >= need:
                     out.append(tuple(acc))
                 return
             for size in range(1, remaining + 1):
                 for rel in range(0, size + 1):
                     acc.append((rel, size - rel))
-                    gen(remaining - size, acc, out)
+                    gen(remaining - size, acc, out, need)
                     acc.pop()
 
-        brute = []
-        for total in range(1, 5):
-            gen(total, [], brute)
-        spec = parse_domain("leveled:docs=4,s=1")
-        assert cardinality(spec) == len(brute) == 100
+        for docs in range(1, 7):
+            for need in range(1, 5):
+                brute = []
+                for total in range(1, docs + 1):  # smaller outputs first
+                    gen(total, [], brute, need)
+                spec = parse_domain(f"leveled:docs={docs},s={need}")
+                elements = list(spec.elements())
+                assert elements == [LeveledOutput(levels, need) for levels in brute], (docs, need)
+                assert cardinality(spec) == len(brute)
+                if (docs, need) == (4, 1):
+                    assert len(brute) == 100
 
     def test_user_domain(self):
         assert cardinality(parse_domain("user:U=1,A=1..4")) == 24
@@ -298,6 +305,24 @@ def count_tuple_specs(draw):
     return text if seed is None else f"{text},seed={seed}"
 
 
+def count_tuples(spec):
+    """The elements' four counts in lexicographic order, by nested loops over the counts."""
+    if spec.kind == "contingency":  # (tp, fp, fn, tn) by retrieved size n, then by tp
+        lo, hi = spec.retrieved
+        relevant = spec.relevant
+        nonrel = spec.collection - relevant
+        for n in range(lo, hi + 1):
+            for tp in range(max(0, n - nonrel), min(relevant, n) + 1):
+                fp = n - tp
+                yield tp, fp, relevant - tp, nonrel - fp
+    else:  # (U, R_k, R_u, A) by A, then by R_k, then by R_u
+        known = spec.known
+        for a in range(1, spec.max_retrieved + 1):
+            for rk in range(0, min(known, a) + 1):
+                for ru in range(0, a - rk + 1):
+                    yield known, rk, ru, a
+
+
 class TestRows:
     @settings(max_examples=100, deadline=None)
     @given(count_tuple_specs())
@@ -308,7 +333,8 @@ class TestRows:
         expanded = [tuple(c + i * d for c, d in zip(first, spec.delta))
                     for first, m in spec.rows() for i in range(m)]
         assert all(m > 0 for _, m in spec.rows())
-        assert expanded == list(spec.count_tuples())
+        assert expanded == list(count_tuples(spec))
+        assert [element.counts for element in spec.elements()] == expanded
 
 
 class TestLabelsAt:
@@ -358,7 +384,7 @@ class TestLabelsAt:
         def refuse(*args, **kwargs):
             raise AssertionError("labels_at walked the domain")
 
-        monkeypatch.setattr(type(spec), "count_tuples", refuse)
+        monkeypatch.setattr(type(spec), "elements", refuse)
         assert spec.labels_at([0, 2_003_000]) == ["tp=0,fp=0,fn=1000,tn=2000",
                                                  "tp=1000,fp=2000,fn=0,tn=0"]
 

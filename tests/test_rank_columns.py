@@ -9,8 +9,8 @@ mapped to pairs (floats bit for bit), the sizes, the earliest collision
 and the undefined points, and the verdict JSON byte for byte.  Every key
 must stand for the value ``Measure.evaluate`` gives its element on its
 own, so the column and the scalar form of a fold cannot drift apart.  A
-level wider than ``BLOCK`` is walked in blocks, and a seeded rank stream
-is counted with no per-element key.
+level wider than ``BLOCK`` is walked in blocks.  Pairs are reduced only
+where no certificate holds, once per element, as the walk makes them.
 """
 
 from itertools import repeat
@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import summary_reference as reference
-from metriclass import intrinsic, measures
+from metriclass import enumeration, measures
 from metriclass.enumeration import ElementOrder, enumerate_domain, parse_domain
 from metriclass.errors import MetriclassError, UndefinedValueError
 from metriclass.intrinsic import _Keyed, _raw, classify, summarize
@@ -62,9 +62,8 @@ def bits(result):
 
 def keyed_results(measure, spec):
     """Each element's key turned back into its raw result, in position order; None if undefined."""
-    order, bound = ElementOrder(spec), spec.certificate(measure)
-    keyed = _Keyed(bound=bound)
-    for stream, runs in order.evaluators(measure, bound):
+    order, keyed = ElementOrder(spec), _Keyed(bound=spec.certificate(measure))
+    for stream, runs in order.evaluators(measure):
         for key, k in stream if runs else zip(stream, repeat(1)):
             yield from repeat(None if key is None else bits(keyed.result(key)), k)
 
@@ -132,30 +131,36 @@ def test_levels_wider_than_a_block_are_walked_in_blocks(monkeypatch, measure_id,
     measure, spec = measure_from_id(measure_id), parse_domain(domain)
     whole = list(keyed_results(measure, spec))
     monkeypatch.setattr(measures, "BLOCK", 5)
-    streams = list(spec.evaluators(measure, spec.certificate(measure)))
+    streams = list(spec.evaluators(measure))
     assert len(streams) > 8  # many blocks
     assert list(keyed_results(measure, spec)) == whole == list(evaluated(measure, spec))
     assert classify(measure, spec) == reference.classify(measure, spec)
 
 
-def test_a_seeded_rank_stream_is_counted_with_no_key_per_element(monkeypatch):
-    key, calls = intrinsic._key, []
+@pytest.mark.parametrize("measure_id, domain, per_element", [
+    ("prec@5", "binary:L=12,seed=1", False),  # integer keys, arranged by the seed
+    ("recall", "contingency:N=60,R=20,seed=2", False),  # certified floats
+    ("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2", True),  # no certificate
+])
+def test_pairs_are_reduced_only_where_no_certificate_holds(monkeypatch, measure_id, domain,
+                                                          per_element):
+    reduced, calls = enumeration._reduced, []
 
-    def spy(v):
-        calls.append(v)
-        return key(v)
+    def spy(num, den):
+        calls.append((num, den))
+        return reduced(num, den)
 
-    monkeypatch.setattr(intrinsic, "_key", spy)
-    measure, spec = measure_from_id("prec@5"), parse_domain("binary:L=12,seed=1")
+    monkeypatch.setattr(enumeration, "_reduced", spy)
+    measure, spec = measure_from_id(measure_id), parse_domain(domain)
     verdict = classify(measure, spec)
-    assert verdict.elements == 4096 and verdict.classes == 6
-    assert len(calls) < 10, f"_key called {len(calls)} times"
+    if measure_id == "prec@5":
+        assert verdict.elements == 4096 and verdict.classes == 6
+    assert len(calls) == (verdict.elements if per_element else 0), f"{len(calls)} reductions"
     assert verdict == reference.classify(measure, spec)
 
 
 def test_rr_yields_one_run_per_first_relevant_rank():
     measure, spec = measure_from_id("rr"), parse_domain("graded:levels=3,L=4")
-    bound = spec.certificate(measure)
-    assert bound == 12  # lcm(1..4)
-    (stream, runs), = spec.evaluators(measure, bound)
+    assert spec.certificate(measure) == 12  # lcm(1..4)
+    (stream, runs), = spec.evaluators(measure)
     assert runs and list(stream) == [(0, 1), (3, 2), (4, 6), (6, 18), (12, 54)]

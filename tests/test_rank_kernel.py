@@ -20,7 +20,7 @@ import pytest
 import summary_reference
 from metriclass.enumeration import ElementOrder, element_to_str, enumerate_domain, parse_domain
 from metriclass.errors import ConstraintError, ParameterError, UndefinedValueError
-from metriclass.intrinsic import classify, induced_order, order_values
+from metriclass.intrinsic import _Keyed, classify, induced_order, order_values
 from metriclass.measures import fold, measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.values import Exact, as_value
@@ -240,14 +240,16 @@ def per_element(measure, spec):
 def walked(measure, spec):
     """``(label, value or None)`` per element from the domain walk, in position order.
 
-    A run gives its value to each of the k elements it stands for.
+    A run gives its value to each of the k elements it stands for; a key
+    is decoded under the domain's certificate.
     """
     order = ElementOrder(spec)
+    keyed = _Keyed(bound=spec.certificate(measure))
     pairs = []
     labels = spec.labels()
     for stream, runs in spec.evaluators(measure):
-        for result, k in stream if runs else zip(stream, repeat(1)):
-            value = None if result is None else as_value(result)
+        for key, k in stream if runs else zip(stream, repeat(1)):
+            value = None if key is None else as_value(keyed.result(key))
             pairs.extend(zip(islice(labels, k), repeat(value)))
     return list(order.arrange(pairs))
 

@@ -6,7 +6,8 @@ function, so the references that go through ``evaluate`` no longer check
 the rows on their own.  Here every row is compared with its textbook
 formula on drawn elements, zero denominators included: the pair must equal
 the formula, an element must be undefined for both or for neither, and the
-summary's key must be the pair in lowest terms.
+summary's key, reduced by the walks' own reducer, must be the pair in
+lowest terms.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metriclass.enumeration import _reduced
 from metriclass.errors import UndefinedValueError
 from metriclass.intrinsic import _gather
 from metriclass.measures import list_measure_ids, measure_from_id
@@ -90,10 +92,10 @@ def check_row(measure, element, args, expected, raw=None):
         assert F(num, den) == expected
         assert measure.evaluate(element) == Exact(expected)
     try:
-        result = raw(*args)
+        key = _reduced(*raw(*args))  # the key an uncertified walk hands over
     except UndefinedValueError:
-        result = None
-    groups, stop = _gather([([result], False)], True)  # exact keys, as summarize has them
+        key = None
+    groups, stop = _gather([([key], False)], True)  # exact keys, as summarize has them
     assert stop is None  # one element: no collision
     if expected is None:  # the undefined points' bucket: one element, at position 0
         assert groups == {None: 0}

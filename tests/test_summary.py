@@ -18,6 +18,7 @@ import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from unittest.mock import patch
 
 import pytest
@@ -134,6 +135,14 @@ def expand(walk):
             yield from repeat(v, k)
 
 
+def finished(key):
+    """An int, a float, or a pair in lowest terms over a positive denominator."""
+    if key.__class__ is tuple:
+        num, den = key
+        return num.__class__ is den.__class__ is int and den > 0 and gcd(num, den) == 1
+    return key.__class__ in (int, float)
+
+
 class TestRunsMatchElementWalk:
     """Settled prefixes, as runs, against evaluating every element."""
 
@@ -161,7 +170,7 @@ class TestRunsMatchElementWalk:
 
         def walked(m, s, _):  # integer and certified float keys turned back into their pairs
             bound = s.certificate(m)
-            groups, undefined = gather(lambda m, s: s.evaluators(m, bound))(m, s, _)
+            groups, undefined = gather(lambda m, s: s.evaluators(m))(m, s, _)
             if bound is not None:
                 groups = {_Keyed(bound=bound).result(key): g for key, g in groups.items()}
             return groups, undefined
@@ -172,15 +181,15 @@ class TestRunsMatchElementWalk:
             measure_id, text, _ = drawn
             measure, spec = measure_from_id(measure_id), parse_domain(text)
             order = ElementOrder(spec)
-            # undefined elements come only as runs, with the certificate and without it,
-            # and the walk covers every element, in lexicographic order and as arranged
-            for bound in (None, spec.certificate(measure)):
-                for evaluators in (spec.evaluators, order.evaluators):
-                    walk = [(list(stream), runs) for stream, runs in evaluators(measure, bound)]
-                    assert not any(None in stream for stream, runs in walk if not runs)
-                    results = list(expand(walk))  # run lengths plus element counts
-                    assert len(results) == cardinality(spec)
-                assert results == list(order.arrange(expand(spec.evaluators(measure, bound))))
+            # undefined elements come only as runs, every key is finished, and the
+            # walk covers every element, in lexicographic order and as arranged
+            for evaluators in (spec.evaluators, order.evaluators):
+                walk = [(list(stream), runs) for stream, runs in evaluators(measure)]
+                assert not any(None in stream for stream, runs in walk if not runs)
+                results = list(expand(walk))  # run lengths plus element counts
+                assert len(results) == cardinality(spec)
+                assert all(finished(key) for key in results if key is not None)
+            assert results == list(order.arrange(expand(spec.evaluators(measure))))
         expected = outcome(reference.classify, *drawn)
         verdict = outcome(classify, *drawn)
         if not isinstance(expected, Verdict):
