@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, compress, repeat
 from operator import add as plus, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -419,7 +419,8 @@ def _pnorm(scheme: GradeScheme, universe: Universe, length: int) -> Kernel:
     """Log-weighted variant of normalized recall (float backend)."""
     r_total = _check_rocchio(universe, length)
     logs = [0.0] + [math.log(k) for k in range(1, length + 1)]
-    best = sum(math.log(k) for k in range(1, r_total + 1))
+    # float sums are left-to-right additions: sum() compensates since Python 3.12
+    best = reduce(plus, logs[1 : r_total + 1], 0.0)
     den = math.log(math.comb(length, r_total))
     # each relevant rank adds 1 * log r, so the sum has the bits of the
     # relevant ranks' logs added in rank order
@@ -630,7 +631,7 @@ def aggregate(values: list[Value], kind: str) -> tuple[Value, str]:
         rd = _nth_root(product.denominator, q)
         if rn is not None and rd is not None:
             return Exact(Fraction(rn, rd)), PERMISSIBILITY_WARNING
-    mean = math.exp(sum(logs) / q)
+    mean = math.exp(reduce(plus, logs, 0.0) / q)  # left to right, as in _pnorm
     return Approx(mean), PERMISSIBILITY_WARNING
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goldens
 from metriclass import cli
 from metriclass.cli import run
 from metriclass.errors import ParameterError, ParseError
@@ -26,18 +27,25 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    pytest.param(argv, golden, id=str(golden.relative_to(goldens.DATA)))
+    for argv, golden in goldens.jobs()])
+def test_matches_golden_bytes(argv, golden, tmp_path):
+    def in_process(argv):
+        code, out, _ = invoke(*argv)
+        return code, out.encode("utf-8")
+
+    code, out = goldens.pinned(argv, golden, in_process, tmp_path)
+    assert code == 0
+    assert out == golden.read_bytes()
+
+
 class TestListMeasures:
     def test_lists_known_ids(self):
         code, out, _ = invoke("list-measures")
         assert code == 0
         for needle in ("recall", "prec@r", "rbp?p=..", "esl", "bpref"):
             assert needle in out
-
-    def test_matches_golden_bytes(self):
-        # recorded before the measure registry became one table; the order is part of the output
-        code, out, _ = invoke("list-measures")
-        assert code == 0
-        assert out == (DATA / "list_measures.txt").read_bytes().decode("utf-8")
 
 
 class TestEvaluate:
@@ -111,49 +119,6 @@ class TestClassify:
         assert "16 elements" in err
 
 
-# classify jobs whose --json bytes are pinned: large contingency, user and
-# leveled domains with thousands of classes, rankings, a raised oracle cap
-# and a seed; each golden was written before exact measures returned (num, den)
-CLASSIFY_GOLDENS = [
-    ("recall", "contingency:N=600,R=200"),
-    ("precision", "contingency:N=600,R=200,n=0..600"),
-    ("f-measure", "contingency:N=400,R=100"),
-    ("novelty-ratio", "user:U=3,A=1..120"),
-    ("esl", "leveled:docs=8,s=1"),
-    ("ap", "binary:L=12"),
-    ("rbp?p=1/2", "binary:L=8", "--oracle-cap", "1024"),
-    ("precision", "contingency:N=15,R=5,seed=3"),
-    # recorded from these measures' earlier hand-written folds, before their rewrite
-    ("q-measure", "graded:levels=3,L=6,R=3,N=9"),
-    ("awp", "graded:levels=4,L=5,R=2,N=7"),
-    ("manxcg@3", "binary:L=2..5,R=2,N=7"),
-    ("msr", "binary:L=7,R=3,N=10"),
-    ("bpref", "binary:L=6,R=3,N=9"),
-    # recorded before witnesses on rankings were unranked instead of walked to
-    ("dcg?b=2", "binary:L=12"),
-    ("msr", "binary:L=11,seed=4"),
-    ("ap", "graded:levels=3,L=1..6,R=3,N=9,seed=2"),
-    # recorded before contingency classes were keyed by certified floats: one
-    # domain that certifies its floats and one whose weight is past the bound
-    ("utility?alpha=7/3,beta=5,gamma=1/2,delta=11", "contingency:N=300,R=90"),
-    ("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2"),
-    # recorded before undefined points came only as runs: the one undefined
-    # point lies in the last row, after the first repeat; and whole lengths
-    # undefined under a seed
-    ("inverse-precision", "contingency:N=80,R=30,n=0..80"),
-    ("rnorm", "binary:L=2..6,R=3,N=9,seed=5"),
-    # recorded before rankings domains were walked a level at a time: rr's
-    # settled prefixes under rel=, horizon runs over several lengths with
-    # R < L, and float sums with pnorm's tie at P = 168
-    ("rr", "graded:levels=3,L=8,rel=2"),
-    ("nxcg@4", "binary:L=3..9,R=3,N=12"),
-    ("pnorm", "binary:L=8,R=3,N=11,rel=3"),
-    # recorded before leveled elements came from the level walk: witness labels
-    # of outputs that hold s > 1 relevant documents
-    ("esl", "leveled:docs=10,s=3"),
-]
-
-
 class TestParserReuse:
     JOB = ("classify", "--measure", "msr", "--domain", "binary:L=11,seed=4", "--json")
 
@@ -221,17 +186,6 @@ class TestMeasureReuse:
         assert calls == [calls[0]] * 3
 
 
-class TestClassifyGoldens:
-    @pytest.mark.parametrize("job", CLASSIFY_GOLDENS, ids=" ".join)
-    def test_matches_golden_bytes(self, job):
-        measure, domain, *extra = job
-        name = re.sub(r"[^A-Za-z0-9]+", "-", " ".join(job)).strip("-") + ".json"
-        code, out, _ = invoke("classify", "--measure", measure, "--domain", domain, *extra,
-                              "--json")
-        assert code == 0
-        assert out == (DATA / "classify" / name).read_bytes().decode("utf-8")
-
-
 class TestWitness:
     def test_uses_suite_default_domain(self):
         code, out, _ = invoke("witness", "--measure", "rr")
@@ -276,47 +230,8 @@ class TestWitness:
 # a weight beyond the float range: its values are exact, but print as inf
 HUGE_UTILITY = "utility?alpha=1,beta=1,gamma=1,delta=1e400"
 
-# hasse jobs whose DOT bytes are pinned: a seed, reals, and a domain of each
-# other kind; each golden was written while the Hasse export still kept a
-# value and a member list in each class
-HASSE_GOLDENS = [
-    ("ap", "binary:L=6,seed=3"),
-    ("dcg?b=2", "binary:L=4"),
-    ("recall", "contingency:N=15,R=5"),
-    ("novelty-ratio", "user:U=1,A=1..4"),
-    ("esl", "leveled:docs=4,s=1"),
-    # seeded: positions reach the member lists out of order
-    ("precision", "contingency:N=12,R=4,seed=5"),  # with an undefined point
-    ("pnorm", "binary:L=6,R=3,N=9,rel=3,seed=2"),  # reals
-    ("novelty-ratio", "user:U=2,A=1..5,seed=1"),  # with five undefined points
-    # settled prefixes: each run's positions go into its class's member list
-    ("esl", "leveled:docs=5,s=2,seed=4"),  # seeded: a run's positions are scattered
-    ("nxcg@2", "binary:L=5"),  # every class is a union of runs of 8
-    # recorded before contingency classes were keyed by certified floats
-    ("f-measure", "contingency:N=20,R=6"),
-    # recorded before an undefined length came as one run, not one per grade:
-    # under a seed, the run's positions are scattered among the classes
-    ("rnorm", "binary:L=2..5,R=3,N=9,seed=1"),
-    # recorded before rankings domains were walked a level at a time: the
-    # labels come from the same column walk as the values
-    ("rbp?p=1/2", "graded:levels=3,L=4"),
-    # recorded before walks handed over finished keys: uncertified pairs, each
-    # reduced where its row makes it
-    ("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2"),
-]
-
 
 class TestHasse:
-    @pytest.mark.parametrize("job", HASSE_GOLDENS, ids=" ".join)
-    def test_matches_golden_bytes(self, job, tmp_path):
-        measure, domain = job
-        name = re.sub(r"[^A-Za-z0-9]+", "-", " ".join(job)).strip("-") + ".gv"
-        target = tmp_path / name
-        code, _, _ = invoke("hasse", "--measure", measure, "--domain", domain,
-                            "--out", str(target))
-        assert code == 0
-        assert target.read_bytes() == (DATA / "hasse" / name).read_bytes()
-
     def test_writes_dot_file(self, tmp_path):
         target = tmp_path / "chain.gv"
         code, out, _ = invoke(
@@ -368,14 +283,6 @@ class TestTable:
         assert code == 0
         payload = json.loads(out)
         assert payload["schema"] == "metriclass/1"
-
-    @pytest.mark.parametrize("extra, golden", [((), "suite_paper.md"),
-                                               (("--json",), "suite_paper.json")])
-    def test_matches_golden_bytes(self, extra, golden):
-        # recorded before the rank kernel became a fold; any refactor keeps these bytes
-        code, out, _ = invoke("table", "--suite", "paper", *extra)
-        assert code == 0
-        assert out == (DATA / golden).read_bytes().decode("utf-8")
 
 
 class TestIngestEval:

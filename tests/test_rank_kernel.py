@@ -119,8 +119,12 @@ def reference(measure_id, ranking, universe):
             return None
         if base == "rnorm":
             return 1 - Fraction(sum(ranks) - big_r * (big_r + 1) // 2, big_r * (length - big_r))
-        log_sum = sum(math.log(r) for r in ranks)
-        best = sum(math.log(r) for r in range(1, big_r + 1))
+        # log r added in rank order with +, as the fold adds it
+        log_sum = best = 0.0
+        for r in ranks:
+            log_sum += math.log(r)
+        for r in range(1, big_r + 1):
+            best += math.log(r)
         return 1 - (log_sum - best) / math.log(math.comb(length, big_r))
     if base == "ap":
         return sum(Fraction(count[r - 1], r) for r in ranks) / big_r

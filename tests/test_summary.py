@@ -45,6 +45,7 @@ MEASURES = {
     "leveled": ("esl",),
 }
 UTILITY_WEIGHTS = ("alpha", "beta", "gamma", "delta")
+HUGE_WEIGHTS = ("1e400", "1/1000000007")  # past the certificate's bound on all but tiny domains
 # every set and user id, for the certified-float keys of their domains
 COUNT_TUPLE_MEASURES = {
     family: (*(i for i in list_measure_ids() if "?" not in i and "@" not in i
@@ -82,6 +83,8 @@ def domain_texts(draw, kinds=tuple(sorted(MEASURES)), measures=MEASURES, size=10
     if measure == "utility?":  # rational weights, so the forms are scaled by their lcm
         weights = draw(st.lists(st.fractions(Fraction(1, 10), 10, max_denominator=12),
                                 min_size=4, max_size=4))
+        if draw(st.booleans()):  # uncertified, so the rows yield pairs
+            weights[draw(st.integers(0, 3))] = draw(st.sampled_from(HUGE_WEIGHTS))
         measure += ",".join(f"{name}={w}" for name, w in zip(UTILITY_WEIGHTS, weights))
     return measure, text, draw(st.sampled_from((200, 0, 3)))
 
@@ -157,6 +160,10 @@ class TestRunsMatchElementWalk:
     @example(("novelty-ratio", "user:U=2,A=1..4,seed=1", 200))  # undefined at R_k = 0
     @example(("precision", "contingency:N=5,R=0,n=0..5", 200))  # n = 0 is a whole undefined row
     @example(("utility?alpha=1/3,beta=5/2,gamma=7/12,delta=2", "contingency:N=6,R=2,seed=8", 200))
+    # uncertified: each row reduces its pairs
+    @example(("utility?alpha=1,beta=1,gamma=1,delta=1e400", "contingency:N=6,R=2", 200))
+    @example(("utility?alpha=1,beta=1,gamma=1,delta=1/1000000007", "contingency:N=6,R=2,seed=3",
+              200))
     @example(("coverage-ratio", "user:U=1,A=1..1", 200))  # a one-element domain
     @example(("recall", "contingency:N=3,R=0", 200))  # every row is undefined
     def test_buckets_run_lengths_and_verdict(self, drawn):
