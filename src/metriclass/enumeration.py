@@ -481,10 +481,18 @@ class Rankings(Domain):
 
     def certificate(self, measure) -> Optional[int]:
         """For an exact measure, the lcm D of its folds' denominators over the lengths, else
-        None: each result is an integer numerator over D, which sorts as the values do."""
+        None: each result is an integer numerator over D, which sorts as the values do.
+        Found once per measure and kept: the walk and the summary decoding it both ask."""
         if measure.backend != "exact":
             return None
-        return math.lcm(*(kernel.den for _, kernel in self._kernels(measure) if kernel))
+        if measure not in self._certificates:
+            dens = (kernel.den for _, kernel in self._kernels(measure) if kernel)
+            self._certificates[measure] = math.lcm(*dens)
+        return self._certificates[measure]
+
+    @cached_property
+    def _certificates(self) -> dict:
+        return {}
 
     def evaluators(self, measure) -> Iterator[tuple[Iterator, bool]]:
         """One walk per length of the measure's fold, an exact result as its numerator over

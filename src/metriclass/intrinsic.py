@@ -13,7 +13,8 @@ alone makes it an ordinal scale that is a metric; everything is at least
 an ordinal scale and a pseudometric.  ``interval_scale_oracle`` re-derives
 the same verdict from the definition of an interval scale (span ordering
 vs value-difference ordering over all interval pairs), independently of
-the quotient-gap route, so the two must always agree.
+the quotient-gap route, so the two must always agree.  It compares all
+the exact pairs of one span offset at once, as digits of packed ints.
 
 Classification needs only the attained values in order, each one's size
 and the earliest collision (``summarize``): one pass buckets values up to
@@ -25,9 +26,10 @@ may hand over a settled prefix as one run of elements sharing one value,
 and hands over undefined points only so, as runs, which are counted
 apart.  A walk hands over finished keys, so this module only counts and
 sorts them; a key is turned back into its value's pair only where a check
-or a report reads it, through the domain's certificate.  An exact value's
-key is, on a rankings domain, its integer numerator over the domain's one
-denominator (``Domain.certificate``); on a contingency or user domain
+or a report reads it, through the domain's certificate; the oracle reads
+rank keys as they are.  An exact value's key is, on a rankings domain, its
+integer numerator over the domain's one denominator
+(``Domain.certificate``); on a contingency or user domain
 whose certificate holds, the float ``num / den``, recovered by
 ``_convergent``; else its ``(num, den)`` in lowest terms, reduced by the
 walk where it makes the pair.  A real's key is its float.  Rank values
@@ -537,10 +539,17 @@ def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
     at one offset d = j - i.  Each such pair's value difference must equal
     the first, classes 0..d, and these first differences must strictly
     increase with d.  Every pair is compared, not only consecutive gaps.
-    Exact values, recovered from their keys, are compared as integers over
-    their common denominator; reals as floats within ``DEFAULT_EPS`` of
-    their offset's first difference, since nearness within a tolerance is
-    not transitive.  Quotients above ``cap`` classes are skipped with a marker.
+    Reals are compared as floats within ``DEFAULT_EPS`` of their offset's
+    first difference, since nearness within a tolerance is not transitive.
+    Exact values are integers x_0..x_{k-1} over one denominator: rank keys
+    over ``bound`` as they are, others recovered and brought over the lcm
+    of their denominators.  Each x_i - min(x) is a digit, in base B =
+    256^width > 2 * span, of one int P.  At offset d, ``P // B^d - P mod
+    B^(k-d)`` has the digits x_{i+d} - x_i, and ``(x_d - x_0) * (1 + B +
+    ... + B^(k-d-1))`` the digits x_d - x_0, all of magnitude at most the
+    span, below B / 2.  Such a balanced base-B form is unique, so the two
+    are equal iff every pair at offset d has the first pair's difference.
+    Quotients above ``cap`` classes are skipped with a marker.
     """
     keys = ordered.keys
     if len(keys) > cap:
@@ -548,26 +557,29 @@ def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
     if ordered.collision is not None:
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
     k = len(keys)
-    results = list(map(ordered.result, keys))
-    exact_values = all(r.__class__ is tuple for r in results)
-    if exact_values:
-        den = math.lcm(*(d for _, d in results))
-        xs = [n * (den // d) for n, d in results]
-        tol = 0
-    else:
-        xs = results
+    xs = keys if k and keys[0].__class__ is int else list(map(ordered.result, keys))
+    if xs and xs[0].__class__ is tuple:
+        den = math.lcm(*(d for _, d in xs))
+        xs = [n * (den // d) for n, d in xs]
+    firsts = [x - xs[0] for x in xs]
+    if all(x.__class__ is int for x in xs):
+        tol, low = 0, min(xs, default=0)
+        width = ((max(xs, default=0) - low).bit_length() + 8) // 8  # bytes, so 2 * span < B
+        digits = map(int.to_bytes, map(operator.sub, xs, repeat(low)), repeat(width),
+                     repeat("little"))
+        packed = int.from_bytes(b"".join(digits), "little")
+        ones = int.from_bytes((1).to_bytes(width, "little") * k, "little")
+        bits = 8 * width
+        for d in range(1, k):
+            mask = (1 << (k - d) * bits) - 1
+            if (packed >> d * bits) - (packed & mask) != firsts[d] * (ones & mask):
+                return OracleResult(False, "equal spans with unequal value differences")
+    else:  # |diff - first| <= eps for every later pair
         tol = DEFAULT_EPS
-    firsts = []
-    for d in range(k):
-        first = xs[d] - xs[0]
-        rest = map(operator.sub, islice(xs, d + 1, None), islice(xs, 1, None))
-        if exact_values:
-            same = list(rest) == [first] * (k - 1 - d)
-        else:  # |diff - first| <= eps for every later pair
-            same = all(map(tol.__ge__, map(abs, map(operator.sub, rest, repeat(first)))))
-        if not same:
-            return OracleResult(False, "equal spans with unequal value differences")
-        firsts.append(first)
+        for d, first in enumerate(firsts):
+            rest = map(operator.sub, islice(xs, d + 1, None), islice(xs, 1, None))
+            if not all(map(tol.__ge__, map(abs, map(operator.sub, rest, repeat(first))))):
+                return OracleResult(False, "equal spans with unequal value differences")
     for lo, hi in zip(firsts, firsts[1:]):
         if not lo <= hi + tol or abs(lo - hi) <= tol:
             return OracleResult(False, "value differences not strictly increasing with span")

@@ -455,17 +455,63 @@ class TestIntervalScaleOracle:
         assert result.skipped
         assert "skipped" in result.note
 
+    @pytest.mark.parametrize("measure_id, oracle, category", [
+        ("rbp?p=1/2", True, INTERVAL_METRIC),
+        ("rbp?p=1/3", False, ORDINAL_METRIC),
+    ])
+    def test_runs_on_2048_rank_classes(self, measure_id, oracle, category):
+        verdict = classify(measure_from_id(measure_id), parse_domain("binary:L=11"),
+                           oracle_cap=2048)
+        assert verdict.classes == 2048
+        assert (verdict.oracle, verdict.category) == (oracle, category)
+        assert verdict.oracle == (verdict.category == INTERVAL_METRIC)
+
 
 UNEQUAL = "equal spans with unequal value differences"
 NOT_INCREASING = "value differences not strictly increasing with span"
 
 
-def singleton_chain(values):
-    """One singleton class per value, in the given order, sorted or not."""
-    keys = [v.rational.as_integer_ratio() if isinstance(v, Exact) else v.real for v in values]
+def singleton_chain(values, bound=None):
+    """One singleton class per value, in the given order, sorted or not.
+
+    With ``bound`` the values are ints, keyed as they are, as numerators
+    over it, the way a rankings walk keys exact values.
+    """
+    keys = [v if bound else v.rational.as_integer_ratio() if isinstance(v, Exact) else v.real
+            for v in values]
     indices = range(len(values))
     return OrderedDomain(tuple(f"e{i}" for i in indices), keys, tuple((i,) for i in indices),
-                         (), None)
+                         (), None, bound=bound)
+
+
+# exact rank measures and rankings domains whose summaries reach the oracle as
+# int keys over ``bound``, injective or not, equispaced or not
+ORACLE_RANK_MEASURES = ("rbp?p=1/2", "rbp?p=1/3", "rbp?p=3/4", "ap", "msr", "q-measure", "rr")
+ORACLE_RANK_DOMAINS = ("binary:L=1", "binary:L=6", "binary:L=2..5", "binary:L=5,R=2,N=7",
+                       "binary:L=6,R=3,N=9,rel=2", "graded:levels=3,L=3",
+                       "graded:levels=4,L=1..3,R=3,N=6", "binary:L=4,seed=2")
+
+
+def wide_integers(draw, k):
+    """Equispaced integers, maybe with one of them nudged at any position, the last included.
+
+    A chain has gaps up to 2^70, either way, and starts up to 2^70 either
+    side of 0, or spans just below, at or just above 2^(8m-1) for m = 1, 2
+    and 8, where the oracle's digit width grows by a byte, in as many
+    steps as divide it.
+    """
+    start = draw(st.integers(-2**70, 2**70))
+    if draw(st.booleans()):
+        gap = draw(st.integers(1, 2**70)) * draw(st.sampled_from((-1, 1)))
+    else:
+        span = 2 ** (8 * draw(st.sampled_from((1, 2, 8))) - 1) + draw(st.integers(-2, 2))
+        k = 1 + draw(st.sampled_from([steps for steps in range(1, 80) if span % steps == 0]))
+        gap = span // (k - 1)
+    xs = [start + i * gap for i in range(k)]
+    if draw(st.booleans()):
+        at = draw(st.one_of(st.just(k - 1), st.integers(0, k - 1)))
+        xs[at] += draw(st.sampled_from((-1, 1))) * 2 ** draw(st.integers(0, 72))
+    return xs
 
 
 @st.composite
@@ -478,12 +524,26 @@ def oracle_inputs(draw):
     ``DEFAULT_EPS`` so that chains of near differences break the
     tolerance's transitivity.  Most go through ``order_values``; some are
     equispaced class lists built directly, in either direction, so that
-    differences can fail to increase.  The cap is sometimes below the
-    class count.
+    differences can fail to increase.  Wide inputs are ``wide_integers``,
+    up to 80 of them, keyed as ints over a drawn ``bound`` in their drawn
+    order, or as pairs over a drawn denominator through ``order_values``;
+    rank inputs are the induced orders of small rankings domains, whose
+    int keys and ``bound`` are ``summarize``'s.  The cap is sometimes
+    below the class count.
     """
     k = draw(st.one_of(st.integers(1, 4), st.integers(1, 40)))
-    shape = draw(st.sampled_from(("exact", "repeats", "real", "direct-exact", "direct-real")))
-    if shape == "repeats":
+    shape = draw(st.sampled_from(("exact", "repeats", "real", "direct-exact", "direct-real",
+                                  "wide", "rankings")))
+    if shape == "wide":
+        xs, den = wide_integers(draw, draw(st.integers(1, 80))), draw(st.integers(1, 2**70))
+        if draw(st.booleans()):
+            ordered = singleton_chain(xs, bound=den)
+        else:
+            ordered = order_values([(f"e{i}", exact(x, den)) for i, x in enumerate(xs)])
+    elif shape == "rankings":
+        measure = measure_from_id(draw(st.sampled_from(ORACLE_RANK_MEASURES)))
+        ordered = induced_order(measure, parse_domain(draw(st.sampled_from(ORACLE_RANK_DOMAINS))))
+    elif shape == "repeats":
         values = [exact(n) for n in draw(st.lists(st.integers(0, 6), min_size=1, max_size=k))]
     elif shape.endswith("exact"):
         gap = Fraction(draw(st.integers(-3 if shape == "direct-exact" else 1, 5)),
@@ -508,7 +568,7 @@ def oracle_inputs(draw):
         values = [Approx(i * gap + n * DEFAULT_EPS / 10) for i, n in enumerate(tenths)]
     if shape.startswith("direct"):
         ordered = singleton_chain(values)
-    else:
+    elif shape not in ("wide", "rankings"):
         ordered = order_values([(f"e{i}", v) for i, v in enumerate(values)])
     cap = draw(st.one_of(st.just(200), st.integers(0, 45)))
     return ordered, cap
@@ -517,7 +577,7 @@ def oracle_inputs(draw):
 class TestOracleMatchesPairLoop:
     """The offset scan gives the verdict and note of the pair-loop reference."""
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=840, deadline=None)
     @given(oracle_inputs())
     def test_same_verdict_and_note(self, drawn):
         ordered, cap = drawn

@@ -13,6 +13,7 @@ level wider than ``BLOCK`` is walked in blocks.  Pairs are reduced only
 where no certificate holds, once per element, as the walk makes them.
 """
 
+import sys
 from itertools import repeat
 
 import pytest
@@ -23,7 +24,7 @@ import summary_reference as reference
 from metriclass import enumeration, measures
 from metriclass.enumeration import ElementOrder, enumerate_domain, parse_domain
 from metriclass.errors import MetriclassError, UndefinedValueError
-from metriclass.intrinsic import _Keyed, _raw, classify, summarize
+from metriclass.intrinsic import _Keyed, _raw, classify, induced_order, summarize
 from metriclass.measures import _MEASURES, measure_from_id
 from metriclass.report import emit_verdict_json
 
@@ -157,6 +158,27 @@ def test_pairs_are_reduced_only_where_no_certificate_holds(monkeypatch, measure_
         assert verdict.elements == 4096 and verdict.classes == 6
     assert len(calls) == (verdict.elements if per_element else 0), f"{len(calls)} reductions"
     assert verdict == reference.classify(measure, spec)
+
+
+@pytest.mark.parametrize("measure_id, domain", [
+    ("nxcg@4", "binary:L=3..9,R=3,N=12"),
+    ("rbp?p=1/2", "binary:L=12"),
+    ("ap", "binary:L=2..6,R=2,N=8,seed=5"),
+])
+def test_certificate_is_found_once_per_call(monkeypatch, measure_id, domain):
+    """The summary decodes keys under the certificate the walk used, found once, not twice."""
+    kernels, callers = enumeration.Rankings._kernels, []
+
+    def spy(self, measure):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kernels(self, measure)
+
+    monkeypatch.setattr(enumeration.Rankings, "_kernels", spy)
+    measure = measure_from_id(measure_id)
+    for run in (classify, induced_order):
+        callers.clear()
+        run(measure, parse_domain(domain))
+        assert callers == ["certificate", "evaluators"]  # one lcm of the folds, one walk
 
 
 def test_rr_yields_one_run_per_first_relevant_rank():
