@@ -16,21 +16,23 @@ vs value-difference ordering over all interval pairs), independently of
 the quotient-gap route, so the two must always agree.  It compares all
 the exact pairs of one span offset at once, as digits of packed ints.
 
-Classification needs only the attained values in order, each one's size
-and the earliest collision (``summarize``): one pass buckets values up to
-the first repeat of an exact value and counts the rest in C, one call per
-element stream; no record is built per class.  The induced order
-(``induced_order``) also lists the members, for the Hasse export.  Both
-read ``ElementOrder.evaluators``, in position order under any seed.  A walk
-may hand over a settled prefix as one run of elements sharing one value,
-and hands over undefined points only so, as runs, which are counted
-apart.  A walk hands over finished keys, so this module only counts and
-sorts them; a key is turned back into its value's pair only where a check
-or a report reads it, through the domain's certificate; the oracle reads
-rank keys as they are.  An exact value's key is, on a rankings domain, its
-integer numerator over the domain's one denominator
-(``Domain.certificate``); on a contingency or user domain
-whose certificate holds, the float ``num / den``, recovered by
+Classification needs only the class count, the earliest collision and
+the attained values in order up to the first uneven gap (``summarize``).
+One pass buckets exact values in Python up to their first repeat and
+collects the rest in C as distinct keys, one ``dict.update`` per element
+stream, with no size per class and no record per class; the keys order
+themselves only as far as a check reads them.  The induced order
+(``induced_order``) lists the members, and so the class sizes, for the
+Hasse export.  Both read ``ElementOrder.evaluators``, in position order
+under any seed.  A walk may hand over a settled prefix as one run of
+elements sharing one value, and hands over undefined points only so, as
+runs, which are counted apart.  A walk hands over finished keys, so this
+module only collects and orders them; a key is turned back into its
+value's pair only where a report reads it, through the domain's
+certificate; the checks read rank keys as they are.  An exact value's
+key is, on a rankings domain, its integer numerator over the domain's
+one denominator (``Domain.certificate``); on a contingency or user
+domain whose certificate holds, the float ``num / den``, recovered by
 ``_convergent``; else its ``(num, den)`` in lowest terms, reduced by the
 walk where it makes the pair.  A real's key is its float.  Rank values
 stay integers, not certified floats: many are dyadic (``rbp?p=1/2``),
@@ -43,14 +45,16 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from collections import Counter
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop
 from itertools import chain, compress, count, islice, repeat, starmap
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .enumeration import DEFAULT_CAP, Domain, ElementOrder, format_domain
 from .errors import ConstraintError
@@ -137,20 +141,56 @@ class _Keyed:
         return as_value(self.result(key))
 
 
-@dataclass(frozen=True)
-class ValueSummary(_Keyed):
-    """What classification needs of a domain's attained values, from one pass.
+class _Ascending(Sequence):
+    """Distinct keys in increasing order, ordered only as far as they are read.
 
-    ``keys`` is the quotient in increasing value order, and ``sizes`` maps
-    each key to its class's size.  ``collision`` is ``(key, earliest,
-    second)`` of the class whose second earliest position in
-    ``enumerate_domain`` order is least, or None.  ``elements`` is the count
-    ``ElementOrder`` took; ``excluded`` and ``first_excluded`` are the
-    number and earliest position of the undefined points (0 and None).
+    The keys are a heap; reading index i pops the least ones up to it, and
+    a slice, a negative index or iteration sorts the rest once.
     """
 
-    keys: list[Key]
-    sizes: dict[Key, int]
+    def __init__(self, keys: Iterable[Key]):
+        self._heap, self._ascending = list(keys), []
+        heapify(self._heap)
+
+    def __len__(self) -> int:
+        return len(self._ascending) + len(self._heap)
+
+    def __getitem__(self, i):
+        if i.__class__ is not int or i < 0:
+            return list(self)[i]
+        while len(self._ascending) <= i and self._heap:
+            self._ascending.append(heappop(self._heap))
+        return self._ascending[i]
+
+    def __iter__(self):
+        if self._heap:  # every key left is at least every key popped
+            self._ascending += sorted(self._heap)
+            self._heap = []
+        return iter(self._ascending)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def unordered(self) -> Iterable[Key]:
+        """Every key once, in no particular order, with no sort."""
+        return chain(self._ascending, self._heap)
+
+
+@dataclass(frozen=True)
+class ValueSummary(_Keyed):
+    """What classification reads of a domain's attained values, from one pass.
+
+    ``keys`` is the quotient in increasing value order: a list, or, above
+    ``DEFAULT_ORACLE_CAP`` classes of certified keys, an ``_Ascending``
+    that orders itself as far as it is read.  ``collision`` is ``(key,
+    earliest, second)`` of the class whose second earliest position in
+    ``enumerate_domain`` order is least, or None.  ``elements`` is the
+    count ``ElementOrder`` took; ``excluded`` and ``first_excluded`` are
+    the number and earliest position of the undefined points (0 and None).
+    Class sizes are not kept; ``induced_order`` lists each class's members.
+    """
+
+    keys: Sequence[Key]
     collision: Optional[tuple[Key, int, int]]
     elements: int
     excluded: int
@@ -172,7 +212,7 @@ class OrderedDomain(_Keyed):
     """
 
     labels: tuple[str, ...]
-    keys: list[Key]
+    keys: Sequence[Key]
     members: tuple[tuple[int, ...], ...]
     excluded: tuple[int, ...]
     collision: Optional[tuple[Key, int, int]]
@@ -227,24 +267,38 @@ def _gather(evaluators: Iterable[tuple[Iterable, bool]], early: bool) -> tuple:
     return groups, None
 
 
-def _count(groups: dict, stream, runs: bool, evaluators) -> tuple:
-    """Sizes over ``_gather``'s buckets and the rest of its walk, and the first ``None``'s position.
+def _distinct(groups: dict, stream, runs: bool, evaluators) -> tuple[dict, int]:
+    """Distinct keys of ``_gather``'s defined buckets and the rest of its walk; the undefined count.
 
-    ``Counter.update`` counts each element stream's keys in C; runs add
-    their lengths.  Positions ascend, so the first undefined run after the
-    stop starts at the number of elements counted before it.
+    Keys of a dict, collected in C by one ``dict.update`` per element
+    stream, with no size per key (a set's table is larger at some sizes:
+    8 MiB for the 172,712 keys of ``ap binary:L=18``, against 5 MiB).
     """
-    sizes = Counter({key: 1 if g.__class__ is int else g[0] for key, g in groups.items()})
-    first = _unpack(groups[None])[1][0] if None in groups else None
+    keys, undefined = dict.fromkeys(groups), 0
     for stream, runs in chain([(stream, runs)], evaluators):
         if not runs:
-            sizes.update(stream)
+            keys.update(zip(stream, repeat(None)))
             continue
         for key, k in stream:
-            if key is None and first is None:
-                first = sum(sizes.values())
-            sizes[key] += k
-    return sizes, first
+            if key is None:
+                undefined += k
+            else:
+                keys[key] = None
+    return keys, undefined
+
+
+def _first_undefined(evaluators) -> Optional[int]:
+    """The position of a walk's first undefined element; element streams are counted in C."""
+    positions = count()
+    for stream, runs in evaluators:
+        if not runs:
+            deque(zip(stream, positions), maxlen=0)  # leaves the count at the stream's end
+            continue
+        for key, k in stream:
+            if key is None:
+                return next(positions)
+            positions = count(next(positions) + k)
+    return None
 
 
 def _enter(groups: dict, key: Optional[Key], size: int, earliest: tuple[int, ...]) -> bool:
@@ -259,23 +313,26 @@ def _enter(groups: dict, key: Optional[Key], size: int, earliest: tuple[int, ...
     return size > 1
 
 
-def _quotient(groups: dict, certified: bool, excluded: int) -> list[Key]:
+def _quotient(groups: dict, certified: bool, excluded: int) -> Sequence[Key]:
     """The classes' keys in increasing value order, over the keys of ``groups``.
 
     ``groups`` holds the defined values, ``excluded`` counts the undefined
     ones.  Values must be all exact or all real, and one must be defined.
-    Each distinct exact value is a class; ``certified`` keys are floats
-    that ``Domain.certificate`` proved one-to-one on the exact values and
-    ordered as they are.  A class of reals is a run of sorted values within
-    ``DEFAULT_EPS`` of its first, the anchor, since nearness within a
-    tolerance is not transitive; only anchors are returned, and each other
-    real belongs to the greatest anchor below it.
+    Each distinct exact value is a class; ``certified`` keys are ints or
+    floats that ``Domain.certificate`` proved one-to-one on the exact
+    values and ordered as they are.  Up to ``DEFAULT_ORACLE_CAP`` of them,
+    where the oracle reads every key, they are sorted at once; above it,
+    where only the checks read them up to the first uneven gap, they are
+    ordered lazily (``_Ascending``).  A class of reals is a run of sorted
+    values within ``DEFAULT_EPS`` of its first, the anchor, since nearness
+    within a tolerance is not transitive; only anchors are returned, and
+    each other real belongs to the greatest anchor below it.
     """
     if not groups:
         raise ConstraintError("intrinsic: the domain has no element" if not excluded
                               else "intrinsic: every element of the domain is undefined")
     if certified:
-        return sorted(groups)
+        return sorted(groups) if len(groups) <= DEFAULT_ORACLE_CAP else _Ascending(groups)
     kinds = set(map(type, groups))
     if len(kinds) > 1:
         raise ConstraintError("intrinsic: a domain mixes exact and real values")
@@ -310,40 +367,41 @@ def _check_family(measure: Measure, spec: Domain) -> None:
 def summarize(measure: Measure, spec: Domain, cap: int | None = None) -> ValueSummary:
     """Evaluate the measure over the domain into a summary of its attained values.
 
-    One pass over the finished keys of ``Domain.evaluators``
-    (level-at-a-time walks keyed by integers that yield settled prefixes as
-    runs, or affine rows keyed by certified floats or reduced pairs)
-    keeps each value's size and the earliest collision, so memory grows
-    with the distinct values, not the elements.  Values are bucketed
-    (``_gather``) up to the first repeat of an exact value and counted in
-    C after it (``_count``), one ``Counter.update`` per element stream.
-    The streams arrive in position order, seeded or not.  For reals, where
-    near values join a class without a repeat, every element is bucketed,
-    and near reals fold into their anchors' buckets.  Undefined points,
-    which come as runs, are counted apart and left out of the quotient.
+    One pass over the finished keys of ``Domain.evaluators`` keeps the
+    distinct values and the earliest collision, so memory grows with the
+    distinct values, not the elements.  Exact values are bucketed
+    (``_gather``) up to their first repeat, the earliest collision, and
+    the rest of each element stream's keys are collected in C
+    (``_distinct``).  Only where the first undefined run comes past the
+    stop does a second, counting walk find its position.  The streams
+    arrive in position order, seeded or not.  For reals, where near values
+    join a class without a repeat, every element is bucketed, and near
+    reals fold into their anchors' buckets.  Undefined points, which come
+    as runs, are counted apart and left out of the quotient.
     """
     _check_family(measure, spec)
     order = ElementOrder(spec, DEFAULT_CAP if cap is None else cap)
     bound = spec.certificate(measure)
     evaluators = order.evaluators(measure)
     groups, stop = _gather(evaluators, measure.backend == "exact")
+    excluded, (first, *_) = _unpack(groups.pop(None)) if None in groups else (0, (None,))
     if stop is None:
-        excluded, (first, *_) = _unpack(groups.pop(None)) if None in groups else (0, (None,))
         keys = _quotient(groups, bound is not None, excluded)
         if len(keys) < len(groups):  # near reals: each joins the greatest anchor below it
             for key in groups.keys() - set(keys):
                 _enter(groups, keys[bisect_right(keys, key) - 1], *_unpack(groups.pop(key)))
-        collided = dict(compress(groups.items(), map(isinstance, groups.values(), repeat(list))))
-        collision = min(((key, g[1], g[2]) for key, g in collided.items()),
+        collided = compress(groups.items(), map(isinstance, groups.values(), repeat(list)))
+        collision = min(((key, g[1], g[2]) for key, g in collided),
                         key=itemgetter(2), default=None)
-        sizes = dict.fromkeys(groups, 1)
-        sizes.update(zip(collided, map(itemgetter(0), collided.values())))
     else:
         collision = (stop[0], *groups[stop[0]][1:])
-        sizes, first = _count(groups, *stop[1:], evaluators)
-        excluded = sizes.pop(None, 0)
-        keys = _quotient(sizes, bound is not None, excluded)
-    return ValueSummary(keys, sizes, collision, order.size, excluded, first, order, bound=bound)
+        distinct, late = _distinct(groups, *stop[1:], evaluators)
+        excluded += late
+        keys = _quotient(distinct, bound is not None, excluded)
+        del distinct  # before a counting walk, which under a seed arranges a whole column
+        if late and first is None:  # the first undefined run comes past the stop
+            first = _first_undefined(order.evaluators(measure))
+    return ValueSummary(keys, collision, order.size, excluded, first, order, bound=bound)
 
 
 def _ordered(walk: Iterable, labels: Iterable[str], bound: Optional[int] = None) -> OrderedDomain:
@@ -482,18 +540,31 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
     Returns the common gap, or the three consecutive class values ending
     at the first gap unequal to the first.  Single-class quotients report
     equispaced vacuously but carry the degenerate flag.  Gaps are taken
-    between the classes' results, recovered key by key up to the first
-    unequal gap: exact ones are compared by integer cross-multiplication,
-    real ones within ``DEFAULT_EPS`` of the first gap (nearness within a
-    tolerance is not transitive).
+    between consecutive keys, read in order only up to the first unequal
+    gap.  Integer keys are numerators over one denominator, so they are
+    compared as they are, and n of them whose least two are m and m + g
+    are equispaced iff every one lies in ``range(m, m + n*g, g)``, whose n
+    slots they then fill: one pass in C, in no order, decides that.  Other
+    keys are turned into their results, key by key: exact ones are
+    compared by integer cross-multiplication, real ones within
+    ``DEFAULT_EPS`` of the first gap (nearness within a tolerance is not
+    transitive).  Only a reported gap or triple turns a key into a value.
     """
     keys, result = ordered.keys, ordered.result
-    if len(keys) < 2:
+    n = len(keys)
+    if n < 2:
         return SpacingResult(equispaced=True, degenerate=True)
+    if keys[0].__class__ is int:  # numerators over one denominator: pairs over 1
+        result = lambda key: (key, 1)
+        low, gap = keys[0], keys[1] - keys[0]
+        unordered = keys.unordered() if keys.__class__ is _Ascending else keys
+        if n > 2 and keys[2] - keys[1] == gap and all(
+                map(range(low, low + n * gap, gap).__contains__, unordered)):
+            n = 2  # on the lattice every gap is the first: walk that one only
     hi = result(keys[0])
     real = hi.__class__ is float
     first = None
-    for k in range(1, len(keys)):
+    for k in range(1, n):
         lo, hi = hi, result(keys[k])
         if real:
             gap = hi - lo
@@ -501,8 +572,8 @@ def check_equispaced(ordered: ValueSummary | OrderedDomain) -> SpacingResult:
         else:  # a gap (num, den) over a positive den
             gap = hi[0] * lo[1] - lo[0] * hi[1], lo[1] * hi[1]
             same = first is None or gap[0] * first[1] == first[0] * gap[1]
-        if not same:
-            triple = tuple(map(ordered.value, keys[k - 2:k + 1]))
+        if not same:  # index, not slice: a slice of lazily ordered keys sorts them all
+            triple = tuple(ordered.value(keys[i]) for i in range(k - 2, k + 1))
             return SpacingResult(equispaced=False, degenerate=False, violating_triple=triple)
         first = first or gap  # gaps between distinct classes are nonzero
     return SpacingResult(equispaced=True, degenerate=False,
@@ -557,7 +628,7 @@ def interval_scale_oracle(ordered: ValueSummary | OrderedDomain,
     if ordered.collision is not None:
         return OracleResult(False, "distance is not a metric: distinct elements at distance zero")
     k = len(keys)
-    xs = keys if k and keys[0].__class__ is int else list(map(ordered.result, keys))
+    xs = list(keys) if k and keys[0].__class__ is int else list(map(ordered.result, keys))
     if xs and xs[0].__class__ is tuple:
         den = math.lcm(*(d for _, d in xs))
         xs = [n * (den // d) for n, d in xs]

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import accumulate, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metriclass import intrinsic
 from metriclass.enumeration import enumerate_domain, parse_domain
 from metriclass.errors import ConstraintError
 from metriclass.intrinsic import (
@@ -15,6 +17,9 @@ from metriclass.intrinsic import (
     ORDINAL_METRIC,
     ORDINAL_PSEUDOMETRIC,
     OrderedDomain,
+    ValueSummary,
+    Verdict,
+    _Ascending,
     build_hasse,
     check_equispaced,
     check_injective,
@@ -23,11 +28,14 @@ from metriclass.intrinsic import (
     induced_order,
     interval_scale_oracle,
     order_values,
+    summarize,
 )
 from metriclass.measures import measure_from_id
 from metriclass.model import GradeScheme, Ranking, Universe
 from metriclass.values import DEFAULT_EPS, Approx, Exact, exact, fmt, value_eq
+import summary_reference as reference
 from summary_reference import labeled_values
+from test_summary import domain_texts, outcome
 from oracle_reference import reference_oracle
 from pseudometric import pseudometric_check
 
@@ -572,6 +580,66 @@ def oracle_inputs(draw):
         ordered = order_values([(f"e{i}", v) for i, v in enumerate(values)])
     cap = draw(st.one_of(st.just(200), st.integers(0, 45)))
     return ordered, cap
+
+
+@st.composite
+def distinct_integers(draw):
+    """Distinct ints in a drawn order.
+
+    Either ``wide_integers`` (gaps up to 2^70 either way, negatives, maybe
+    one key nudged off the lattice), or a random set.
+    """
+    if draw(st.booleans()):
+        xs = list(dict.fromkeys(wide_integers(draw, draw(st.integers(1, 80)))))
+    else:
+        xs = draw(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=60, unique=True))
+    return draw(st.permutations(xs))
+
+
+class TestLazySpacingMatchesFullSort:
+    """The lazy order and the lattice test against ``check_equispaced`` over a full sort."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(distinct_integers(), st.integers(1, 2**70), st.data())
+    def test_distinct_integers(self, xs, den, data):
+        # int keys over den, as a rankings walk keys them, ordered as far as they are read
+        lazy = ValueSummary(_Ascending(xs), None, len(xs), 0, None, None, bound=den)
+        # the full sort: reduced pairs, walked gap by gap by cross-multiplication
+        pairs = order_values([(f"e{i}", exact(x, den)) for i, x in enumerate(xs)])
+        assert check_equispaced(lazy) == check_equispaced(pairs)
+        ascending = sorted(xs)
+        for i in data.draw(st.lists(st.integers(-len(xs), len(xs) - 1), max_size=4)):
+            assert lazy.keys[i] == ascending[i]
+        assert lazy.keys[1:3] == ascending[1:3]
+        assert (len(lazy.keys), list(lazy.keys)) == (len(xs), ascending)
+        assert lazy.keys == ascending
+
+    # a slot left empty below the greatest key, or a key past the last slot
+    @pytest.mark.parametrize("xs", [[4, 0, 2, 1], [0, 6, 2, 4, 10], [-3, -1, 1, 3, 4]])
+    def test_every_slot_filled(self, xs):
+        lazy = ValueSummary(_Ascending(xs), None, len(xs), 0, None, None, bound=7)
+        pairs = order_values([(f"e{i}", exact(x, 7)) for i, x in enumerate(xs)])
+        assert check_equispaced(lazy) == check_equispaced(pairs)
+        assert not check_equispaced(lazy).equispaced
+
+    @settings(max_examples=300, deadline=None)
+    @given(domain_texts())
+    @example(("rbp?p=1/2", "binary:L=2..6,seed=3", 200))  # int keys on a lattice
+    @example(("rbp?p=1/3", "graded:levels=3,L=3", 3))  # off it, past the third key
+    @example(("recall", "contingency:N=9,R=4,n=0..9", 200))  # certified floats, equispaced
+    def test_small_domains_of_every_kind(self, drawn):
+        # every certified summary is ordered lazily, whatever its class count
+        with patch.object(intrinsic, "DEFAULT_ORACLE_CAP", 0):
+            summary = outcome(lambda m, s, _: summarize(m, s), *drawn)
+            verdict = outcome(classify, *drawn)
+        expected = outcome(reference.classify, *drawn)
+        if not isinstance(expected, Verdict):
+            assert verdict is expected
+            return
+        measure_id, text, _ = drawn
+        certified = parse_domain(text).certificate(measure_from_id(measure_id)) is not None
+        assert (summary.keys.__class__ is _Ascending) == certified
+        assert verdict == expected
 
 
 class TestOracleMatchesPairLoop:

@@ -5,8 +5,9 @@ keys an exact value by its integer numerator over one denominator per
 domain (``Rankings.certificate``).  On random small rankings domains
 (several lengths, R below L, ``rel=`` and ``seed=``), for every rank
 measure id, the summary must equal ``summary_reference``'s: the keys
-mapped to pairs (floats bit for bit), the sizes, the earliest collision
-and the undefined points, and the verdict JSON byte for byte.  Every key
+mapped to pairs (floats bit for bit), the earliest collision and the
+undefined points, the induced order's class sizes, and the verdict JSON
+byte for byte.  Every key
 must stand for the value ``Measure.evaluate`` gives its element on its
 own, so the column and the scalar form of a fold cannot drift apart.  A
 level wider than ``BLOCK`` is walked in blocks.  Pairs are reduced only
@@ -105,7 +106,7 @@ def test_columns_match_every_element_kept(job):
         return
     assert [bits(summary.result(key)) for key in summary.keys] == [
         bits(_raw(cls.value)) for cls in expected.classes]
-    assert [summary.sizes[key] for key in summary.keys] == [
+    assert [len(m) for m in outcome(induced_order, *job).members] == [
         len(cls.members) for cls in expected.classes]
     collided = [cls for cls in expected.classes if len(cls.members) > 1]
     first = min(collided, key=lambda cls: cls.members[1], default=None)

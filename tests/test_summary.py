@@ -1,12 +1,14 @@
 """The one-pass value summary against the materialised path it replaced.
 
-``classify`` keeps, per distinct attained value, its size, and the
-earliest collision, and names witnesses from its positions alone; after
-the first repeat of an exact value it counts in C.  ``summary_reference``
-keeps every element.  Both must give the same sizes, collision and
-undefined points, and the same verdict, field for field and byte for
+``classify`` keeps the distinct attained values and the earliest
+collision, and names witnesses from its positions alone; past the first
+repeat of an exact value it collects distinct keys in C.
+``summary_reference`` keeps every element.  Both must give the same
+classes, collision and undefined points, the induced order the same
+class sizes, and both the same verdict, field for field and byte for
 byte, on every domain kind, with and without a seed, for exact and for
-real measures.  The summary's memory must not grow with the elements.
+real measures.  The summary's memory must not grow with
+the elements, and it must count no class's size nor sort every key.
 Walks that yield settled prefixes as runs, and the row streams of
 contingency and user domains, must bucket exactly as evaluating every
 element does.  Where a contingency or user domain keys its classes by
@@ -15,6 +17,7 @@ value, and the verdict must be the one the pairs give.
 """
 
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import repeat
@@ -254,7 +257,10 @@ class TestSummaryMatchesReference:
             return
         assert [summary.result(key) for key in summary.keys] == [
             _raw(cls.value) for cls in expected.classes]
-        assert [summary.sizes[key] for key in summary.keys] == [
+        # the summary keeps no sizes: the induced order's members have them, over its keys
+        ordered = outcome(lambda m, s, _: induced_order(m, s), *drawn)
+        assert ordered.keys == summary.keys
+        assert [len(m) for m in ordered.members] == [
             len(cls.members) for cls in expected.classes]
         assert summary_collision(summary) == earliest_collision(expected)
         assert summary.excluded == len(expected.excluded)
@@ -285,6 +291,29 @@ def test_stops_at_the_first_repeat_for_exact_keys_only(monkeypatch, measure_id, 
     assert verdict == reference.classify(measure, spec)
 
 
+def test_keeps_only_what_the_verdict_reads(monkeypatch):
+    counters, sorts = [], []
+
+    class SpyCounter(Counter):
+        def __init__(self, *args, **kwargs):
+            counters.append(1)
+            super().__init__(*args, **kwargs)
+
+    def spy_sorted(keys, **kwargs):
+        keys = list(keys)
+        sorts.append(len(keys))
+        return sorted(keys, **kwargs)
+
+    monkeypatch.setattr(intrinsic, "Counter", SpyCounter, raising=False)
+    monkeypatch.setattr(intrinsic, "sorted", spy_sorted, raising=False)
+    # 6,089 classes of certified floats: the checks read three keys, the oracle none
+    verdict = classify(measure_from_id("precision"),
+                       parse_domain("contingency:N=200,R=100,n=0..200"))
+    assert verdict.classes == 6_089
+    assert counters == [], "classify counted the classes' sizes"
+    assert all(n < verdict.classes for n in sorts), f"classify sorted {max(sorts)} keys"
+
+
 class TestCertifiedKeysMatchPairs:
     """Classes keyed by certified floats against the materialised pair path."""
 
@@ -303,11 +332,11 @@ class TestCertifiedKeysMatchPairs:
             return
         assert [summary.result(key) for key in summary.keys] == [
             cls.value.rational.as_integer_ratio() for cls in expected.classes]
-        assert [summary.sizes[key] for key in summary.keys] == [
+        ordered = outcome(lambda m, s, _: induced_order(m, s), *drawn)
+        assert [len(m) for m in ordered.members] == [
             len(cls.members) for cls in expected.classes]
         assert summary_collision(summary) == earliest_collision(expected)
         # every class's members, and so its size and first two, on the Hasse export's order
-        ordered = outcome(lambda m, s, _: induced_order(m, s), *drawn)
         assert ordered.members == tuple(cls.members for cls in expected.classes)
         # the same job with every certificate refused, so that the rows yield pairs
         with patch.object(_CountTuples, "certificate", lambda self, measure: None):
@@ -361,14 +390,14 @@ class TestInducedOrderMatchesSummary:
             assert ordered is summary
             return
         assert ordered.keys == summary.keys
-        # each class's member list against the summary's size, and the earliest collision
-        assert [len(m) for m in ordered.members] == [summary.sizes[key] for key in summary.keys]
+        # each class's member list against the reference's size, and the earliest collision
+        expected = outcome(
+            lambda m, s, _: reference.order_values(reference.labeled_values(s, m)), *drawn)
+        assert [len(m) for m in ordered.members] == [len(cls.members) for cls in expected.classes]
         assert ordered.collision == summary.collision
         assert len(ordered.excluded) == summary.excluded
         assert (ordered.excluded or (None,))[0] == summary.first_excluded
-        # the members themselves, and so each class's size and first two, against the reference
-        expected = outcome(
-            lambda m, s, _: reference.order_values(reference.labeled_values(s, m)), *drawn)
+        # the members themselves, and so each class's first two, against the reference
         assert ordered.members == tuple(cls.members for cls in expected.classes)
         assert ordered.excluded == expected.excluded
 
@@ -400,7 +429,7 @@ def test_classify_memory_is_bounded_by_distinct_values(measure_id, domain, eleme
 
 
 def test_element_streams_are_counted_without_copies():
-    # each element stream goes to one Counter.update, never through a list
+    # each element stream goes to one dict.update, never through a list
     verdict, peak = traced_classify("rr", "binary:L=14")
     assert verdict.classes == 15
     assert peak < 16 * 1024, f"classify peaked at {peak} traced bytes"
